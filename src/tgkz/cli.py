@@ -1,7 +1,8 @@
 """Batch command line: read a problem spec, run one analysis, print JSON.
 
 Exit codes: 0 success, 2 hypothesis failure (or any other analysis error),
-3 unreadable/invalid spec, 4 Groebner pair budget exceeded.
+3 unreadable/invalid spec or invalid TGKZ_PAIR_BUDGET, 4 Groebner pair
+budget exceeded.
 """
 
 import argparse

@@ -183,6 +183,11 @@ class Cyclotomic:
         if isinstance(other, (int, Fraction)):
             return Cyclotomic(self.order, tuple(x * other for x in self.coeffs))
         a, b = self._pair(other)
+        if b.is_rational():
+            a, b = b, a  # the product commutes; scale by whichever is rational
+        if a.is_rational():
+            q = a.coeffs[0]
+            return Cyclotomic(b.order, tuple(q * y for y in b.coeffs))
         out = [Fraction(0)] * (2 * len(a.coeffs) - 1)
         for i, x in enumerate(a.coeffs):
             if x:
@@ -196,6 +201,9 @@ class Cyclotomic:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
+        q = self.rational_value()
+        if q is not None:
+            return Cyclotomic.rational(1 / q, self.order)
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
         g, s, _ = _xgcd_poly(list(self.coeffs), phi)
         assert len(g) == 1 and g[0] != 0

@@ -43,15 +43,22 @@ class SliceTooSmallError(TgkzError):
     code = "SLICE_TOO_SMALL"
 
 
+class NotStabilizedError(TgkzError):
+    """The bounded relation search found more relations two degrees higher."""
+
+    code = "NOT_STABILIZED"
+
+
 class BudgetExceededError(TgkzError):
     code = "BUDGET_EXCEEDED"
 
 
 class SpecError(TgkzError):
-    """Problem-spec parsing/validation failure.
+    """Problem-spec parsing/validation failure, or a bad environment value.
 
     code is one of MALFORMED, DIMENSION_MISMATCH, UNSUPPORTED_CHARACTER_VALUE,
-    UNSUPPORTED_MODULE.
+    UNSUPPORTED_MODULE, or INVALID_ENVIRONMENT for an environment variable
+    (TGKZ_PAIR_BUDGET) that does not parse.
     """
 
     def __init__(self, message, code="MALFORMED", **context):

@@ -4,23 +4,33 @@ Monomial orders, Buchberger with a pair budget, reduced Groebner bases,
 saturation and intersection by variable adjunction/elimination, a small
 module-level Buchberger for submodules of free modules (used by the
 presentation builder), and the canonical round-trippable text format.
+
+Polynomial coefficients are Cyclotomic.  Module element coefficients may be
+Fraction or Cyclotomic: the presentation builder feeds rational binomials as
+Fraction, which skips the field arithmetic.
 """
 
+import heapq
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _gcd
 
 from .cyclotomic import Cyclotomic
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, SpecError
 
 DEFAULT_PAIR_BUDGET = 5000
 
 
 def default_pair_budget():
+    """TGKZ_PAIR_BUDGET, or 5000 when unset; anything but a non-negative
+    integer raises SpecError with code INVALID_ENVIRONMENT."""
     raw = os.environ.get("TGKZ_PAIR_BUDGET")
     if raw is None:
         return DEFAULT_PAIR_BUDGET
+    if not raw.strip().isdecimal():
+        raise SpecError(f"TGKZ_PAIR_BUDGET must be a non-negative integer, got {raw!r}",
+                        code="INVALID_ENVIRONMENT", variable="TGKZ_PAIR_BUDGET")
     return int(raw)
 
 
@@ -250,31 +260,33 @@ def _common_field(polys):
     return e
 
 
-def normal_form(f, gens, order):
-    """Full multivariate division remainder of f by gens, deterministic."""
-    gens = [g for g in gens if not g.is_zero()]
+def normal_form(f, gens, order, leads=None):
+    """Full multivariate division remainder of f by gens, deterministic.
+
+    `leads`, when given, lists the leading monomial of each of `gens`, which
+    must then all be nonzero.
+    """
+    if leads is None:
+        gens = [g for g in gens if not g.is_zero()]
+        leads = [g.leading(order)[0] for g in gens]
     if f.is_zero() or not gens:
         return f
     e = _common_field([f] + gens)
     f = f.promote(e)
     gens = [g.promote(e) for g in gens]
-    leads = [g.leading(order) for g in gens]
     remainder = {}
     work = dict(f.terms)
     while work:
         exp = max(work, key=order.key)
         coeff = work.pop(exp)
-        hit = None
-        for idx, (lexp, lc) in enumerate(leads):
+        for idx, lexp in enumerate(leads):
             if _divides(lexp, exp):
-                hit = (idx, lexp, lc)
                 break
-        if hit is None:
+        else:
             remainder[exp] = remainder[exp] + coeff if exp in remainder else coeff
             continue
-        idx, lexp, lc = hit
         shift = _sub(exp, lexp)
-        factor = coeff / lc
+        factor = coeff / gens[idx].terms[lexp]
         for gexp, gc in gens[idx].terms.items():
             if gexp == lexp:
                 continue
@@ -316,58 +328,55 @@ def buchberger(gens, order=GREVLEX, pair_budget=None):
         return []
     e = _common_field(basis)
     basis = [g.promote(e) for g in basis]
-    pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    leads = [g.leading(order)[0] for g in basis]
+
+    def entry(i, j):
+        return order.key(_lcm_exp(leads[i], leads[j])), (i, j)
+
+    # pairs leave the heap smallest (order key of the lcm, (i, j)) first
+    pending = [entry(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    heapq.heapify(pending)
     processed = 0
     while pending:
-        pair = min(pending, key=lambda ij: (order.key(
-            _lcm_exp(basis[ij[0]].leading(order)[0], basis[ij[1]].leading(order)[0])), ij))
-        pending.discard(pair)
+        _, pair = heapq.heappop(pending)
         processed += 1
         if processed > pair_budget:
             raise BudgetExceededError(
                 f"Groebner pair budget exceeded ({pair_budget} pairs)",
                 pairs=processed, budget=pair_budget)
         i, j = pair
-        fi, fj = basis[i], basis[j]
-        le_i, le_j = fi.leading(order)[0], fj.leading(order)[0]
+        le_i, le_j = leads[i], leads[j]
         if _lcm_exp(le_i, le_j) == _add(le_i, le_j):
             continue  # coprime leading monomials: S-poly reduces to zero
-        rem = normal_form(s_polynomial(fi, fj, order), basis, order)
+        rem = normal_form(s_polynomial(basis[i], basis[j], order), basis, order, leads)
         if not rem.is_zero():
             basis = [g.promote(rem.field_order) for g in basis]
             basis.append(rem)
+            leads.append(rem.leading(order)[0])
             k = len(basis) - 1
-            pending.update((i2, k) for i2 in range(k))
-    return _interreduce(basis, order)
+            for i2 in range(k):
+                heapq.heappush(pending, entry(i2, k))
+    return _interreduce(basis, leads, order)
 
 
-def _interreduce(basis, order):
-    # minimalize: drop generators whose leading monomial another one divides
-    basis = [g for g in basis if not g.is_zero()]
-    basis.sort(key=lambda g: order.key(g.leading(order)[0]))
+def _interreduce(basis, leads, order):
+    """Monic reduced basis from a Groebner basis and its leading monomials."""
+    # minimalize: drop generators whose leading monomial another one divides;
+    # the sort is stable, so equal leading monomials keep their basis order
+    ranked = sorted(zip(leads, basis), key=lambda lg: order.key(lg[0]))
     kept = []
-    for i, g in enumerate(basis):
-        le = g.leading(order)[0]
-        redundant = False
-        for j, h in enumerate(basis):
-            if j == i:
-                continue
-            hle = h.leading(order)[0]
-            if _divides(hle, le) and (hle != le or j < i):
-                redundant = True
-                break
-        if not redundant:
-            kept.append(g)
-    # full tail reduction; leading terms are pairwise non-divisible so they stay
-    for i in range(len(kept)):
-        others = kept[:i] + kept[i + 1:]
-        kept[i] = normal_form(kept[i], others, order)
-    out = []
-    for g in kept:
-        _, lc = g.leading(order)
-        out.append(g * (Cyclotomic.one() / lc))
-    out.sort(key=lambda g: order.key(g.leading(order)[0]))
-    return out
+    for i, (le, g) in enumerate(ranked):
+        if not any(_divides(hle, le) and (hle != le or j < i)
+                   for j, (hle, _) in enumerate(ranked) if j != i):
+            kept.append((le, g))
+    # full tail reduction; leading terms are pairwise non-divisible so they
+    # stay, and `kept` stays sorted ascending by them
+    kept_leads = [le for le, _ in kept]
+    out = [g for _, g in kept]
+    for i in range(len(out)):
+        out[i] = normal_form(out[i], out[:i] + out[i + 1:], order,
+                             kept_leads[:i] + kept_leads[i + 1:])
+    return [g * (Cyclotomic.one() / g.terms[le]) for le, g in zip(kept_leads, out)]
 
 
 @dataclass(frozen=True)
@@ -464,7 +473,8 @@ def intersect_many(ideals, pair_budget=None) -> IdealBasis:
 # ---------------------------------------------------------------------------
 # free-module Groebner bases (terms carry a component index)
 #
-# Elements are dicts (component, exponent) -> Cyclotomic.  The order is
+# Elements are dicts (component, exponent) -> coefficient, a Fraction or a
+# Cyclotomic; tests for zero use truth value.  The order is
 # term-over-position: grevlex on the monomial, smaller component wins ties.
 
 
@@ -478,27 +488,25 @@ def _mod_leading(elem, order):
     return k, elem[k]
 
 
-def _mod_normal_form(elem, gens, order):
+def _mod_normal_form(elem, gens, order, leads=None):
     if not elem:
         return {}
-    leads = [_mod_leading(g, order) for g in gens]
+    if leads is None:
+        leads = [_mod_leading(g, order)[0] for g in gens]
     remainder = {}
     work = dict(elem)
     while work:
         key = max(work, key=lambda ce: _mod_key(order, ce))
         coeff = work.pop(key)
         comp, exp = key
-        hit = None
-        for idx, ((lcomp, lexp), lc) in enumerate(leads):
+        for idx, (lcomp, lexp) in enumerate(leads):
             if lcomp == comp and _divides(lexp, exp):
-                hit = (idx, lexp, lc)
                 break
-        if hit is None:
+        else:
             remainder[key] = remainder[key] + coeff if key in remainder else coeff
             continue
-        idx, lexp, lc = hit
         shift = _sub(exp, lexp)
-        factor = coeff / lc
+        factor = coeff / gens[idx][leads[idx]]
         for (gcomp, gexp), gc in gens[idx].items():
             if (gcomp, gexp) == (comp, lexp):
                 continue
@@ -506,18 +514,22 @@ def _mod_normal_form(elem, gens, order):
             c = factor * gc
             if tgt in work:
                 work[tgt] = work[tgt] - c
-                if work[tgt].is_zero():
+                if not work[tgt]:
                     del work[tgt]
             else:
                 nc = -c
-                if not nc.is_zero():
+                if nc:
                     work[tgt] = nc
     return remainder
 
 
-def module_normal_form(elem, gens, order=GREVLEX):
-    """Remainder of a module element on full division by `gens`."""
-    return _mod_normal_form(dict(elem), [dict(g) for g in gens], order)
+def module_normal_form(elem, gens, order=GREVLEX, leads=None):
+    """Remainder of a module element on full division by `gens`.
+
+    `leads`, when given, lists the leading (component, exponent) of each of
+    `gens`.
+    """
+    return _mod_normal_form(elem, gens, order, leads)
 
 
 def module_groebner(elems, order=GREVLEX, pair_budget=None):
@@ -525,70 +537,63 @@ def module_groebner(elems, order=GREVLEX, pair_budget=None):
 
     Same contract as buchberger: monic, canonical, sorted ascending by
     leading term.  S-pairs form only between elements sharing the leading
-    component.
+    component.  Coefficients may be Fraction or Cyclotomic; the result
+    keeps the type the arithmetic produces.
     """
     if pair_budget is None:
         pair_budget = default_pair_budget()
     basis = [dict(e) for e in elems if e]
-    pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))
-               if _mod_leading(basis[i], order)[0][0] == _mod_leading(basis[j], order)[0][0]}
+    leads = [_mod_leading(b, order)[0] for b in basis]
+
+    def entry(i, j):
+        (ci, ei), (_, ej) = leads[i], leads[j]
+        return _mod_key(order, (ci, _lcm_exp(ei, ej))), (i, j)
+
+    # pairs leave the heap smallest (order key of the lcm, (i, j)) first
+    pending = [entry(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))
+               if leads[i][0] == leads[j][0]]
+    heapq.heapify(pending)
     processed = 0
     while pending:
-        pair = min(pending, key=lambda ij: (_mod_key(order, (
-            _mod_leading(basis[ij[0]], order)[0][0],
-            _lcm_exp(_mod_leading(basis[ij[0]], order)[0][1],
-                     _mod_leading(basis[ij[1]], order)[0][1]))), ij))
-        pending.discard(pair)
+        _, (i, j) = heapq.heappop(pending)
         processed += 1
         if processed > pair_budget:
             raise BudgetExceededError(
                 f"module Groebner pair budget exceeded ({pair_budget} pairs)",
                 pairs=processed, budget=pair_budget)
-        i, j = pair
-        (ci, ei), lci = _mod_leading(basis[i], order)
-        (cj, ej), lcj = _mod_leading(basis[j], order)
+        (_, ei), (_, ej) = leads[i], leads[j]
+        lci, lcj = basis[i][leads[i]], basis[j][leads[j]]
         lcm = _lcm_exp(ei, ej)
         spair = {}
         for (c, e), co in basis[i].items():
             key = (c, _add(e, _sub(lcm, ei)))
-            spair[key] = spair.get(key, Cyclotomic.zero()) + co / lci
+            spair[key] = spair.get(key, 0) + co / lci
         for (c, e), co in basis[j].items():
             key = (c, _add(e, _sub(lcm, ej)))
-            spair[key] = spair.get(key, Cyclotomic.zero()) - co / lcj
-        spair = {k: v for k, v in spair.items() if not v.is_zero()}
-        rem = _mod_normal_form(spair, basis, order)
+            spair[key] = spair.get(key, 0) - co / lcj
+        spair = {k: v for k, v in spair.items() if v}
+        rem = _mod_normal_form(spair, basis, order, leads)
         if rem:
             basis.append(rem)
+            leads.append(_mod_leading(rem, order)[0])
             k = len(basis) - 1
             for i2 in range(k):
-                if _mod_leading(basis[i2], order)[0][0] == _mod_leading(rem, order)[0][0]:
-                    pending.add((i2, k))
-    # interreduce
-    basis = [b for b in basis if b]
-    basis.sort(key=lambda g: _mod_key(order, _mod_leading(g, order)[0]))
+                if leads[i2][0] == leads[k][0]:
+                    heapq.heappush(pending, entry(i2, k))
+    # interreduce; the stable sort keeps equal leading terms in basis order
+    ranked = sorted(zip(leads, basis), key=lambda lg: _mod_key(order, lg[0]))
     kept = []
-    for i, g in enumerate(basis):
-        (gc, ge), _ = _mod_leading(g, order)
-        redundant = False
-        for j, h in enumerate(basis):
-            if j == i:
-                continue
-            (hc, he), _ = _mod_leading(h, order)
-            if hc == gc and _divides(he, ge) and ((hc, he) != (gc, ge) or j < i):
-                redundant = True
-                break
-        if not redundant:
-            kept.append(g)
-    for i in range(len(kept)):
-        others = kept[:i] + kept[i + 1:]
-        if others:
-            kept[i] = _mod_normal_form(kept[i], others, order)
-    out = []
-    for g in kept:
-        _, lc = _mod_leading(g, order)
-        out.append({k: v / lc for k, v in g.items()})
-    out.sort(key=lambda g: _mod_key(order, _mod_leading(g, order)[0]))
-    return out
+    for i, ((gc, ge), g) in enumerate(ranked):
+        if not any(hc == gc and _divides(he, ge) and (he != ge or j < i)
+                   for j, ((hc, he), _) in enumerate(ranked) if j != i):
+            kept.append(((gc, ge), g))
+    # leading terms survive the tail reduction, so `kept` stays sorted
+    kept_leads = [lead for lead, _ in kept]
+    out = [g for _, g in kept]
+    for i in range(len(out)):
+        out[i] = _mod_normal_form(out[i], out[:i] + out[i + 1:], order,
+                                  kept_leads[:i] + kept_leads[i + 1:])
+    return [{k: v / g[lead] for k, v in g.items()} for lead, g in zip(kept_leads, out)]
 
 
 # ---------------------------------------------------------------------------

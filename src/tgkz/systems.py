@@ -6,6 +6,10 @@ relation per column) and the finite primitive form (one generator per
 primitive element, binomial gluing relations found by bounded search and
 reduced to a canonical module Groebner basis, plus shifted Euler relations).
 Quasi-degree arrangements and the homology vanishing test live here too.
+
+The relation search works on module elements with Fraction coefficients (the
+binomials are rational); the module Groebner engine accepts Fraction or
+Cyclotomic, and WeylElement coerces to Cyclotomic when relations are built.
 """
 
 from dataclasses import dataclass
@@ -18,7 +22,7 @@ from .cones import (AffinePiece, Arrangement, PointConfig, facets,
                     homogenizing_functional, membership_in_arrangement,
                     positive_grading)
 from .cyclotomic import Cyclotomic
-from .errors import SliceTooSmallError
+from .errors import NotStabilizedError, SliceTooSmallError
 from .poly import GREVLEX, module_groebner, module_normal_form, _mod_key, _mod_leading
 from .semigroups import (EXPLICIT, K, K_INTERIOR, SemigroupModule,
                          cone_points_up_to, elements_with_height_at_most,
@@ -164,7 +168,7 @@ def _pair_elements(config, generators, bound):
             deg = shift + t
             buckets.setdefault((deg.torsion, deg.free), []).append((u, gi))
     elements = []
-    one = Cyclotomic.one()
+    one = Fraction(1)
     for key in sorted(buckets):
         entries = sorted(set(buckets[key]))
         first = entries[0]
@@ -177,12 +181,13 @@ def _span_reduce(elements, order=GREVLEX):
     """Discard elements already in the span of earlier ones; keeps the
     Groebner input small without changing the submodule."""
     elements = sorted(elements, key=lambda e: _mod_key(order, _mod_leading(e, order)[0]))
-    kept = []
+    kept, leads = [], []
     for e in elements:
-        r = module_normal_form(e, kept, order) if kept else e
+        r = module_normal_form(e, kept, order, leads) if kept else e
         if r:
-            _, lc = _mod_leading(r, order)
+            lead, lc = _mod_leading(r, order)
             kept.append({k: v / lc for k, v in r.items()})
+            leads.append(lead)
     return kept
 
 
@@ -209,8 +214,9 @@ def bbgkz_primitive_presentation(module: SemigroupModule, beta,
         else int(binomial_degree_bound)
     basis = _module_basis(config, gens, bound)
     wider = _module_basis(config, gens, bound + 2)
-    assert basis == wider, \
-        f"binomial relations did not stabilize at bound {bound}"
+    if basis != wider:
+        raise NotStabilizedError(
+            f"binomial relations did not stabilize at bound {bound}", bound=bound)
     binomials = []
     for elem in basis:
         degs = set()

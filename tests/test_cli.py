@@ -2,8 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_specs"
 
 SPLIT_LINE = """{
   "torsion_orders": [2],
@@ -23,11 +26,11 @@ NOT_POINTED = """{
 }"""
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, python_flags=()):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "tgkz.cli", *args],
+    return subprocess.run([sys.executable, *python_flags, "-m", "tgkz.cli", *args],
                           capture_output=True, text=True, env=env)
 
 
@@ -75,10 +78,29 @@ def test_parse_error_exit_code(spec_file):
     assert res.returncode == 3
 
 
-def test_budget_exit_code(spec_file):
-    res = run_cli("ideals", "--spec", spec_file(MOD4_LINE),
-                  env_extra={"TGKZ_PAIR_BUDGET": "1"})
-    assert res.returncode == 4
+# z6_plane `ideals` processes exactly 66 S-pairs, which pins the pair order
+@pytest.mark.parametrize("spec,command,budget,rc", [
+    ("mod4_line", "ideals", "1", 4),
+    ("z6_plane", "ideals", "65", 4),
+    ("z6_plane", "ideals", "66", 0),
+    ("mod4_line", "ideals", "abc", 3),
+    ("mod4_line", "ideals", "-1", 3),
+])
+def test_budget_exit_code(spec, command, budget, rc):
+    res = run_cli(command, "--spec", str(SAMPLES / f"{spec}.json"),
+                  env_extra={"TGKZ_PAIR_BUDGET": budget})
+    assert res.returncode == rc, res.stderr
+    if rc == 3:
+        assert "INVALID_ENVIRONMENT" in res.stderr
+
+
+def test_unstabilized_bound_exits_2_without_asserts():
+    # under -O an assert would vanish and the short relation list would pass
+    res = run_cli("system", "--spec", str(SAMPLES / "mod4_line.json"),
+                  "--bound", "0", python_flags=("-O",))
+    assert res.returncode == 2
+    assert "NOT_STABILIZED" in res.stderr
+    assert res.stdout == ""
 
 
 def test_rank_command_payload(spec_file):

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from tgkz.cyclotomic import Cyclotomic
+from tgkz.cyclotomic import (Cyclotomic, _reduce_mod_phi, _xgcd_poly,
+                             cyclotomic_polynomial)
 from tgkz import fieldlin
 
 
@@ -120,3 +122,36 @@ def test_zeta_power_multiplicative_order():
                 m += 1
                 assert m <= e
             assert m == e // gcd(e, k)
+
+
+def _xgcd_inverse(x):
+    """Inverse by extended Euclid against Phi_e, the path for any element."""
+    phi = [Fraction(c) for c in cyclotomic_polynomial(x.order)]
+    g, s, _ = _xgcd_poly(list(x.coeffs), phi)
+    return _reduce_mod_phi([c / g[0] for c in s], x.order)
+
+
+def _convolution(a, b):
+    """Product of two elements of one order: full convolution, then mod Phi_e."""
+    out = [Fraction(0)] * (2 * len(a.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return _reduce_mod_phi(out, a.order)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 6, 8, 12])
+def test_rational_fast_paths_match_generic_arithmetic(e):
+    rng = random.Random(e)
+    deg = len(cyclotomic_polynomial(e)) - 1
+    for q in (Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-22, 5)):
+        x = Cyclotomic.rational(q, e)
+        assert x.inverse().coeffs == _xgcd_inverse(x)
+        y = Cyclotomic(e, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                           for _ in range(deg)])
+        assert (x * y).coeffs == _convolution(x, y)
+        assert (y * x).coeffs == _convolution(y, x)
+        # a rational of order 1 is lifted to Q(zeta_e) first
+        low = Cyclotomic.rational(q)
+        assert (low * y).coeffs == _convolution(low.lift(e), y)
+        assert (y * low).coeffs == _convolution(y, low.lift(e))

@@ -7,13 +7,17 @@ from conftest import make_config
 from tgkz import fieldlin
 from tgkz.cones import face_by_columns
 from tgkz.cyclotomic import Cyclotomic
-from tgkz.errors import SliceTooSmallError
+from tgkz.errors import NotStabilizedError, SliceTooSmallError
+from tgkz.poly import module_groebner
 from tgkz.semigroups import K, K_INTERIOR, SemigroupModule
 from tgkz.systems import (
     FACE,
     K_MOD_KINTERIOR,
     NONVANISHING,
     VANISHES,
+    _pair_elements,
+    _primitive_set_for,
+    _span_reduce,
     bbgkz_primitive_presentation,
     bbgkz_relations,
     default_binomial_bound,
@@ -70,6 +74,29 @@ def test_primitive_presentation_stable_at_large_bound(split_line):
     mod = SemigroupModule(K, split_line)
     pres = bbgkz_primitive_presentation(mod, (Fraction(1, 2),), 16)
     assert rel_texts(pres) == [[(0, "x1*d1 - 1/2")], [(1, "x1*d1 - 1/2")]]
+
+
+def test_primitive_presentation_unstable_bound_raises(mod4_line):
+    mod = SemigroupModule(K, mod4_line)
+    with pytest.raises(NotStabilizedError) as info:
+        bbgkz_primitive_presentation(mod, (0,), 0)
+    assert info.value.context == {"bound": 0}
+
+
+Z3_PLANE = make_config([3], [((1,), (1, 0)), ((2,), (1, 1)), ((0,), (1, 2))])
+
+
+@pytest.mark.parametrize("name", ["mod4_line", "z3_plane"])
+def test_relation_search_rational_matches_cyclotomic(name, mod4_line):
+    config = {"mod4_line": mod4_line, "z3_plane": Z3_PLANE}[name]
+    gens = _primitive_set_for(SemigroupModule(K, config)).elements
+    rational = _pair_elements(config, gens, default_binomial_bound(config))
+    assert all(type(c) is Fraction for e in rational for c in e.values())
+    field = [{k: Cyclotomic.one() * c for k, c in e.items()} for e in rational]
+    fast = module_groebner(_span_reduce(rational))
+    slow = module_groebner(_span_reduce(field))
+    assert all(isinstance(c, Cyclotomic) for e in slow for c in e.values())
+    assert [{k: Cyclotomic.coerce(c) for k, c in e.items()} for e in fast] == slow
 
 
 def test_primitive_presentation_interior(even_pair):
