@@ -77,9 +77,6 @@ class PartialCharacter:
     def same_lattice(self, rows):
         return tuple(self.basis) == tuple(hnf_rows([tuple(r) for r in rows]))
 
-    def is_trivial(self):
-        return all(v.is_one() for v in self.values)
-
 
 # ---------------------------------------------------------------------------
 # kernels and Markov bases

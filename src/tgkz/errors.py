@@ -49,6 +49,13 @@ class NotStabilizedError(TgkzError):
     code = "NOT_STABILIZED"
 
 
+class BoxScanIncompleteError(TgkzError):
+    """A box lost a lattice point, or the doubled-scale rescan changed the
+    primitive set (exit 2)."""
+
+    code = "BOX_SCAN_INCOMPLETE"
+
+
 class BudgetExceededError(TgkzError):
     code = "BUDGET_EXCEEDED"
 

@@ -56,10 +56,6 @@ class IntMatrix:
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)))
-
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -69,12 +65,6 @@ class IntMatrix:
             rows.append([sum(r[k] * other.entry(k, j) for k in range(self.cols))
                          for j in range(other.cols)])
         return IntMatrix.from_rows(rows)
-
-    def mul_vector(self, v):
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return tuple(sum(self.entry(i, k) * v[k] for k in range(self.cols))
-                     for i in range(self.rows))
 
     def det(self):
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -280,11 +270,6 @@ def _pivot_positions(hrows):
     return out
 
 
-def in_row_span(v, basis_rows) -> bool:
-    """Is the integer vector v in the lattice spanned by basis_rows?"""
-    return express_in_rows(v, basis_rows) is not None
-
-
 def express_in_rows(v, rows):
     """Integer coefficients c with sum(c_i * rows_i) = v, or None."""
     rows = [tuple(r) for r in rows]
@@ -420,7 +405,8 @@ class Functional:
         return all(c.denominator == 1 for c in self.free_part)
 
     def as_int_tuple(self):
-        assert self.is_integral()
+        if not self.is_integral():
+            raise ValueError(f"functional {self.free_part} is not integral")
         return tuple(int(c) for c in self.free_part)
 
     def sort_key(self):

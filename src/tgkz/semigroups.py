@@ -6,6 +6,10 @@ interior, and modules given by an explicit finite generator list.  Each has
 an exact membership test and a finite primitive generating set obtained by
 Caratheodory reduction into half-open parallelepiped boxes over a placing
 triangulation.
+
+Cone tests use the facet functionals as cached primitive integer rows
+(`_facet_rows`): v is in K when every dot product is >= 0, in the interior
+when every one is >= 1.  Box points come from the Smith form in integers.
 """
 
 import math
@@ -13,16 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import add, mul
 
-from . import fieldlin
 from .cones import PointConfig, cone_triangulation, facets, is_pointed
-from .errors import NotPointedError, SpecError
-from .lattice import IntMatrix
+from .errors import BoxScanIncompleteError, NotPointedError, SpecError
+from .lattice import IntMatrix, smith_normal_form
 
 K = "K"
 K_INTERIOR = "K_INTERIOR"
 EXPLICIT = "EXPLICIT"
 _KINDS = (K, K_INTERIOR, EXPLICIT)
+_LOW = {K: 0, K_INTERIOR: 1}  # least facet value of a module element
 
 
 @dataclass(frozen=True)
@@ -39,11 +44,11 @@ class SemigroupModule:
         if self.kind == EXPLICIT:
             if not self.explicit_generators:
                 raise ValueError("explicit module needs at least one generator")
-            taus = _facet_functionals(self.config)
+            rows = _facet_rows(self.config)
             for g in self.explicit_generators:
                 if g.group != self.config.group:
                     raise ValueError("generator outside the ambient group")
-                if any(t(g.free) < 0 for t in taus):
+                if not _in_cone(rows, g.free):
                     raise ValueError(f"explicit generator {g} lies outside the cone")
         elif self.explicit_generators:
             raise ValueError("generators only allowed for explicit modules")
@@ -58,20 +63,28 @@ class PrimitiveSet:
 
 
 @lru_cache(maxsize=None)
-def _facet_functionals(config: PointConfig):
-    return facets(config)
+def _facet_rows(config: PointConfig):
+    return tuple(tau.as_int_tuple() for tau in facets(config))
+
+
+def _values(rows, v):
+    return tuple(sum(map(mul, row, v)) for row in rows)
+
+
+def _in_cone(rows, v, low=0) -> bool:
+    """Every facet value of v is >= low: 0 for the cone, 1 for its interior."""
+    return all(x >= low for x in _values(rows, v))
 
 
 @lru_cache(maxsize=None)
-def _unit_set(config: PointConfig):
-    return frozenset(units(config))
+def _membership_memo(config: PointConfig):
+    return dict.fromkeys(units(config), True)  # the only finite-order members
 
 
 @lru_cache(maxsize=None)
 def _distinct_nonunit_columns(config: PointConfig):
-    out = sorted({c for c in config.columns if not c.has_finite_order()},
-                 key=lambda e: e.sort_key())
-    return tuple(out)
+    return tuple(sorted({c for c in config.columns if not c.has_finite_order()},
+                        key=lambda e: e.sort_key()))
 
 
 def units(config: PointConfig):
@@ -96,91 +109,90 @@ def membership(t, module: SemigroupModule) -> bool:
     if module.kind == EXPLICIT:
         return any(member_semigroup(module.config, t - g)
                    for g in module.explicit_generators)
-    taus = _facet_functionals(module.config)
-    if module.kind == K:
-        return all(tau(t.free) >= 0 for tau in taus)
-    return all(tau(t.free) > 0 for tau in taus)
+    return _in_cone(_facet_rows(module.config), t.free, _LOW[module.kind])
 
 
-@lru_cache(maxsize=None)
 def member_semigroup(config: PointConfig, t) -> bool:
     """Membership of t in the unsaturated column monoid (units included).
 
-    Depth-first column subtraction; termination needs the pointed-cone
-    hypothesis, since only then does a grading strictly decrease.
+    Depth-first column subtraction on an explicit stack, with answers kept
+    per config; termination needs the pointed-cone hypothesis, since only
+    then does a grading strictly decrease.
     """
-    if t.has_finite_order():
-        return t in _unit_set(config)
-    taus = _facet_functionals(config)
-    if any(tau(t.free) < 0 for tau in taus):
-        return False
-    return any(member_semigroup(config, t - c)
-               for c in _distinct_nonunit_columns(config))
+    memo = _membership_memo(config)
+    rows = _facet_rows(config)
+    stack = [t]
+    while stack:
+        cur = stack[-1]
+        if cur in memo:
+            stack.pop()
+        elif cur.has_finite_order() or not _in_cone(rows, cur.free):
+            memo[cur] = False
+        else:
+            for c in _distinct_nonunit_columns(config):
+                known = memo.get(cur - c)
+                if known is None:  # decide this branch first, then retry
+                    stack.append(cur - c)
+                    break
+                if known:
+                    memo[cur] = True
+                    break
+            else:
+                memo[cur] = False
+    return memo[t]
 
 
 # ---------------------------------------------------------------------------
 # primitive generating sets
 
 
-def _box_points(simplex, scale):
-    """Lattice points of {sum mu_j v_j : 0 <= mu_j < scale} for linearly
+def _box_points(simplex, scales):
+    """Lattice points of {sum mu_j v_j : 0 <= mu_j < scales[j]} for linearly
     independent integer vectors v_j spanning Z^d rationally.
 
     One representative per residue class of Z^d modulo the sublattice the
     vectors span, translated into the fundamental box, then shifted by all
-    nonnegative integer combinations below `scale`.
+    nonnegative integer combinations k with k_j < scales[j].  If U M V = D is
+    the Smith form of M = (v_1 ... v_d), the class of U^-1 r has coordinates
+    mu = M^-1 U^-1 r = V D^-1 r and point M frac(mu), both times |det M|.
     """
-    d = len(simplex[0])
-    assert len(simplex) == d
-    m_rows = [[simplex[j][i] for j in range(d)] for i in range(d)]
-    from .lattice import smith_normal_form
+    d = len(simplex)
+    m_rows = list(zip(*simplex))
     snf = smith_normal_form(IntMatrix.from_rows(m_rows))
     dets = snf.invariant_factors
-    assert len(dets) == d, "box vectors must be linearly independent"
-    u_rows = [[Fraction(snf.U.entry(i, j)) for j in range(d)] for i in range(d)]
-    m_frac = [[Fraction(x) for x in row] for row in m_rows]
+    if len(dets) != d or any(len(v) != d for v in simplex):
+        raise ValueError("box vectors must be d linearly independent vectors")
+    vol = math.prod(dets)
+    coords = [[snf.V.entry(j, i) * (vol // dets[i]) for i in range(d)]
+              for j in range(d)]
     base = set()
-    for residue in product(*(range(di) for di in dets)):
-        x = fieldlin.solve_unique(u_rows, [Fraction(r) for r in residue])
-        assert x is not None and all(c.denominator == 1 for c in x)
-        x = [int(c) for c in x]
-        mu = fieldlin.solve_unique(m_frac, [Fraction(c) for c in x])
-        shift = [math.floor(c) for c in mu]
-        base.add(tuple(x[i] - sum(shift[j] * simplex[j][i] for j in range(d))
-                       for i in range(d)))
-    assert len(base) == math.prod(dets)
-    points = set()
-    for k in product(range(scale), repeat=d):
-        for b in base:
-            points.add(tuple(b[i] + sum(k[j] * simplex[j][i] for j in range(d))
-                             for i in range(d)))
-    return points
-
-
-def _free_degree_in_module(v, kind, taus) -> bool:
-    if kind == K:
-        return all(tau(v) >= 0 for tau in taus)
-    return all(tau(v) > 0 for tau in taus)
+    for residue in product(*map(range, dets)):
+        mu = [sum(map(mul, row, residue)) % vol for row in coords]
+        base.add(tuple(x // vol for x in _values(m_rows, mu)))
+    if len(base) != vol:
+        raise BoxScanIncompleteError(
+            "box representatives do not cover the residue classes",
+            simplex=simplex, expected=vol, found=len(base))
+    offsets = [_values(m_rows, k) for k in product(*map(range, scales))]
+    return {tuple(map(add, b, o)) for b in base for o in offsets}
 
 
 def _primitive_degrees(module: SemigroupModule, scale):
+    """Free degrees of the box candidates that lie in the module and stay
+    irreducible.  Facet values are linear, so v - c leaves the module exactly
+    when some tau(v) - tau(c) drops below the module's bound."""
     config = module.config
-    taus = _facet_functionals(config)
+    rows = _facet_rows(config)
+    low = _LOW[module.kind]
     tri, rk = cone_triangulation(config)
     assert rk == config.d, "columns must span the free part rationally"
-    candidates = set()
-    for simplex in tri:
-        candidates.update(_box_points(simplex, scale))
-    nonunit = _distinct_nonunit_columns(config)
+    candidates = set().union(*(_box_points(s, [scale] * config.d) for s in tri))
+    shifts = {_values(rows, c.free) for c in _distinct_nonunit_columns(config)}
     out = []
     for v in sorted(candidates):
-        if not _free_degree_in_module(v, module.kind, taus):
-            continue
-        reducible = any(
-            _free_degree_in_module(tuple(x - y for x, y in zip(v, c.free)),
-                                   module.kind, taus)
-            for c in nonunit)
-        if not reducible:
+        values = _values(rows, v)
+        if min(values) >= low and not any(
+                all(a - b >= low for a, b in zip(values, s)) for s in shifts):
             out.append(v)
     return tuple(out)
 
@@ -191,9 +203,10 @@ def module_generators(module: SemigroupModule) -> PrimitiveSet:
     Candidates are the lattice points of the half-open boxes over the placing
     triangulation's maximal simplices (interior modules widen the boxes by one
     extra copy of each ray, since a coefficient >= 2 is always reducible);
-    a secondary scan at doubled scale asserts nothing was missed.  Full
-    torsion fibers are attached afterwards: membership and reducibility only
-    see the free part, so every fiber behaves identically.
+    a secondary scan at doubled scale runs on every call and raises
+    BoxScanIncompleteError if it finds a different set.  Full torsion fibers
+    are attached afterwards: membership and reducibility only see the free
+    part, so every fiber behaves identically.
     """
     if module.kind == EXPLICIT:
         raise SpecError("explicit modules carry their own generators; "
@@ -204,7 +217,11 @@ def module_generators(module: SemigroupModule) -> PrimitiveSet:
     base_scale = 1 if module.kind == K else 2
     degrees = _primitive_degrees(module, base_scale)
     widened = _primitive_degrees(module, 2 * base_scale)
-    assert degrees == widened, "candidate box missed a primitive element"
+    if degrees != widened:
+        raise BoxScanIncompleteError(
+            "candidate box missed a primitive element",
+            module=module.kind, scale=base_scale,
+            degrees=sorted(set(degrees) ^ set(widened)))
     elements = [config.group.element(f.torsion, v)
                 for v in degrees for f in config.group.torsion_elements()]
     elements.sort(key=lambda e: e.sort_key())
@@ -231,21 +248,14 @@ def primitive_elements(module: SemigroupModule) -> PrimitiveSet:
 def cone_points_up_to(config: PointConfig, height, bound):
     """Free-part lattice points of the cone with height(v) <= bound, where
     `height` is a functional >= 1 on every nonzero column."""
-    taus = _facet_functionals(config)
+    rows = _facet_rows(config)
     tri, rk = cone_triangulation(config)
     assert rk == config.d
     out = set()
     for simplex in tri:
-        base = _box_points(simplex, 1)
-        ranges = [range(int(math.floor(Fraction(bound) / height(v))) + 2)
-                  for v in simplex]
-        for k in product(*ranges):
-            for b in base:
-                x = tuple(b[i] + sum(k[j] * simplex[j][i]
-                                     for j in range(len(simplex)))
-                          for i in range(config.d))
-                if height(x) <= bound and all(tau(x) >= 0 for tau in taus):
-                    out.add(x)
+        scales = [math.floor(Fraction(bound) / height(v)) + 2 for v in simplex]
+        out.update(x for x in _box_points(simplex, scales)
+                   if height(x) <= bound and _in_cone(rows, x))
     return sorted(out)
 
 

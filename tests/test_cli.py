@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from tgkz.problem import parse_spec
+from tgkz.report import render, run_command
+
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_specs"
 
 SPLIT_LINE = """{
@@ -24,6 +27,28 @@ NOT_POINTED = """{
   "columns": [{"torsion": [], "free": [1]}, {"torsion": [], "free": [-1]}],
   "beta": [0]
 }"""
+
+# height-1 points of the unit square and the corners of [0,2]^2, torsion Z/2
+SMALL_PRISM = json.dumps({
+    "torsion_orders": [2],
+    "columns": [{"torsion": [i % 2], "free": [1, *p]} for i, p in
+                enumerate([(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (2, 2)])],
+    "beta": ["1/2", 0, 0],
+    "module": "K_interior",
+})
+
+# the CLI with a box scan that loses its smallest point at unit scale
+LOSSY_BOX_CLI = """
+import sys
+from tgkz import semigroups
+from tgkz.cli import main
+original = semigroups._box_points
+def lossy(simplex, scales):
+    points = original(simplex, scales)
+    return points - {min(points)} if max(scales) == 1 else points
+semigroups._box_points = lossy
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 def run_cli(*args, env_extra=None, python_flags=()):
@@ -101,6 +126,26 @@ def test_unstabilized_bound_exits_2_without_asserts():
     assert res.returncode == 2
     assert "NOT_STABILIZED" in res.stderr
     assert res.stdout == ""
+
+
+def test_lost_box_point_exits_2_without_asserts():
+    res = subprocess.run([sys.executable, "-O", "-c", LOSSY_BOX_CLI, "module",
+                          "--spec", str(SAMPLES / "split_line.json")],
+                         capture_output=True, text=True)
+    assert res.returncode == 2, res.stderr
+    assert "BOX_SCAN_INCOMPLETE" in res.stderr
+    assert '"scale": 1' in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["module", "rank"])
+def test_geometry_reports_identical_under_optimize(spec_file, command):
+    path = spec_file(SMALL_PRISM)
+    plain = run_cli(command, "--spec", path)
+    optimized = run_cli(command, "--spec", path, python_flags=("-O",))
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout
+    assert plain.stdout == render(run_command(parse_spec(SMALL_PRISM), command))
 
 
 def test_rank_command_payload(spec_file):

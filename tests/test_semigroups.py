@@ -1,17 +1,25 @@
+import dataclasses
 import itertools
+import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from conftest import make_config
-from tgkz.cones import positive_grading
-from tgkz.errors import SpecError
+from tgkz import fieldlin, semigroups
+from tgkz.cones import cone_triangulation, facets, positive_grading
+from tgkz.errors import BoxScanIncompleteError, SpecError
+from tgkz.lattice import IntMatrix, smith_normal_form
 from tgkz.semigroups import (
     EXPLICIT,
     K,
     K_INTERIOR,
+    PrimitiveSet,
     SemigroupModule,
+    _box_points,
+    _primitive_degrees,
     elements_with_height_at_most,
     member_semigroup,
     membership,
@@ -198,3 +206,148 @@ def test_closure_primitive_count_is_torsion_times_projection():
         full = module_generators(SemigroupModule(K, cfg)).elements
         flat = module_generators(SemigroupModule(K, proj)).elements
         assert len(full) == cfg.group.torsion_index * len(flat)
+
+
+# ---------------------------------------------------------------------------
+# the rational box scan, kept as an oracle for the integer facet kernel
+
+
+def _fraction_box_points(simplex, scale):
+    d = len(simplex[0])
+    m_rows = [[simplex[j][i] for j in range(d)] for i in range(d)]
+    snf = smith_normal_form(IntMatrix.from_rows(m_rows))
+    u_rows = [[Fraction(snf.U.entry(i, j)) for j in range(d)]
+              for i in range(d)]
+    m_frac = [[Fraction(x) for x in row] for row in m_rows]
+    base = set()
+    for residue in itertools.product(*map(range, snf.invariant_factors)):
+        x = fieldlin.solve_unique(u_rows, [Fraction(r) for r in residue])
+        assert all(c.denominator == 1 for c in x)
+        shift = [math.floor(c) for c in fieldlin.solve_unique(m_frac, x)]
+        base.add(tuple(int(x[i]) - sum(shift[j] * simplex[j][i]
+                                       for j in range(d)) for i in range(d)))
+    return {tuple(b[i] + sum(k[j] * simplex[j][i] for j in range(d))
+                  for i in range(d))
+            for k in itertools.product(range(scale), repeat=d) for b in base}
+
+
+def _fraction_in_module(v, kind, taus):
+    if kind == K:
+        return all(tau(v) >= 0 for tau in taus)
+    return all(tau(v) > 0 for tau in taus)
+
+
+def _fraction_primitive_degrees(module, scale):
+    config, kind = module.config, module.kind
+    taus = facets(config)
+    tri, _ = cone_triangulation(config)
+    candidates = set().union(*(_fraction_box_points(s, scale) for s in tri))
+    nonunit = {c.free for c in config.columns if not c.has_finite_order()}
+    return tuple(
+        v for v in sorted(candidates)
+        if _fraction_in_module(v, kind, taus)
+        and not any(_fraction_in_module(tuple(x - y for x, y in zip(v, c)),
+                                        kind, taus) for c in nonunit))
+
+
+def _fraction_module_generators(module):
+    base_scale = 1 if module.kind == K else 2
+    degrees = _fraction_primitive_degrees(module, base_scale)
+    assert degrees == _fraction_primitive_degrees(module, 2 * base_scale)
+    group = module.config.group
+    elements = sorted((group.element(f.torsion, v) for v in degrees
+                       for f in group.torsion_elements()),
+                      key=lambda e: e.sort_key())
+    return PrimitiveSet(tuple(elements), tuple(e.free for e in elements))
+
+
+def _square_prism(orders):
+    """Height-1 points of the unit square and of the corners of [0,4]^2;
+    with torsion, the columns alternate between the two classes mod 2."""
+    points = [(0, 0), (1, 0), (0, 1), (4, 0), (0, 4), (4, 4)]
+    torsion = [((i % 2,) if orders else ()) for i in range(len(points))]
+    return make_config(orders, [(t, (1,) + p)
+                                for t, p in zip(torsion, points)])
+
+
+def test_integer_kernel_matches_fraction_scan(battery):
+    configs = battery + [_square_prism([]), _square_prism([2])]
+    for cfg in configs:
+        tri, _ = cone_triangulation(cfg)
+        for simplex in tri:
+            for scale in (1, 2):
+                assert _box_points(simplex, [scale] * cfg.d) == \
+                    _fraction_box_points(simplex, scale), (cfg, simplex)
+        for kind in (K, K_INTERIOR):
+            mod = SemigroupModule(kind, cfg)
+            for scale in (1, 3):  # module_generators covers 2 and 4
+                assert _primitive_degrees(mod, scale) == \
+                    _fraction_primitive_degrees(mod, scale), (cfg, kind)
+            prim = module_generators(mod)
+            assert prim.elements and prim == _fraction_module_generators(mod)
+
+
+def _drop_smallest_at_unit_scale(monkeypatch):
+    original = semigroups._box_points
+
+    def lossy(simplex, scales):
+        points = original(simplex, scales)
+        return points - {min(points)} if max(scales) == 1 else points
+    monkeypatch.setattr(semigroups, "_box_points", lossy)
+
+
+def test_lost_box_point_raises_typed_error(split_line, monkeypatch):
+    _drop_smallest_at_unit_scale(monkeypatch)
+    with pytest.raises(BoxScanIncompleteError) as info:
+        module_generators(SemigroupModule(K, split_line))
+    assert info.value.code == "BOX_SCAN_INCOMPLETE"
+    assert info.value.context == {"module": K, "scale": 1, "degrees": [(0,)]}
+
+
+def test_box_representative_count_is_checked(monkeypatch):
+    # a wrong Smith transform collapses the residue classes onto one point
+    def broken(m):
+        return dataclasses.replace(smith_normal_form(m),
+                                   V=IntMatrix.from_rows([[0, 0], [0, 0]]))
+    monkeypatch.setattr(semigroups, "smith_normal_form", broken)
+    with pytest.raises(BoxScanIncompleteError) as info:
+        _box_points(((1, 0), (1, 2)), [1, 1])
+    assert info.value.context["expected"] == 2
+    assert info.value.context["found"] == 1
+
+
+# ---------------------------------------------------------------------------
+# iterative monoid membership
+
+
+def _member_recursive(config, t, memo):
+    """The recursive column-subtraction search, kept as a reference."""
+    if t not in memo:
+        if t.has_finite_order():
+            memo[t] = t in set(units(config))
+        elif any(tau(t.free) < 0 for tau in facets(config)):
+            memo[t] = False
+        else:
+            memo[t] = any(_member_recursive(config, t - c, memo)
+                          for c in config.columns
+                          if not c.has_finite_order())
+    return memo[t]
+
+
+def test_member_semigroup_deep_free_part(split_line):
+    g = split_line.group
+    assert member_semigroup(split_line, g.element((0,), (5000,)))
+    assert not member_semigroup(split_line, g.element((1,), (5000,)))
+    assert member_semigroup(split_line, g.element((1,), (5001,)))
+
+
+def test_member_semigroup_matches_recursive_reference(battery):
+    configs = battery + [make_config([2], [((1,), (0,)), ((0,), (2,)),
+                                           ((1,), (3,))])]
+    for cfg in configs:
+        memo = {}
+        for f in cfg.group.torsion_elements():
+            for free in itertools.product(range(-1, 7), repeat=cfg.d):
+                t = cfg.group.element(f.torsion, free)
+                assert member_semigroup(cfg, t) == \
+                    _member_recursive(cfg, t, memo), (cfg, t)
