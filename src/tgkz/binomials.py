@@ -5,20 +5,34 @@ the columns; the full-group toric ideal from the kernel of the whole column
 map, torsion included.  Characters on a kernel sublattice twist binomial
 coefficients into roots of unity, which is how the minimal primes of the
 full-group ideal arise.
+
+The free and full toric ideals are memoized per configuration value (a
+small LRU cache); callers must not mutate the cached ideals.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import gcd
+from functools import lru_cache
+from itertools import product
+from math import gcd, prod
 
 from .cones import Face, PointConfig, face_by_columns
 from .cyclotomic import Cyclotomic
-from .errors import LatticeMismatchError, NotSaturatedError
+from .errors import (LatticeMismatchError, NotSaturatedError,
+                     PrimesDoNotIntersectError)
 from .lattice import (IntMatrix, express_in_rows, hnf_rows, kernel_basis,
                       kernel_lattice, smith_normal_form)
 from .poly import (GREVLEX, IdealBasis, Polynomial, canonical_ideal,
-                   groebner_ideal, ideal_equal, ideal_member, normal_form,
-                   saturate, intersect_many)
+                   groebner_ideal, ideal_equal, intersect_many, normal_form,
+                   saturate)
+
+
+def _power_product(values, exponents):
+    """prod values[i] ** exponents[i], multiplied in index order."""
+    val = Cyclotomic.one()
+    for v, c in zip(values, exponents):
+        val = val * (v ** c)
+    return val
 
 
 @dataclass(frozen=True)
@@ -44,10 +58,7 @@ class PartialCharacter:
         for h in hermite:
             coeffs = express_in_rows(h, rows)
             assert coeffs is not None, "Hermite row left the lattice"
-            val = Cyclotomic.one()
-            for c, v in zip(coeffs, values):
-                val = val * (v ** c)
-            rebased.append(val)
+            rebased.append(_power_product(values, coeffs))
         return PartialCharacter(tuple(hermite), tuple(rebased), nvars)
 
     @staticmethod
@@ -59,10 +70,7 @@ class PartialCharacter:
         coeffs = express_in_rows(tuple(m), list(self.basis))
         if coeffs is None:
             raise LatticeMismatchError(f"{tuple(m)} outside the character lattice")
-        val = Cyclotomic.one()
-        for c, v in zip(coeffs, self.values):
-            val = val * (v ** c)
-        return val
+        return _power_product(self.values, coeffs)
 
     def contains(self, m):
         return express_in_rows(tuple(m), list(self.basis)) is not None
@@ -92,6 +100,25 @@ def full_kernel_rows(config: PointConfig):
     return [tuple(r) for r in kl.to_rows()]
 
 
+def _binomial(m, nvars, value=1):
+    """x^(m+) - value * x^(m-), from the positive and negative parts of m."""
+    return (Polynomial.monomial(nvars, tuple(max(x, 0) for x in m))
+            - Polynomial.monomial(nvars, tuple(max(-x, 0) for x in m), value))
+
+
+def _face_kernel_rows(config: PointConfig, face_cols):
+    """Kernel of the free parts of the given columns, embedded into Z^n."""
+    sub = IntMatrix.from_rows([[config.columns[j].free[i] for j in face_cols]
+                               for i in range(config.d)])
+    embedded = []
+    for row in kernel_basis(sub).to_rows():
+        full = [0] * config.n
+        for pos, j in enumerate(face_cols):
+            full[j] = row[pos]
+        embedded.append(tuple(full))
+    return embedded
+
+
 def lattice_ideal(rows, nvars, values=None, do_saturate=True) -> IdealBasis:
     """Reduced basis of the (optionally twisted) lattice ideal of the row
     span: binomials with exponents the positive/negative parts of each row,
@@ -99,25 +126,24 @@ def lattice_ideal(rows, nvars, values=None, do_saturate=True) -> IdealBasis:
     depends only on the lattice, not the chosen basis."""
     if values is None:
         values = [Cyclotomic.one()] * len(rows)
-    gens = []
-    for m, val in zip(rows, values):
-        plus = tuple(max(x, 0) for x in m)
-        minus = tuple(max(-x, 0) for x in m)
-        gens.append(Polynomial.monomial(nvars, plus)
-                    - Polynomial.monomial(nvars, minus, val))
+    gens = [_binomial(m, nvars, val) for m, val in zip(rows, values)]
     ideal = groebner_ideal(gens, nvars) if gens else IdealBasis(nvars, (), GREVLEX, True)
     if do_saturate and ideal.generators:
         ideal = saturate(ideal, range(nvars))
     return ideal
 
 
+@lru_cache(maxsize=16)
 def toric_ideal_free(config: PointConfig) -> IdealBasis:
-    """Lattice ideal of the kernel of the free projection of the columns."""
+    """Lattice ideal of the kernel of the free projection of the columns,
+    computed once per configuration (memoized)."""
     return lattice_ideal(free_kernel_rows(config), config.n)
 
 
+@lru_cache(maxsize=16)
 def toric_ideal_full(config: PointConfig) -> IdealBasis:
-    """Lattice ideal of the kernel of the full column map, torsion included."""
+    """Lattice ideal of the kernel of the full column map, torsion included,
+    computed once per configuration (memoized)."""
     return lattice_ideal(full_kernel_rows(config), config.n)
 
 
@@ -141,13 +167,7 @@ def power_ideal(config: PointConfig) -> IdealBasis:
     the dilated fiber graph is connected; the ideal is taken as generated,
     without saturation.
     """
-    ell = config.ell
-    gens = []
-    for m in markov_basis(config):
-        plus = tuple(ell * max(x, 0) for x in m)
-        minus = tuple(ell * max(-x, 0) for x in m)
-        gens.append(Polynomial.monomial(config.n, plus)
-                    - Polynomial.monomial(config.n, minus))
+    gens = [_binomial([config.ell * x for x in m], config.n) for m in markov_basis(config)]
     if not gens:
         return IdealBasis(config.n, (), GREVLEX, True)
     return groebner_ideal(gens, config.n)
@@ -157,13 +177,15 @@ def power_ideal(config: PointConfig) -> IdealBasis:
 # twisted ideals
 
 
-def twisted_ideal(config: PointConfig, rho: PartialCharacter) -> IdealBasis:
+def twisted_ideal(config: PointConfig, rho: PartialCharacter, moves=None) -> IdealBasis:
     """Lattice ideal of the free kernel with coefficients twisted by rho;
-    rho must live exactly on that kernel."""
+    rho must live exactly on that kernel.  `moves`, when given, is
+    markov_basis(config), taken once by a caller twisting many characters."""
     rows = free_kernel_rows(config)
     if not rho.same_lattice(rows):
         raise LatticeMismatchError("character lattice differs from the free kernel")
-    moves = markov_basis(config)
+    if moves is None:
+        moves = markov_basis(config)
     return lattice_ideal(moves, config.n, [rho.value_of(m) for m in moves])
 
 
@@ -175,18 +197,8 @@ def face_twisted_ideal(config: PointConfig, face: Face, rho: PartialCharacter) -
     gens = [Polynomial.variable(j, n) for j in range(n) if j not in on_face]
     face_cols = sorted(on_face)
     if face_cols:
-        sub = IntMatrix.from_rows(
-            [[config.columns[j].free[i] for j in face_cols]
-             for i in range(config.d)])
-        sub_kernel = kernel_basis(sub).to_rows()
-        embedded = []
-        for row in sub_kernel:
-            full = [0] * n
-            for pos, j in enumerate(face_cols):
-                full[j] = row[pos]
-            embedded.append(tuple(full))
-        vals = [rho.value_of(m) for m in embedded]
-        face_ideal = lattice_ideal(embedded, n, vals)
+        embedded = _face_kernel_rows(config, face_cols)
+        face_ideal = lattice_ideal(embedded, n, [rho.value_of(m) for m in embedded])
         gens.extend(face_ideal.generators)
     if not gens:
         return IdealBasis(n, (), GREVLEX, True)
@@ -220,12 +232,7 @@ def extend_character(rho: PartialCharacter):
         else:
             adapted_values.append(Cyclotomic.one())
     # e_j = sum_i V[j][i] w_i
-    values = []
-    for j in range(n):
-        val = Cyclotomic.one()
-        for i in range(n):
-            val = val * (adapted_values[i] ** snf.V.entry(j, i))
-        values.append(val)
+    values = [_power_product(adapted_values, snf.V.row(j)) for j in range(n)]
     full = PartialCharacter.on_rows(identity, values, n)
     for row, expected in zip(rho.basis, rho.values):
         assert full.value_of(row) == expected
@@ -267,7 +274,9 @@ def minimal_primes(config: PointConfig, workers=None):
     The free kernel modulo the full kernel is a finite abelian group; each of
     its characters lifts to a character on the free kernel trivial on the
     full kernel, and the resulting twisted ideals are exactly the minimal
-    primes.  Their intersection is asserted to recover the full-group ideal.
+    primes.  Each character is checked to be trivial on the full kernel,
+    and the intersection of the primes to equal the (memoized) full-group
+    ideal; either failure raises PrimesDoNotIntersectError.
     Returns [(character, ideal)], characters enumerated in a fixed order.
     """
     free_rows = free_kernel_rows(config)
@@ -287,7 +296,6 @@ def minimal_primes(config: PointConfig, workers=None):
     orders = snf.invariant_factors
     assert len(orders) == r
     characters = []
-    from itertools import product
     for c in product(*(range(o) for o in orders)):
         values = []
         for k in range(r):
@@ -297,18 +305,24 @@ def minimal_primes(config: PointConfig, workers=None):
                     val = val * Cyclotomic.zeta(orders[j], c[j] * snf.V.entry(k, j))
             values.append(val)
         rho = PartialCharacter.on_rows(free_rows, values, n)
-        for row in full_rows:
-            assert rho.value_of(row).is_one(), "character not trivial on the full kernel"
+        if not all(rho.value_of(row).is_one() for row in full_rows):
+            raise PrimesDoNotIntersectError(
+                "character not trivial on the full kernel",
+                torsion_orders=config.group.torsion_orders, primes=prod(orders))
         characters.append(rho)
 
+    moves = markov_basis(config)  # once, before the threads; every prime reuses it
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            ideals = list(pool.map(lambda rho: twisted_ideal(config, rho), characters))
+            ideals = list(pool.map(lambda rho: twisted_ideal(config, rho, moves),
+                                   characters))
     else:
-        ideals = [twisted_ideal(config, rho) for rho in characters]
+        ideals = [twisted_ideal(config, rho, moves) for rho in characters]
     meet = intersect_many(list(ideals))
-    assert ideal_equal(meet, toric_ideal_full(config)), \
-        "minimal primes do not intersect to the full-group ideal"
+    if not ideal_equal(meet, toric_ideal_full(config)):
+        raise PrimesDoNotIntersectError(
+            "minimal primes do not intersect to the full-group ideal",
+            torsion_orders=config.group.torsion_orders, primes=len(ideals))
     return list(zip(characters, ideals))
 
 
@@ -346,16 +360,7 @@ def classify_graded_binomial_prime(ideal: IdealBasis, config: PointConfig):
     if face is None:
         return None
     face_cols = sorted(set(face.column_indices))
-    sub_kernel = []
-    if face_cols:
-        sub = IntMatrix.from_rows(
-            [[config.columns[j].free[i] for j in face_cols]
-             for i in range(config.d)])
-        for row in kernel_basis(sub).to_rows():
-            full = [0] * n
-            for pos, j in enumerate(face_cols):
-                full[j] = row[pos]
-            sub_kernel.append(tuple(full))
+    sub_kernel = _face_kernel_rows(config, face_cols) if face_cols else []
     values = []
     for m in sub_kernel:
         plus = tuple(max(x, 0) for x in m)

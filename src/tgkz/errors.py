@@ -56,6 +56,21 @@ class BoxScanIncompleteError(TgkzError):
     code = "BOX_SCAN_INCOMPLETE"
 
 
+class PrimesDoNotIntersectError(TgkzError):
+    """A minimal-prime character is not trivial on the full kernel, or the
+    primes do not intersect to the full-group ideal (exit 2).  Context:
+    torsion_orders, primes (their number)."""
+
+    code = "PRIMES_DO_NOT_INTERSECT"
+
+
+class SmithCheckError(TgkzError):
+    """U*M*V != D or a broken divisibility chain in a Smith decomposition
+    (exit 2).  Context: shape of M."""
+
+    code = "SNF_CHECK_FAILED"
+
+
 class BudgetExceededError(TgkzError):
     code = "BUDGET_EXCEEDED"
 

@@ -56,9 +56,6 @@ def solve(matrix_rows, rhs):
         return ()
     ncols = len(matrix_rows[0])
     red, pivots = rref(m)
-    for row in red:
-        if all(_is_zero(x) for x in row[:ncols]) and not _is_zero(row[ncols]):
-            return None
     x = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
         if c == ncols:
@@ -68,16 +65,18 @@ def solve(matrix_rows, rhs):
 
 
 def solve_unique(matrix_rows, rhs):
-    """The solution of M x = rhs if it exists and is unique, else None."""
+    """The solution of M x = rhs if it exists and is unique, else None.
+
+    One row reduction of [M | rhs]: a pivot in the rhs column means no
+    solution, and the solution is unique iff every column of M has a pivot.
+    """
     if not matrix_rows:
         return None
     ncols = len(matrix_rows[0])
-    x = solve(matrix_rows, rhs)
-    if x is None:
+    red, pivots = rref([list(r) + [b] for r, b in zip(matrix_rows, rhs)])
+    if pivots != list(range(ncols)):
         return None
-    if rank(matrix_rows) != ncols:
-        return None
-    return x
+    return tuple(red[r][ncols] for r in range(ncols))
 
 
 def in_span(vectors, target) -> bool:

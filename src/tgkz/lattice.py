@@ -8,6 +8,8 @@ lattices always produce identical output.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import SmithCheckError
+
 
 class _Infinite:
     __slots__ = ()
@@ -190,10 +192,11 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     um = IntMatrix.from_rows(u)
     vm = IntMatrix.from_rows(v)
     dm = IntMatrix.from_rows(a)
-    assert um.mul(m).mul(vm).entries == dm.entries
     factors = tuple(dm.entry(i, i) for i in range(min(nr, nc)) if dm.entry(i, i) != 0)
-    for i in range(len(factors) - 1):
-        assert factors[i + 1] % factors[i] == 0
+    if um.mul(m).mul(vm).entries != dm.entries or \
+            any(g % f for f, g in zip(factors, factors[1:])):
+        raise SmithCheckError("Smith normal form failed its self-check",
+                              shape=(nr, nc))
     return SmithDecomposition(um, dm, vm, factors)
 
 

@@ -5,9 +5,12 @@ saturation and intersection by variable adjunction/elimination, a small
 module-level Buchberger for submodules of free modules (used by the
 presentation builder), and the canonical round-trippable text format.
 
-Polynomial coefficients are Cyclotomic.  Module element coefficients may be
-Fraction or Cyclotomic: the presentation builder feeds rational binomials as
-Fraction, which skips the field arithmetic.
+Polynomial coefficients are Cyclotomic.  A polynomial Groebner basis is
+monic from the moment an element enters it, and normal_form takes monic
+divisors, so S-polynomials and reductions never divide by a leading
+coefficient.  Module element coefficients may be Fraction or Cyclotomic:
+the presentation builder feeds rational binomials as Fraction, which skips
+the field arithmetic.
 """
 
 import heapq
@@ -53,28 +56,13 @@ class MonomialOrder:
 
 
 class Grevlex(MonomialOrder):
-    """Graded reverse lexicographic; optional variable permutation."""
-
-    def __init__(self, perm=None):
-        self.perm = tuple(perm) if perm is not None else None
+    """Graded reverse lexicographic."""
 
     def key(self, exp):
-        e = exp if self.perm is None else tuple(exp[p] for p in self.perm)
-        return (sum(e), tuple(-x for x in reversed(e)))
+        return (sum(exp), tuple(-x for x in reversed(exp)))
 
     def tag(self):
-        return "grevlex" if self.perm is None else f"grevlex:perm={list(self.perm)}"
-
-
-class Lex(MonomialOrder):
-    def __init__(self, perm=None):
-        self.perm = tuple(perm) if perm is not None else None
-
-    def key(self, exp):
-        return exp if self.perm is None else tuple(exp[p] for p in self.perm)
-
-    def tag(self):
-        return "lex" if self.perm is None else f"lex:perm={list(self.perm)}"
+        return "grevlex"
 
 
 class BlockElim(MonomialOrder):
@@ -129,6 +117,13 @@ class Polynomial:
         self.terms = clean
 
     # -- constructors
+
+    @staticmethod
+    def _of(nvars, field_order, terms):
+        """Wrap a dict of nonzero Cyclotomic coefficients as is."""
+        p = Polynomial(nvars, field_order)
+        p.terms = terms
+        return p
 
     @staticmethod
     def zero(nvars, field_order=1):
@@ -263,8 +258,10 @@ def _common_field(polys):
 def normal_form(f, gens, order, leads=None):
     """Full multivariate division remainder of f by gens, deterministic.
 
-    `leads`, when given, lists the leading monomial of each of `gens`, which
-    must then all be nonzero.
+    Every divisor must be monic (leading coefficient 1), as the bases that
+    buchberger returns are: a term's coefficient is then itself the
+    reduction factor and nothing is divided.  `leads`, when given, lists
+    the leading monomial of each of `gens`, which must then all be nonzero.
     """
     if leads is None:
         gens = [g for g in gens if not g.is_zero()]
@@ -283,43 +280,59 @@ def normal_form(f, gens, order, leads=None):
             if _divides(lexp, exp):
                 break
         else:
-            remainder[exp] = remainder[exp] + coeff if exp in remainder else coeff
+            # popped terms strictly decrease, so exp is new to the remainder
+            remainder[exp] = coeff
             continue
         shift = _sub(exp, lexp)
-        factor = coeff / gens[idx].terms[lexp]
         for gexp, gc in gens[idx].terms.items():
             if gexp == lexp:
                 continue
             tgt = _add(gexp, shift)
-            c = factor * gc
+            c = coeff * gc
             if tgt in work:
                 work[tgt] = work[tgt] - c
                 if work[tgt].is_zero():
                     del work[tgt]
-            elif tgt in remainder:
-                # terms already banked are order-smaller than exp; reductions
-                # only produce terms below exp, so this cannot happen
-                raise AssertionError("reduction produced a banked term")
             else:
-                nc = -c
-                if not nc.is_zero():
-                    work[tgt] = nc
-    return Polynomial(f.nvars, e, remainder)
+                # reductions only produce terms below exp, so tgt cannot be
+                # banked in the remainder yet
+                work[tgt] = -c
+    return Polynomial._of(f.nvars, e, remainder)
 
 
-def s_polynomial(f, g, order):
-    (fe, fc), (ge, gc) = f.leading(order), g.leading(order)
+def s_polynomial(f, g, order, leads=None):
+    """S-polynomial of two monic polynomials over the same field: each is
+    shifted up to the lcm of the leading monomials, then they are
+    subtracted, so the leading terms cancel.  `leads`, when given, is the
+    pair of leading monomials."""
+    fe, ge = leads if leads is not None else (f.leading(order)[0], g.leading(order)[0])
     lcm = _lcm_exp(fe, ge)
-    mf = Polynomial.monomial(f.nvars, _sub(lcm, fe), 1, f.field_order)
-    mg = Polynomial.monomial(g.nvars, _sub(lcm, ge), 1, g.field_order)
-    return (mf * f) * (Cyclotomic.one() / fc) - (mg * g) * (Cyclotomic.one() / gc)
+    fshift, gshift = _sub(lcm, fe), _sub(lcm, ge)
+    terms = {_add(e, fshift): c for e, c in f.terms.items()}
+    for e, c in g.terms.items():
+        tgt = _add(e, gshift)
+        diff = terms.pop(tgt) - c if tgt in terms else -c
+        if diff:
+            terms[tgt] = diff
+    return Polynomial._of(f.nvars, _common_field([f, g]), terms)
+
+
+def _monic(f, lead):
+    """f scaled by the inverse of its coefficient at `lead`."""
+    lc = f.terms[lead]
+    if lc.is_one():
+        return f
+    inv = lc.inverse()
+    return Polynomial._of(f.nvars, f.field_order, {e: c * inv for e, c in f.terms.items()})
 
 
 def buchberger(gens, order=GREVLEX, pair_budget=None):
     """Reduced Groebner basis, monic, sorted ascending by leading monomial.
 
-    Raises BudgetExceededError after processing `pair_budget` S-pairs
-    (default from TGKZ_PAIR_BUDGET or 5000).
+    Every element is made monic as it enters the basis (at most one
+    inversion per element), so S-polynomials and reductions never divide.  Raises
+    BudgetExceededError after processing `pair_budget` S-pairs (default
+    from TGKZ_PAIR_BUDGET or 5000).
     """
     if pair_budget is None:
         pair_budget = default_pair_budget()
@@ -327,8 +340,8 @@ def buchberger(gens, order=GREVLEX, pair_budget=None):
     if not basis:
         return []
     e = _common_field(basis)
-    basis = [g.promote(e) for g in basis]
     leads = [g.leading(order)[0] for g in basis]
+    basis = [_monic(g.promote(e), le) for g, le in zip(basis, leads)]
 
     def entry(i, j):
         return order.key(_lcm_exp(leads[i], leads[j])), (i, j)
@@ -348,11 +361,12 @@ def buchberger(gens, order=GREVLEX, pair_budget=None):
         le_i, le_j = leads[i], leads[j]
         if _lcm_exp(le_i, le_j) == _add(le_i, le_j):
             continue  # coprime leading monomials: S-poly reduces to zero
-        rem = normal_form(s_polynomial(basis[i], basis[j], order), basis, order, leads)
+        spoly = s_polynomial(basis[i], basis[j], order, (le_i, le_j))
+        rem = normal_form(spoly, basis, order, leads)
         if not rem.is_zero():
-            basis = [g.promote(rem.field_order) for g in basis]
-            basis.append(rem)
-            leads.append(rem.leading(order)[0])
+            lead = rem.leading(order)[0]
+            basis.append(_monic(rem, lead))
+            leads.append(lead)
             k = len(basis) - 1
             for i2 in range(k):
                 heapq.heappush(pending, entry(i2, k))
@@ -360,7 +374,7 @@ def buchberger(gens, order=GREVLEX, pair_budget=None):
 
 
 def _interreduce(basis, leads, order):
-    """Monic reduced basis from a Groebner basis and its leading monomials."""
+    """Reduced basis from a monic Groebner basis and its leading monomials."""
     # minimalize: drop generators whose leading monomial another one divides;
     # the sort is stable, so equal leading monomials keep their basis order
     ranked = sorted(zip(leads, basis), key=lambda lg: order.key(lg[0]))
@@ -370,13 +384,13 @@ def _interreduce(basis, leads, order):
                    for j, (hle, _) in enumerate(ranked) if j != i):
             kept.append((le, g))
     # full tail reduction; leading terms are pairwise non-divisible so they
-    # stay, and `kept` stays sorted ascending by them
+    # stay, monic, and `kept` stays sorted ascending by them
     kept_leads = [le for le, _ in kept]
     out = [g for _, g in kept]
     for i in range(len(out)):
         out[i] = normal_form(out[i], out[:i] + out[i + 1:], order,
                              kept_leads[:i] + kept_leads[i + 1:])
-    return [g * (Cyclotomic.one() / g.terms[le]) for le, g in zip(kept_leads, out)]
+    return out
 
 
 @dataclass(frozen=True)

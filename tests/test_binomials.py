@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import make_config
-from tgkz import cones
+from tgkz import binomials, cones
 from tgkz.binomials import (
     PartialCharacter,
     classify_graded_binomial_prime,
@@ -9,6 +9,7 @@ from tgkz.binomials import (
     face_twisted_ideal,
     free_kernel_rows,
     full_kernel_rows,
+    lattice_ideal,
     markov_basis,
     minimal_primes,
     power_ideal,
@@ -18,7 +19,8 @@ from tgkz.binomials import (
     twisted_ideal,
 )
 from tgkz.cyclotomic import Cyclotomic
-from tgkz.errors import LatticeMismatchError, NotSaturatedError
+from tgkz.errors import (LatticeMismatchError, NotSaturatedError,
+                         PrimesDoNotIntersectError)
 from tgkz.poly import (
     groebner_ideal,
     ideal_equal,
@@ -159,3 +161,42 @@ def test_classify_rejects_ungraded(mod4_line):
 def test_classify_rejects_unit_ideal(mod4_line):
     unit = groebner_ideal([parse_polynomial("1", 2)], nvars=2)
     assert classify_graded_binomial_prime(unit, mod4_line) is None
+
+
+def test_toric_ideals_memoized_per_config(battery):
+    for config in battery:
+        free, full = toric_ideal_free(config), toric_ideal_full(config)
+        assert toric_ideal_free(config) is free
+        assert toric_ideal_full(config) is full
+        # an equal config built anew hits the same entry
+        assert toric_ideal_full(make_config(config.group.torsion_orders,
+                                            [(c.torsion, c.free) for c in config.columns])) is full
+        fresh_free = lattice_ideal(free_kernel_rows(config), config.n)
+        fresh_full = lattice_ideal(full_kernel_rows(config), config.n)
+        assert free.generators == fresh_free.generators
+        assert full.generators == fresh_full.generators
+        assert ideal_equal(free, fresh_free) and ideal_equal(full, fresh_full)
+    assert markov_basis(battery[1]) is not markov_basis(battery[1])
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_wrong_prime_raises_typed_error(monkeypatch, mod4_line, workers):
+    monkeypatch.setattr(binomials, "twisted_ideal",
+                        lambda config, rho, moves: toric_ideal_free(config))
+    with pytest.raises(PrimesDoNotIntersectError) as exc:
+        minimal_primes(mod4_line, workers=workers)
+    assert exc.value.code == "PRIMES_DO_NOT_INTERSECT"
+    assert exc.value.context == {"torsion_orders": (4,), "primes": 4}
+
+
+def test_nontrivial_character_raises_typed_error(monkeypatch, mod4_line):
+    on_rows = PartialCharacter.on_rows
+
+    def skewed(rows, values, nvars):
+        return on_rows(rows, [v * Cyclotomic.zeta(8) for v in values], nvars)
+
+    monkeypatch.setattr(PartialCharacter, "on_rows", staticmethod(skewed))
+    with pytest.raises(PrimesDoNotIntersectError) as exc:
+        minimal_primes(mod4_line)
+    assert "not trivial on the full kernel" in str(exc.value)
+    assert exc.value.context == {"torsion_orders": (4,), "primes": 4}

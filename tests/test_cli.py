@@ -50,6 +50,15 @@ semigroups._box_points = lossy
 sys.exit(main(sys.argv[1:]))
 """
 
+# the CLI with minimal primes that do not intersect to the full-group ideal
+WRONG_PRIMES_CLI = """
+import sys
+from tgkz import binomials
+from tgkz.cli import main
+binomials.twisted_ideal = lambda config, rho, moves: binomials.toric_ideal_free(config)
+sys.exit(main(sys.argv[1:]))
+"""
+
 
 def run_cli(*args, env_extra=None, python_flags=()):
     env = dict(os.environ)
@@ -135,6 +144,17 @@ def test_lost_box_point_exits_2_without_asserts():
     assert res.returncode == 2, res.stderr
     assert "BOX_SCAN_INCOMPLETE" in res.stderr
     assert '"scale": 1' in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["ideals", "primes"])
+def test_wrong_primes_exit_2_without_asserts(command):
+    res = subprocess.run([sys.executable, "-O", "-c", WRONG_PRIMES_CLI, command,
+                          "--spec", str(SAMPLES / "mod4_line.json")],
+                         capture_output=True, text=True)
+    assert res.returncode == 2, res.stderr
+    assert "PRIMES_DO_NOT_INTERSECT" in res.stderr
+    assert '"primes": 4' in res.stderr and '"torsion_orders": [4]' in res.stderr
     assert res.stdout == ""
 
 

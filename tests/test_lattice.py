@@ -1,10 +1,13 @@
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from tgkz import fieldlin
+from tgkz import fieldlin, lattice
+from tgkz.errors import SmithCheckError
 from tgkz.lattice import (
     INFINITE,
     AbelianGroup,
@@ -67,6 +70,38 @@ def test_smith_identities_random():
         assert all(f > 0 for f in facs)
         assert all(facs[i + 1] % facs[i] == 0 for i in range(len(facs) - 1))
 
+
+
+def _swap_cols_forgetting_v(a, v, i, j):
+    for r in a:
+        r[i], r[j] = r[j], r[i]
+
+
+# a Smith reduction whose column swaps never reach V, under python -O
+WRONG_TRANSFORM = """
+from tgkz import lattice
+from tgkz.errors import SmithCheckError
+def swap_a_only(a, v, i, j):
+    for r in a:
+        r[i], r[j] = r[j], r[i]
+lattice._swap_cols = swap_a_only
+try:
+    lattice.smith_normal_form(lattice.IntMatrix.from_rows([[3, 1]]))
+except SmithCheckError as exc:
+    print(exc.code, exc.context["shape"])
+"""
+
+
+def test_wrong_smith_transform_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(lattice, "_swap_cols", _swap_cols_forgetting_v)
+    with pytest.raises(SmithCheckError) as exc:
+        smith_normal_form(IntMatrix.from_rows([[3, 1]]))
+    assert exc.value.code == "SNF_CHECK_FAILED"
+    assert exc.value.context == {"shape": (1, 2)}
+    res = subprocess.run([sys.executable, "-O", "-c", WRONG_TRANSFORM],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "SNF_CHECK_FAILED (1, 2)\n"
 
 def test_hnf_rows_canonical():
     rows = hnf_rows([[2, 4], [6, 8]])

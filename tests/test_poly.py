@@ -1,16 +1,30 @@
+import heapq
 import itertools
 import random
 
 import pytest
 
+from conftest import make_config
+from tgkz import poly
+from tgkz.binomials import (
+    PartialCharacter,
+    free_kernel_rows,
+    full_kernel_rows,
+    lattice_ideal,
+    minimal_primes,
+    power_ideal,
+    twisted_ideal,
+)
 from tgkz.cyclotomic import Cyclotomic
 from tgkz.errors import BudgetExceededError
 from tgkz.poly import (
     GREVLEX,
+    BlockElim,
     Polynomial,
     groebner_ideal,
     ideal_equal,
     ideal_member,
+    intersect,
     intersect_many,
     parse_polynomial,
     parse_scalar,
@@ -115,3 +129,161 @@ def test_random_generator_combinations_are_members():
             sign = rng.choice(" -")
             combo = combo + g * parse_polynomial(sign + " + ".join(pieces), 3)
         assert ideal_member(combo, ideal)
+
+
+# ---------------------------------------------------------------------------
+# The division-based kernel that the monic one replaced, kept as an oracle:
+# it divides by leading coefficients in every S-polynomial and reduction
+# step and normalizes only at the end.  It returns the processed-pair count.
+
+
+def _oracle_normal_form(f, gens, order, leads):
+    if f.is_zero() or not gens:
+        return f
+    e = poly._common_field([f] + gens)
+    f = f.promote(e)
+    gens = [g.promote(e) for g in gens]
+    remainder = {}
+    work = dict(f.terms)
+    while work:
+        exp = max(work, key=order.key)
+        coeff = work.pop(exp)
+        for idx, lexp in enumerate(leads):
+            if poly._divides(lexp, exp):
+                break
+        else:
+            remainder[exp] = remainder[exp] + coeff if exp in remainder else coeff
+            continue
+        shift = poly._sub(exp, lexp)
+        factor = coeff / gens[idx].terms[lexp]
+        for gexp, gc in gens[idx].terms.items():
+            if gexp == lexp:
+                continue
+            tgt = poly._add(gexp, shift)
+            c = factor * gc
+            if tgt in work:
+                work[tgt] = work[tgt] - c
+                if work[tgt].is_zero():
+                    del work[tgt]
+            else:
+                work[tgt] = -c
+    return Polynomial(f.nvars, e, remainder)
+
+
+def _oracle_s_polynomial(f, g, order):
+    (fe, fc), (ge, gc) = f.leading(order), g.leading(order)
+    lcm = poly._lcm_exp(fe, ge)
+    mf = Polynomial.monomial(f.nvars, poly._sub(lcm, fe), 1, f.field_order)
+    mg = Polynomial.monomial(g.nvars, poly._sub(lcm, ge), 1, g.field_order)
+    return (mf * f) * (Cyclotomic.one() / fc) - (mg * g) * (Cyclotomic.one() / gc)
+
+
+def _oracle_buchberger(gens, order):
+    basis = [g for g in gens if not g.is_zero()]
+    if not basis:
+        return [], 0
+    e = poly._common_field(basis)
+    basis = [g.promote(e) for g in basis]
+    leads = [g.leading(order)[0] for g in basis]
+
+    def entry(i, j):
+        return order.key(poly._lcm_exp(leads[i], leads[j])), (i, j)
+
+    pending = [entry(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    heapq.heapify(pending)
+    processed = 0
+    while pending:
+        _, (i, j) = heapq.heappop(pending)
+        processed += 1
+        if poly._lcm_exp(leads[i], leads[j]) == poly._add(leads[i], leads[j]):
+            continue
+        rem = _oracle_normal_form(_oracle_s_polynomial(basis[i], basis[j], order),
+                                  basis, order, leads)
+        if not rem.is_zero():
+            basis.append(rem)
+            leads.append(rem.leading(order)[0])
+            for i2 in range(len(basis) - 1):
+                heapq.heappush(pending, entry(i2, len(basis) - 1))
+    ranked = sorted(zip(leads, basis), key=lambda lg: order.key(lg[0]))
+    kept = [(le, g) for i, (le, g) in enumerate(ranked)
+            if not any(poly._divides(hle, le) and (hle != le or j < i)
+                       for j, (hle, _) in enumerate(ranked) if j != i)]
+    kept_leads = [le for le, _ in kept]
+    out = [g for _, g in kept]
+    for i in range(len(out)):
+        out[i] = _oracle_normal_form(out[i], out[:i] + out[i + 1:], order,
+                                     kept_leads[:i] + kept_leads[i + 1:])
+    monic = [g * (Cyclotomic.one() / g.terms[le]) for le, g in zip(kept_leads, out)]
+    return monic, processed
+
+
+def _recorded_buchberger_inputs(monkeypatch, compute):
+    """Every (generators, order) that `compute` hands to buchberger."""
+    calls = []
+    real = poly.buchberger
+
+    def record(gens, order=GREVLEX, pair_budget=None):
+        calls.append((list(gens), order))
+        return real(gens, order, pair_budget)
+
+    monkeypatch.setattr(poly, "buchberger", record)
+    compute()
+    monkeypatch.setattr(poly, "buchberger", real)
+    return calls
+
+
+def test_monic_kernel_matches_division_oracle(monkeypatch, battery):
+    mod4_line, plane_segment = battery[1], battery[2]
+    z6 = make_config([6], [((1,), (1, 0)), ((2,), (1, 1)), ((3,), (1, 2)),
+                           ((0,), (1, 3))])
+
+    def twisted(config, value):
+        rows = free_kernel_rows(config)
+        rho = PartialCharacter.on_rows(rows, [value] * len(rows), config.n)
+        return twisted_ideal(config, rho)
+
+    def compute():
+        for config in battery + [z6]:
+            lattice_ideal(free_kernel_rows(config), config.n)
+            lattice_ideal(full_kernel_rows(config), config.n)
+            power_ideal(config)
+        zeta4 = twisted(mod4_line, Cyclotomic.zeta(4))
+        twisted(plane_segment, Cyclotomic.zeta(6))
+        twisted(z6, Cyclotomic.zeta(6, 5))
+        intersect(zeta4, twisted(mod4_line, Cyclotomic.zeta(4, 3)))
+        minimal_primes(z6)  # six twisted primes and their intersections
+
+    calls = _recorded_buchberger_inputs(monkeypatch, compute)
+    orders = {type(order) for _, order in calls}
+    fields = {c.order for gens, _ in calls for g in gens for c in g.terms.values()}
+    assert orders == {type(GREVLEX), BlockElim}
+    assert {4, 6} <= fields
+    for gens, order in calls:
+        expect, pairs = _oracle_buchberger(gens, order)
+        got = poly.buchberger(gens, order, pair_budget=pairs)
+        assert got == expect
+        assert [polynomial_to_text(g) for g in got] == \
+            [polynomial_to_text(g) for g in expect]
+        assert all(g.terms[g.leading(order)[0]].is_one() for g in got)
+        if pairs:
+            with pytest.raises(BudgetExceededError) as exc:
+                poly.buchberger(gens, order, pair_budget=pairs - 1)
+            assert exc.value.context["pairs"] == pairs
+
+
+def test_s_polynomial_and_normal_form_match_oracle_on_monic_inputs():
+    rng = random.Random(5)
+    zeta6 = Polynomial.constant(3, Cyclotomic.zeta(6))
+    gens = [P("d1^2 - d2", 3) * zeta6 + P("d3", 3), P("d1*d2^2 - 2*d3^2", 3),
+            P("d2*d3 - d1", 3) + zeta6]
+    basis = poly.buchberger(gens, GREVLEX)
+    leads = [g.leading(GREVLEX)[0] for g in basis]
+    for f, g in itertools.combinations(basis, 2):
+        assert poly.s_polynomial(f, g, GREVLEX) == _oracle_s_polynomial(f, g, GREVLEX)
+    for _ in range(20):
+        f = Polynomial.zero(3, 6)
+        for _ in range(rng.randint(1, 5)):
+            exp = [rng.randint(0, 3) for _ in range(3)]
+            f = f + Polynomial.monomial(3, exp, Cyclotomic.zeta(6, rng.randint(0, 5)))
+        assert poly.normal_form(f, basis, GREVLEX) == \
+            _oracle_normal_form(f, basis, GREVLEX, leads)

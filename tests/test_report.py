@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,9 @@ INTERIOR = ('{"columns": [{"torsion": [], "free": [1, 0]},'
             ' {"torsion": [], "free": [1, 1]}, {"torsion": [], "free": [1, 2]}],'
             ' "beta": [0, 0], "module": "K_interior"}')
 NOT_SPANNING = '{"columns": [{"torsion": [], "free": [2]}], "beta": [0]}'
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+IDEALS_SPECS = ("mod4_line3", "z6_plane", "z2z2_line", "mod8_line", "mod6_line")
 
 
 def test_unknown_command_rejected():
@@ -72,3 +77,16 @@ def test_settings_echo_budget_and_bounds(monkeypatch):
     out = run_command(spec, "check")
     assert out["settings"]["pair_budget"] == 7777
     assert out["settings"]["bounds"]["truncation"] == 10
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+@pytest.mark.parametrize("command", ["ideals", "primes"])
+@pytest.mark.parametrize("name", IDEALS_SPECS)
+def test_ideal_reports_match_benchmark_references(name, command, workers):
+    """The ideals and primes reports of the benchmark's lattice specs hash to
+    the references stored with the benchmark (read, never written)."""
+    references = json.loads((BENCH / "references.json").read_text(encoding="utf-8"))
+    spec = parse_spec((BENCH / "specs" / f"{name}.json").read_text(encoding="utf-8"))
+    text = render(run_command(spec, command, workers=workers))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == references[f"{name}:{command}"]
