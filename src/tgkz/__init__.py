@@ -51,7 +51,6 @@ from .errors import (
     EmptyConeError,
     HypothesisError,
     LatticeMismatchError,
-    NotGradedError,
     NotPointedError,
     NotSaturatedError,
     SliceTooSmallError,

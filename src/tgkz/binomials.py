@@ -90,9 +90,15 @@ class PartialCharacter:
 # kernels and Markov bases
 
 
+@lru_cache(maxsize=16)
+def _free_kernel(config: PointConfig):
+    return tuple(tuple(r) for r in kernel_basis(config.free_matrix()).to_rows())
+
+
 def free_kernel_rows(config: PointConfig):
-    kb = kernel_basis(config.free_matrix())
-    return [tuple(r) for r in kb.to_rows()]
+    """Kernel basis rows of the free column map, computed once per
+    configuration (memoized); a fresh list on every call."""
+    return list(_free_kernel(config))
 
 
 def full_kernel_rows(config: PointConfig):

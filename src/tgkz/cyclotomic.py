@@ -215,7 +215,8 @@ class Cyclotomic:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return Cyclotomic.coerce(other) * self.inverse()
+        inv = self.inverse()
+        return inv if other == 1 else Cyclotomic.coerce(other) * inv
 
     def __pow__(self, k):
         k = int(k)
@@ -257,7 +258,7 @@ class Cyclotomic:
         return hash((d.order, d.coeffs))
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def demoted(self):
         """Equal element in the smallest cyclotomic subfield that contains it.

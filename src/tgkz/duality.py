@@ -15,7 +15,7 @@ from . import fieldlin
 from .cones import (PointConfig, check_hypotheses, epsilon_vector,
                     normalized_volume, positive_grading)
 from .cyclotomic import Cyclotomic
-from .errors import HypothesisError, SpecError
+from .errors import HypothesisError, RankMismatchError, SpecError, SplitSingularError
 from .semigroups import K, K_INTERIOR, SemigroupModule, cone_points_up_to
 from .systems import SystemPresentation, bbgkz_primitive_presentation, coerce_beta
 from .weyl import WeylElement
@@ -87,7 +87,10 @@ def dual_system(config: PointConfig, beta, binomial_degree_bound=None):
     duality = DualityReport(
         beta, epsilon_vector(config), shifted,
         rank_formula(config, K), rank_formula(config, K_INTERIOR), True)
-    assert duality.rank_primal == duality.rank_dual
+    if duality.rank_primal != duality.rank_dual:
+        raise RankMismatchError("the system and its dual have different ranks",
+                                rank_primal=duality.rank_primal,
+                                rank_dual=duality.rank_dual)
     return presentation, duality
 
 
@@ -150,7 +153,9 @@ def character_split(config: PointConfig, truncation=DEFAULT_TRUNCATION) -> Split
         matrix.append(tuple(row))
     det = fieldlin.determinant([list(row) for row in matrix])
     det = Cyclotomic.coerce(det)
-    assert not det.is_zero(), "torsion characters failed to separate the fibers"
+    if det.is_zero():
+        raise SplitSingularError("torsion characters failed to separate the fibers",
+                                 torsion_orders=orders)
     height = positive_grading(config)
     pieces = cone_points_up_to(config, height, truncation)
     return SplitCertificate(tuple(exponents), tuple(values), tuple(matrix),

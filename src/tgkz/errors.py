@@ -35,10 +35,6 @@ class NotSaturatedError(TgkzError):
     code = "NOT_SATURATED"
 
 
-class NotGradedError(TgkzError):
-    code = "NOT_GRADED"
-
-
 class SliceTooSmallError(TgkzError):
     code = "SLICE_TOO_SMALL"
 
@@ -69,6 +65,27 @@ class SmithCheckError(TgkzError):
     (exit 2).  Context: shape of M."""
 
     code = "SNF_CHECK_FAILED"
+
+
+class NotHomogeneousError(TgkzError):
+    """A module Groebner relation mixes group degrees (exit 2).  Context:
+    bound, degrees (their number)."""
+
+    code = "NOT_HOMOGENEOUS"
+
+
+class RankMismatchError(TgkzError):
+    """A system and its dual report different ranks (exit 2).  Context:
+    rank_primal, rank_dual."""
+
+    code = "RANK_MISMATCH"
+
+
+class SplitSingularError(TgkzError):
+    """The torsion characters do not separate the fibers: their evaluation
+    matrix is singular (exit 2).  Context: torsion_orders."""
+
+    code = "SPLIT_SINGULAR"
 
 
 class BudgetExceededError(TgkzError):

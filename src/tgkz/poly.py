@@ -1,16 +1,15 @@
 """Commutative polynomial algebra over Q(zeta_e).
 
-Monomial orders, Buchberger with a pair budget, reduced Groebner bases,
-saturation and intersection by variable adjunction/elimination, a small
-module-level Buchberger for submodules of free modules (used by the
-presentation builder), and the canonical round-trippable text format.
+Monomial orders, one Groebner core with a pair budget, reduced Groebner
+bases of ideals and of submodules of free modules (used by the presentation
+builder), saturation and intersection by variable adjunction/elimination,
+and the canonical round-trippable text format.
 
-Polynomial coefficients are Cyclotomic.  A polynomial Groebner basis is
-monic from the moment an element enters it, and normal_form takes monic
-divisors, so S-polynomials and reductions never divide by a leading
-coefficient.  Module element coefficients may be Fraction or Cyclotomic:
-the presentation builder feeds rational binomials as Fraction, which skips
-the field arithmetic.
+The core works on term dicts {exponent tuple: coefficient} whose bases are
+monic from the moment an element enters them, so nothing divides by a
+leading coefficient.  Coefficients are Fraction or Cyclotomic and keep their
+type (Polynomial's are Cyclotomic).  The module term y_c * d^u is the tuple
+onehot_m(c) + u, ordered by TermOverPosition(m).
 """
 
 import heapq
@@ -18,6 +17,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _gcd
+from operator import add, le, sub
 
 from .cyclotomic import Cyclotomic
 from .errors import BudgetExceededError, SpecError
@@ -42,6 +42,9 @@ def default_pair_budget():
 
 
 class MonomialOrder:
+    # leading tag positions that must agree for two terms to form an S-pair
+    ntags = 0
+
     def key(self, exp):
         raise NotImplementedError
 
@@ -83,20 +86,35 @@ class BlockElim(MonomialOrder):
 GREVLEX = Grevlex()
 
 
+class TermOverPosition(MonomialOrder):
+    """Order on module terms onehot_m(c) + u: `base` on the monomial u
+    first, then the smaller component c wins ties."""
+
+    def __init__(self, m, base=GREVLEX):
+        self.ntags = int(m)
+        self.base = base
+
+    def key(self, exp):
+        return (self.base.key(exp[self.ntags:]), exp[:self.ntags])
+
+    def tag(self):
+        return f"top:{self.ntags}:{self.base.tag()}"
+
+
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _lcm_exp(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -255,26 +273,19 @@ def _common_field(polys):
     return e
 
 
-def normal_form(f, gens, order, leads=None):
-    """Full multivariate division remainder of f by gens, deterministic.
+# ---------------------------------------------------------------------------
+# the Groebner core: term dicts, monic divisors, truth-value zero tests
 
-    Every divisor must be monic (leading coefficient 1), as the bases that
-    buchberger returns are: a term's coefficient is then itself the
-    reduction factor and nothing is divided.  `leads`, when given, lists
-    the leading monomial of each of `gens`, which must then all be nonzero.
-    """
-    if leads is None:
-        gens = [g for g in gens if not g.is_zero()]
-        leads = [g.leading(order)[0] for g in gens]
-    if f.is_zero() or not gens:
-        return f
-    e = _common_field([f] + gens)
-    f = f.promote(e)
-    gens = [g.promote(e) for g in gens]
+
+def _reduce(f, divisors, leads, order):
+    """Remainder of the term dict f on full division by monic `divisors`
+    with leading terms `leads`: a term's coefficient is itself the
+    reduction factor, so nothing is divided."""
+    key = order.key
     remainder = {}
-    work = dict(f.terms)
+    work = dict(f)
     while work:
-        exp = max(work, key=order.key)
+        exp = max(work, key=key)
         coeff = work.pop(exp)
         for idx, lexp in enumerate(leads):
             if _divides(lexp, exp):
@@ -284,113 +295,125 @@ def normal_form(f, gens, order, leads=None):
             remainder[exp] = coeff
             continue
         shift = _sub(exp, lexp)
-        for gexp, gc in gens[idx].terms.items():
+        for gexp, gc in divisors[idx].items():
             if gexp == lexp:
                 continue
             tgt = _add(gexp, shift)
             c = coeff * gc
             if tgt in work:
                 work[tgt] = work[tgt] - c
-                if work[tgt].is_zero():
+                if not work[tgt]:
                     del work[tgt]
             else:
                 # reductions only produce terms below exp, so tgt cannot be
                 # banked in the remainder yet
                 work[tgt] = -c
-    return Polynomial._of(f.nvars, e, remainder)
+    return remainder
 
 
-def s_polynomial(f, g, order, leads=None):
-    """S-polynomial of two monic polynomials over the same field: each is
-    shifted up to the lcm of the leading monomials, then they are
-    subtracted, so the leading terms cancel.  `leads`, when given, is the
-    pair of leading monomials."""
-    fe, ge = leads if leads is not None else (f.leading(order)[0], g.leading(order)[0])
+def _s_pair(f, g, fe, ge):
+    """S-polynomial of monic term dicts with leading terms fe, ge: each is
+    shifted up to their lcm, then they are subtracted."""
     lcm = _lcm_exp(fe, ge)
     fshift, gshift = _sub(lcm, fe), _sub(lcm, ge)
-    terms = {_add(e, fshift): c for e, c in f.terms.items()}
-    for e, c in g.terms.items():
+    terms = {_add(e, fshift): c for e, c in f.items()}
+    for e, c in g.items():
         tgt = _add(e, gshift)
         diff = terms.pop(tgt) - c if tgt in terms else -c
         if diff:
             terms[tgt] = diff
-    return Polynomial._of(f.nvars, _common_field([f, g]), terms)
+    return terms
 
 
 def _monic(f, lead):
-    """f scaled by the inverse of its coefficient at `lead`."""
-    lc = f.terms[lead]
-    if lc.is_one():
+    """The term dict f scaled by the inverse of its coefficient at `lead`."""
+    lc = f[lead]
+    if lc == 1:
         return f
-    inv = lc.inverse()
-    return Polynomial._of(f.nvars, f.field_order, {e: c * inv for e, c in f.terms.items()})
+    inv = 1 / lc
+    return {e: c * inv for e, c in f.items()}
 
 
-def buchberger(gens, order=GREVLEX, pair_budget=None):
-    """Reduced Groebner basis, monic, sorted ascending by leading monomial.
-
-    Every element is made monic as it enters the basis (at most one
-    inversion per element), so S-polynomials and reductions never divide.  Raises
-    BudgetExceededError after processing `pair_budget` S-pairs (default
-    from TGKZ_PAIR_BUDGET or 5000).
-    """
+def _groebner(elems, order, pair_budget):
+    """Reduced Groebner basis of nonzero term dicts, monic, sorted ascending
+    by leading term.  Pairs form only between leading terms with equal tags
+    and leave the heap smallest (order key of the lcm, (i, j)) first."""
     if pair_budget is None:
         pair_budget = default_pair_budget()
-    basis = [g for g in gens if not g.is_zero()]
-    if not basis:
-        return []
-    e = _common_field(basis)
-    leads = [g.leading(order)[0] for g in basis]
-    basis = [_monic(g.promote(e), le) for g, le in zip(basis, leads)]
+    key, ntags = order.key, order.ntags
+    leads = [max(f, key=key) for f in elems]
+    basis = [_monic(f, lead) for f, lead in zip(elems, leads)]
 
-    def entry(i, j):
-        return order.key(_lcm_exp(leads[i], leads[j])), (i, j)
+    def pairs_with(k):
+        """Heap entries of the pairs (i, k), i < k, whose leading tags match."""
+        lead, tag = leads[k], leads[k][:ntags]
+        return [(key(_lcm_exp(leads[i], lead)), (i, k)) for i in range(k)
+                if leads[i][:ntags] == tag]
 
-    # pairs leave the heap smallest (order key of the lcm, (i, j)) first
-    pending = [entry(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    pending = [pair for k in range(len(basis)) for pair in pairs_with(k)]
     heapq.heapify(pending)
     processed = 0
     while pending:
-        _, pair = heapq.heappop(pending)
+        _, (i, j) = heapq.heappop(pending)
         processed += 1
         if processed > pair_budget:
             raise BudgetExceededError(
                 f"Groebner pair budget exceeded ({pair_budget} pairs)",
                 pairs=processed, budget=pair_budget)
-        i, j = pair
         le_i, le_j = leads[i], leads[j]
+        # coprime leading monomials: S-poly reduces to zero; never true for
+        # two tagged leads, whose tags add up to twice a one-hot vector
         if _lcm_exp(le_i, le_j) == _add(le_i, le_j):
-            continue  # coprime leading monomials: S-poly reduces to zero
-        spoly = s_polynomial(basis[i], basis[j], order, (le_i, le_j))
-        rem = normal_form(spoly, basis, order, leads)
-        if not rem.is_zero():
-            lead = rem.leading(order)[0]
+            continue
+        rem = _reduce(_s_pair(basis[i], basis[j], le_i, le_j), basis, leads, order)
+        if rem:
+            lead = max(rem, key=key)
             basis.append(_monic(rem, lead))
             leads.append(lead)
-            k = len(basis) - 1
-            for i2 in range(k):
-                heapq.heappush(pending, entry(i2, k))
-    return _interreduce(basis, leads, order)
-
-
-def _interreduce(basis, leads, order):
-    """Reduced basis from a monic Groebner basis and its leading monomials."""
-    # minimalize: drop generators whose leading monomial another one divides;
-    # the sort is stable, so equal leading monomials keep their basis order
-    ranked = sorted(zip(leads, basis), key=lambda lg: order.key(lg[0]))
-    kept = []
-    for i, (le, g) in enumerate(ranked):
-        if not any(_divides(hle, le) and (hle != le or j < i)
-                   for j, (hle, _) in enumerate(ranked) if j != i):
-            kept.append((le, g))
+            for pair in pairs_with(len(basis) - 1):
+                heapq.heappush(pending, pair)
+    # minimalize: drop generators whose leading term another one divides;
+    # the sort is stable, so equal leading terms keep their basis order
+    ranked = sorted(zip(leads, basis), key=lambda lg: key(lg[0]))
+    kept = [(le_i, g) for i, (le_i, g) in enumerate(ranked)
+            if not any(_divides(le_j, le_i) and (le_j != le_i or j < i)
+                       for j, (le_j, _) in enumerate(ranked) if j != i)]
     # full tail reduction; leading terms are pairwise non-divisible so they
     # stay, monic, and `kept` stays sorted ascending by them
-    kept_leads = [le for le, _ in kept]
+    kept_leads = [lead for lead, _ in kept]
     out = [g for _, g in kept]
     for i in range(len(out)):
-        out[i] = normal_form(out[i], out[:i] + out[i + 1:], order,
-                             kept_leads[:i] + kept_leads[i + 1:])
+        out[i] = _reduce(out[i], out[:i] + out[i + 1:],
+                         kept_leads[:i] + kept_leads[i + 1:], order)
     return out
+
+
+def normal_form(f, gens, order):
+    """Full multivariate division remainder of f by gens, deterministic.
+    Every divisor must be monic, as the bases buchberger returns are."""
+    gens = [g for g in gens if not g.is_zero()]
+    e = _common_field([f] + gens)
+    rem = _reduce(f.promote(e).terms, [g.promote(e).terms for g in gens],
+                  [g.leading(order)[0] for g in gens], order)
+    return Polynomial._of(f.nvars, e, rem)
+
+
+def s_polynomial(f, g, order):
+    """S-polynomial of two monic polynomials: each is shifted up to the lcm
+    of the leading monomials, then they are subtracted."""
+    e = _common_field([f, g])
+    return Polynomial._of(f.nvars, e, _s_pair(f.promote(e).terms, g.promote(e).terms,
+                                             f.leading(order)[0], g.leading(order)[0]))
+
+
+def buchberger(gens, order=GREVLEX, pair_budget=None):
+    """Reduced Groebner basis, monic, sorted ascending by leading monomial.
+    Raises BudgetExceededError after processing `pair_budget` S-pairs
+    (default from TGKZ_PAIR_BUDGET or 5000)."""
+    gens = [g for g in gens if not g.is_zero()]
+    e = _common_field(gens)
+    basis = _groebner([g.promote(e).terms for g in gens], order, pair_budget)
+    return [Polynomial._of(gens[0].nvars, e, t) for t in basis]
 
 
 @dataclass(frozen=True)
@@ -438,11 +461,7 @@ def ideal_equal(a: IdealBasis, b: IdealBasis) -> bool:
 
 def eliminate(gens, elim_indices, pair_budget=None):
     """Generators of the elimination ideal (still in the big ring)."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    order = BlockElim(elim_indices)
-    basis = buchberger(gens, order, pair_budget)
+    basis = buchberger(gens, BlockElim(elim_indices), pair_budget)
     elim = set(elim_indices)
     return [g for g in basis if all(all(e[i] == 0 for i in elim) for e in g.terms)]
 
@@ -485,129 +504,21 @@ def intersect_many(ideals, pair_budget=None) -> IdealBasis:
 
 
 # ---------------------------------------------------------------------------
-# free-module Groebner bases (terms carry a component index)
-#
-# Elements are dicts (component, exponent) -> coefficient, a Fraction or a
-# Cyclotomic; tests for zero use truth value.  The order is
-# term-over-position: grevlex on the monomial, smaller component wins ties.
+# free-module Groebner bases: dicts of y-tagged terms on the same core
 
 
-def _mod_key(order, key_pair):
-    comp, exp = key_pair
-    return (order.key(exp), -comp)
+def module_normal_form(elem, gens, order, leads):
+    """Remainder of a module element on full division by monic `gens`, whose
+    leading terms are `leads`; elements are dicts {onehot_m(c) + u: coeff}
+    and `order` is a TermOverPosition(m)."""
+    return _reduce(elem, gens, leads, order)
 
 
-def _mod_leading(elem, order):
-    k = max(elem, key=lambda ce: _mod_key(order, ce))
-    return k, elem[k]
-
-
-def _mod_normal_form(elem, gens, order, leads=None):
-    if not elem:
-        return {}
-    if leads is None:
-        leads = [_mod_leading(g, order)[0] for g in gens]
-    remainder = {}
-    work = dict(elem)
-    while work:
-        key = max(work, key=lambda ce: _mod_key(order, ce))
-        coeff = work.pop(key)
-        comp, exp = key
-        for idx, (lcomp, lexp) in enumerate(leads):
-            if lcomp == comp and _divides(lexp, exp):
-                break
-        else:
-            remainder[key] = remainder[key] + coeff if key in remainder else coeff
-            continue
-        shift = _sub(exp, lexp)
-        factor = coeff / gens[idx][leads[idx]]
-        for (gcomp, gexp), gc in gens[idx].items():
-            if (gcomp, gexp) == (comp, lexp):
-                continue
-            tgt = (gcomp, _add(gexp, shift))
-            c = factor * gc
-            if tgt in work:
-                work[tgt] = work[tgt] - c
-                if not work[tgt]:
-                    del work[tgt]
-            else:
-                nc = -c
-                if nc:
-                    work[tgt] = nc
-    return remainder
-
-
-def module_normal_form(elem, gens, order=GREVLEX, leads=None):
-    """Remainder of a module element on full division by `gens`.
-
-    `leads`, when given, lists the leading (component, exponent) of each of
-    `gens`.
-    """
-    return _mod_normal_form(elem, gens, order, leads)
-
-
-def module_groebner(elems, order=GREVLEX, pair_budget=None):
-    """Reduced Groebner basis of the submodule generated by elems.
-
-    Same contract as buchberger: monic, canonical, sorted ascending by
-    leading term.  S-pairs form only between elements sharing the leading
-    component.  Coefficients may be Fraction or Cyclotomic; the result
-    keeps the type the arithmetic produces.
-    """
-    if pair_budget is None:
-        pair_budget = default_pair_budget()
-    basis = [dict(e) for e in elems if e]
-    leads = [_mod_leading(b, order)[0] for b in basis]
-
-    def entry(i, j):
-        (ci, ei), (_, ej) = leads[i], leads[j]
-        return _mod_key(order, (ci, _lcm_exp(ei, ej))), (i, j)
-
-    # pairs leave the heap smallest (order key of the lcm, (i, j)) first
-    pending = [entry(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))
-               if leads[i][0] == leads[j][0]]
-    heapq.heapify(pending)
-    processed = 0
-    while pending:
-        _, (i, j) = heapq.heappop(pending)
-        processed += 1
-        if processed > pair_budget:
-            raise BudgetExceededError(
-                f"module Groebner pair budget exceeded ({pair_budget} pairs)",
-                pairs=processed, budget=pair_budget)
-        (_, ei), (_, ej) = leads[i], leads[j]
-        lci, lcj = basis[i][leads[i]], basis[j][leads[j]]
-        lcm = _lcm_exp(ei, ej)
-        spair = {}
-        for (c, e), co in basis[i].items():
-            key = (c, _add(e, _sub(lcm, ei)))
-            spair[key] = spair.get(key, 0) + co / lci
-        for (c, e), co in basis[j].items():
-            key = (c, _add(e, _sub(lcm, ej)))
-            spair[key] = spair.get(key, 0) - co / lcj
-        spair = {k: v for k, v in spair.items() if v}
-        rem = _mod_normal_form(spair, basis, order, leads)
-        if rem:
-            basis.append(rem)
-            leads.append(_mod_leading(rem, order)[0])
-            k = len(basis) - 1
-            for i2 in range(k):
-                if leads[i2][0] == leads[k][0]:
-                    heapq.heappush(pending, entry(i2, k))
-    # interreduce; the stable sort keeps equal leading terms in basis order
-    ranked = sorted(zip(leads, basis), key=lambda lg: _mod_key(order, lg[0]))
-    kept = []
-    for i, ((gc, ge), g) in enumerate(ranked):
-        if not any(hc == gc and _divides(he, ge) and (he != ge or j < i)
-                   for j, ((hc, he), _) in enumerate(ranked) if j != i):
-            kept.append(((gc, ge), g))
-    # leading terms survive the tail reduction, so `kept` stays sorted
-    kept_leads = [lead for lead, _ in kept]
-    out = [g for _, g in kept]
-    for i in range(len(out)):
-        out[i] = _mod_normal_form(out[i], out[:i] + out[i + 1:], order,
-                                  kept_leads[:i] + kept_leads[i + 1:])
-    return [{k: v / g[lead] for k, v in g.items()} for lead, g in zip(kept_leads, out)]
+def module_groebner(elems, order, pair_budget=None):
+    """Reduced Groebner basis of the submodule generated by elems under a
+    TermOverPosition order, with buchberger's contract.  S-pairs form only
+    between leading terms of one component."""
+    return _groebner([e for e in elems if e], order, pair_budget)
 
 
 # ---------------------------------------------------------------------------

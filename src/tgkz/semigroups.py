@@ -62,7 +62,7 @@ class PrimitiveSet:
     degrees: tuple
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _facet_rows(config: PointConfig):
     return tuple(tau.as_int_tuple() for tau in facets(config))
 
@@ -76,12 +76,12 @@ def _in_cone(rows, v, low=0) -> bool:
     return all(x >= low for x in _values(rows, v))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _membership_memo(config: PointConfig):
     return dict.fromkeys(units(config), True)  # the only finite-order members
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _distinct_nonunit_columns(config: PointConfig):
     return tuple(sorted({c for c in config.columns if not c.has_finite_order()},
                         key=lambda e: e.sort_key()))

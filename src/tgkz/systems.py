@@ -7,9 +7,10 @@ primitive element, binomial gluing relations found by bounded search and
 reduced to a canonical module Groebner basis, plus shifted Euler relations).
 Quasi-degree arrangements and the homology vanishing test live here too.
 
-The relation search works on module elements with Fraction coefficients (the
-binomials are rational); the module Groebner engine accepts Fraction or
-Cyclotomic, and WeylElement coerces to Cyclotomic when relations are built.
+The relation search writes the term d^u 1_c as the y-tagged exponent
+onehot_m(c) + u (poly.TermOverPosition) with a Fraction coefficient (the
+binomials are rational); WeylElement coerces to Cyclotomic when relations
+are built.
 """
 
 from dataclasses import dataclass
@@ -22,8 +23,8 @@ from .cones import (AffinePiece, Arrangement, PointConfig, facets,
                     homogenizing_functional, membership_in_arrangement,
                     positive_grading)
 from .cyclotomic import Cyclotomic
-from .errors import NotStabilizedError, SliceTooSmallError
-from .poly import GREVLEX, module_groebner, module_normal_form, _mod_key, _mod_leading
+from .errors import NotHomogeneousError, NotStabilizedError, SliceTooSmallError
+from .poly import TermOverPosition, module_groebner, module_normal_form
 from .semigroups import (EXPLICIT, K, K_INTERIOR, SemigroupModule,
                          cone_points_up_to, elements_with_height_at_most,
                          module_generators, primitive_elements)
@@ -156,8 +157,10 @@ def _monomials_up_to(n, bound):
 
 
 def _pair_elements(config, generators, bound):
-    """Module binomials 1*(u, g) - 1*(v, g') over all monomial pairs with
-    equal full-group degree, one spanning chain per degree bucket."""
+    """Module binomials y_g d^u - y_g' d^v, as y-tagged terms, over all monomial
+    pairs with equal full-group degree, one spanning chain per degree bucket."""
+    m = len(generators)
+    tags = [(0,) * gi + (1,) + (0,) * (m - 1 - gi) for gi in range(m)]
     buckets = {}
     for u in _monomials_up_to(config.n, bound):
         shift = config.group.zero()
@@ -170,29 +173,34 @@ def _pair_elements(config, generators, bound):
     elements = []
     one = Fraction(1)
     for key in sorted(buckets):
-        entries = sorted(set(buckets[key]))
-        first = entries[0]
-        for other in entries[1:]:
-            elements.append({(first[1], first[0]): one, (other[1], other[0]): -one})
+        # each tagged term is built once and shared by the elements using it
+        first, *others = [tags[gi] + u for u, gi in sorted(buckets[key])]
+        for other in others:
+            elements.append({first: one, other: -one})
     return elements
 
 
-def _span_reduce(elements, order=GREVLEX):
+def _span_reduce(elements, order):
     """Discard elements already in the span of earlier ones; keeps the
-    Groebner input small without changing the submodule."""
-    elements = sorted(elements, key=lambda e: _mod_key(order, _mod_leading(e, order)[0]))
+    Groebner input small without changing the submodule.  The kept
+    elements are monic under `order`."""
+    key = order.key
+    elements = sorted(elements, key=lambda e: key(max(e, key=key)))
     kept, leads = [], []
     for e in elements:
         r = module_normal_form(e, kept, order, leads) if kept else e
         if r:
-            lead, lc = _mod_leading(r, order)
+            lead = max(r, key=key)
+            lc = r[lead]
             kept.append({k: v / lc for k, v in r.items()})
             leads.append(lead)
     return kept
 
 
 def _module_basis(config, generators, bound):
-    return module_groebner(_span_reduce(_pair_elements(config, generators, bound)))
+    order = TermOverPosition(len(generators))
+    return module_groebner(_span_reduce(_pair_elements(config, generators, bound), order),
+                           order)
 
 
 def bbgkz_primitive_presentation(module: SemigroupModule, beta,
@@ -217,22 +225,23 @@ def bbgkz_primitive_presentation(module: SemigroupModule, beta,
     if basis != wider:
         raise NotStabilizedError(
             f"binomial relations did not stabilize at bound {bound}", bound=bound)
+    m = len(gens)
     binomials = []
     for elem in basis:
         degs = set()
-        for (gi, exp), _ in elem.items():
+        by_comp = {}
+        for term, c in elem.items():
+            gi, exp = term[:m].index(1), term[m:]
             deg = gens[gi]
             for j, e in enumerate(exp):
                 if e:
                     deg = deg + e * config.columns[j]
             degs.add((deg.torsion, deg.free))
-        assert len(degs) == 1, "binomial relation is not degree homogeneous"
-        by_comp = {}
-        for (gi, exp), c in elem.items():
-            by_comp.setdefault(gi, {})[exp] = c
-        rel = _make_relation([
-            (gi, WeylElement(n, 1, {((0,) * n, exp): c for exp, c in terms.items()}))
-            for gi, terms in by_comp.items()])
+            by_comp.setdefault(gi, {})[((0,) * n, exp)] = c
+        if len(degs) != 1:
+            raise NotHomogeneousError("binomial relation is not degree homogeneous",
+                                      bound=bound, degrees=len(degs))
+        rel = _make_relation([(gi, WeylElement(n, 1, terms)) for gi, terms in by_comp.items()])
         binomials.append(rel)
     binomials.sort(key=_relation_key)
     relations = tuple(binomials) + tuple(_euler_relations(config, beta, gens))

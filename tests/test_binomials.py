@@ -179,6 +179,17 @@ def test_toric_ideals_memoized_per_config(battery):
     assert markov_basis(battery[1]) is not markov_basis(battery[1])
 
 
+def test_free_kernel_rows_computed_once_per_config(monkeypatch, mod4_line):
+    calls = []
+    real = binomials.kernel_basis
+    monkeypatch.setattr(binomials, "kernel_basis", lambda m: calls.append(m) or real(m))
+    binomials._free_kernel.cache_clear()
+    rows = free_kernel_rows(mod4_line)
+    assert free_kernel_rows(mod4_line) == rows and free_kernel_rows(mod4_line) is not rows
+    minimal_primes(mod4_line)  # four characters, each checked against the rows
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("workers", [None, 2])
 def test_wrong_prime_raises_typed_error(monkeypatch, mod4_line, workers):
     monkeypatch.setattr(binomials, "twisted_ideal",

@@ -59,6 +59,39 @@ binomials.twisted_ideal = lambda config, rho, moves: binomials.toric_ideal_free(
 sys.exit(main(sys.argv[1:]))
 """
 
+# the CLI with a module Groebner basis whose relation mixes two degrees
+INHOMOGENEOUS_CLI = """
+import sys
+from fractions import Fraction
+from tgkz import systems
+from tgkz.cli import main
+def basis(config, generators, bound):
+    one = (1,) + (0,) * (len(generators) - 1)
+    unit = (1,) + (0,) * (config.n - 1)
+    return [{one + (0,) * config.n: Fraction(1), one + unit: Fraction(-1)}]
+systems._module_basis = basis
+sys.exit(main(sys.argv[1:]))
+"""
+
+# the CLI with an interior rank one above the closure rank
+RANK_MISMATCH_CLI = """
+import sys
+from tgkz import duality
+from tgkz.cli import main
+rank = duality.rank_formula
+duality.rank_formula = lambda config, kind: rank(config, kind) + (kind == duality.K_INTERIOR)
+sys.exit(main(sys.argv[1:]))
+"""
+
+# the CLI with a character split whose determinant comes out zero
+SINGULAR_SPLIT_CLI = """
+import sys
+from types import SimpleNamespace
+from tgkz import duality
+from tgkz.cli import main
+duality.fieldlin = SimpleNamespace(determinant=lambda rows: 0)
+sys.exit(main(sys.argv[1:]))
+"""
 
 def run_cli(*args, env_extra=None, python_flags=()):
     env = dict(os.environ)
@@ -155,6 +188,20 @@ def test_wrong_primes_exit_2_without_asserts(command):
     assert res.returncode == 2, res.stderr
     assert "PRIMES_DO_NOT_INTERSECT" in res.stderr
     assert '"primes": 4' in res.stderr and '"torsion_orders": [4]' in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("script,command,code,context", [
+    (INHOMOGENEOUS_CLI, "system", "NOT_HOMOGENEOUS", '"degrees": 2'),
+    (RANK_MISMATCH_CLI, "dual", "RANK_MISMATCH", '"rank_dual": 3, "rank_primal": 2'),
+    (SINGULAR_SPLIT_CLI, "dual", "SPLIT_SINGULAR", '"torsion_orders": [2]'),
+])
+def test_broken_invariant_exits_2_without_asserts(script, command, code, context):
+    res = subprocess.run([sys.executable, "-O", "-c", script, command,
+                          "--spec", str(SAMPLES / "split_line.json")],
+                         capture_output=True, text=True)
+    assert res.returncode == 2, res.stderr
+    assert code in res.stderr and context in res.stderr
     assert res.stdout == ""
 
 

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import make_config
 from tgkz.cones import epsilon_vector, normalized_volume
+from tgkz import duality
 from tgkz.cyclotomic import Cyclotomic
 from tgkz.duality import (
     DEFAULT_TRUNCATION,
@@ -14,7 +16,7 @@ from tgkz.duality import (
     rank_formula,
     sign_twist,
 )
-from tgkz.errors import HypothesisError, SpecError
+from tgkz.errors import HypothesisError, RankMismatchError, SpecError, SplitSingularError
 from tgkz.semigroups import EXPLICIT, K, K_INTERIOR, SemigroupModule
 from tgkz.systems import bbgkz_primitive_presentation
 from tgkz.weyl import euler_operators
@@ -74,6 +76,24 @@ def test_dual_system_line_pair():
 def test_dual_system_requires_hypotheses(even_pair):
     with pytest.raises(HypothesisError):
         dual_system(even_pair, (0, 0))
+
+
+def test_rank_mismatch_raises_typed_error(monkeypatch, split_line):
+    rank = duality.rank_formula
+    monkeypatch.setattr(duality, "rank_formula",
+                        lambda config, kind: rank(config, kind) + (kind == K_INTERIOR))
+    with pytest.raises(RankMismatchError) as exc:
+        dual_system(split_line, (0,))
+    assert exc.value.code == "RANK_MISMATCH"
+    assert exc.value.context == {"rank_primal": 2, "rank_dual": 3}
+
+
+def test_singular_split_raises_typed_error(monkeypatch, split_line):
+    monkeypatch.setattr(duality, "fieldlin", SimpleNamespace(determinant=lambda rows: 0))
+    with pytest.raises(SplitSingularError) as exc:
+        character_split(split_line)
+    assert exc.value.code == "SPLIT_SINGULAR"
+    assert exc.value.context == {"torsion_orders": (2,)}
 
 
 def test_sign_twist_involution_on_presentations(battery):

@@ -1,6 +1,8 @@
 import heapq
 import itertools
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,9 @@ from tgkz.poly import (
     polynomial_to_text,
     saturate,
 )
+from tgkz.problem import parse_spec
+from tgkz.semigroups import K, K_INTERIOR, SemigroupModule
+from tgkz.systems import _pair_elements, _primitive_set_for, _span_reduce, default_binomial_bound
 
 
 def P(text, nvars):
@@ -287,3 +292,167 @@ def test_s_polynomial_and_normal_form_match_oracle_on_monic_inputs():
             f = f + Polynomial.monomial(3, exp, Cyclotomic.zeta(6, rng.randint(0, 5)))
         assert poly.normal_form(f, basis, GREVLEX) == \
             _oracle_normal_form(f, basis, GREVLEX, leads)
+
+
+# ---------------------------------------------------------------------------
+# The separate module engine that the tagged-term core replaced, kept as an
+# oracle: elements are dicts (component, exponent) -> coefficient, the order
+# is grevlex with the smaller component winning ties, and S-pairs and
+# reductions divide by leading coefficients.  It returns the processed-pair
+# count with the basis.
+
+
+def _oracle_mod_key(order, key_pair):
+    comp, exp = key_pair
+    return (order.key(exp), -comp)
+
+
+def _oracle_mod_lead(elem, order):
+    return max(elem, key=lambda ce: _oracle_mod_key(order, ce))
+
+
+def _oracle_mod_normal_form(elem, gens, order, leads):
+    remainder = {}
+    work = dict(elem)
+    while work:
+        key = _oracle_mod_lead(work, order)
+        coeff = work.pop(key)
+        comp, exp = key
+        for idx, (lcomp, lexp) in enumerate(leads):
+            if lcomp == comp and poly._divides(lexp, exp):
+                break
+        else:
+            remainder[key] = coeff
+            continue
+        shift = poly._sub(exp, lexp)
+        factor = coeff / gens[idx][leads[idx]]
+        for (gcomp, gexp), gc in gens[idx].items():
+            if (gcomp, gexp) == (comp, lexp):
+                continue
+            tgt = (gcomp, poly._add(gexp, shift))
+            work[tgt] = work.get(tgt, 0) - factor * gc
+            if not work[tgt]:
+                del work[tgt]
+    return remainder
+
+
+def _oracle_module_groebner(elems, order=GREVLEX):
+    basis = [dict(e) for e in elems if e]
+    leads = [_oracle_mod_lead(b, order) for b in basis]
+
+    def entry(i, j):
+        (ci, ei), (_, ej) = leads[i], leads[j]
+        return _oracle_mod_key(order, (ci, poly._lcm_exp(ei, ej))), (i, j)
+
+    pending = [entry(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))
+               if leads[i][0] == leads[j][0]]
+    heapq.heapify(pending)
+    processed = 0
+    while pending:
+        _, (i, j) = heapq.heappop(pending)
+        processed += 1
+        (_, ei), (_, ej) = leads[i], leads[j]
+        lcm = poly._lcm_exp(ei, ej)
+        spair = {}
+        for idx, shift in ((i, poly._sub(lcm, ei)), (j, poly._sub(lcm, ej))):
+            sign = 1 if idx == i else -1
+            for (c, e), co in basis[idx].items():
+                key = (c, poly._add(e, shift))
+                spair[key] = spair.get(key, 0) + sign * co / basis[idx][leads[idx]]
+        rem = _oracle_mod_normal_form({k: v for k, v in spair.items() if v},
+                                      basis, order, leads)
+        if rem:
+            basis.append(rem)
+            leads.append(_oracle_mod_lead(rem, order))
+            for i2 in range(len(basis) - 1):
+                if leads[i2][0] == leads[-1][0]:
+                    heapq.heappush(pending, entry(i2, len(basis) - 1))
+    ranked = sorted(zip(leads, basis), key=lambda lg: _oracle_mod_key(order, lg[0]))
+    kept = [((gc, ge), g) for i, ((gc, ge), g) in enumerate(ranked)
+            if not any(hc == gc and poly._divides(he, ge) and (he != ge or j < i)
+                       for j, ((hc, he), _) in enumerate(ranked) if j != i)]
+    kept_leads = [lead for lead, _ in kept]
+    out = [g for _, g in kept]
+    for i in range(len(out)):
+        out[i] = _oracle_mod_normal_form(out[i], out[:i] + out[i + 1:], order,
+                                         kept_leads[:i] + kept_leads[i + 1:])
+    return [{k: v / g[lead] for k, v in g.items()}
+            for lead, g in zip(kept_leads, out)], processed
+
+
+def _untag(elem, m):
+    """(component, exponent) keys of a y-tagged module element."""
+    return {(t[:m].index(1), t[m:]): c for t, c in elem.items()}
+
+
+PRESENTATION_SPECS = {
+    "mod4_line": "sample_specs", "plane_segment": "sample_specs",
+    "split_line": "sample_specs", "mod6_line": "bench/specs", "z3_plane": "bench/specs",
+    "cube3": "bench/specs", "mod2_plane": "bench/specs", "mod3_line": "bench/specs",
+}
+
+
+def _presentation_config(name):
+    root = Path(__file__).resolve().parent.parent
+    path = root / PRESENTATION_SPECS[name] / f"{name}.json"
+    return parse_spec(path.read_text(encoding="utf-8")).config
+
+
+def _cyclotomic_scaled(elems):
+    """Each element times a sixth root of unity, so its leading coefficient
+    is a non-rational unit."""
+    return [{k: c * Cyclotomic.zeta(6, i % 5 + 1) for k, c in e.items()}
+            for i, e in enumerate(elems)]
+
+
+def _assert_module_core_matches_oracle(elems, m):
+    order = poly.TermOverPosition(m)
+    expect, pairs = _oracle_module_groebner([_untag(e, m) for e in elems])
+    got = poly.module_groebner(elems, order, pair_budget=pairs)
+    assert [_untag(g, m) for g in got] == expect
+    assert {type(c) for g in got for c in g.values()} <= \
+        {type(c) for e in elems for c in e.values()}
+    if pairs:
+        with pytest.raises(BudgetExceededError) as exc:
+            poly.module_groebner(elems, order, pair_budget=pairs - 1)
+        assert exc.value.context["pairs"] == pairs
+    return pairs
+
+
+@pytest.mark.parametrize("kind", [K, K_INTERIOR])
+@pytest.mark.parametrize("name", sorted(PRESENTATION_SPECS))
+def test_module_core_matches_division_oracle_on_span_reduced_inputs(name, kind):
+    config = _presentation_config(name)
+    gens = _primitive_set_for(SemigroupModule(kind, config)).elements
+    order = poly.TermOverPosition(len(gens))
+    elems = _span_reduce(_pair_elements(config, gens, default_binomial_bound(config)),
+                         order)
+    _assert_module_core_matches_oracle(elems, len(gens))
+    _assert_module_core_matches_oracle(_cyclotomic_scaled(elems), len(gens))
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4])
+def test_module_core_matches_division_oracle_on_raw_pair_elements(bound):
+    non_monic = cross_component = 0
+    for name in sorted(PRESENTATION_SPECS):
+        config = _presentation_config(name)
+        gens = _primitive_set_for(SemigroupModule(K, config)).elements
+        m = len(gens)
+        elems = _pair_elements(config, gens, bound)
+        order = poly.TermOverPosition(m)
+        non_monic += sum(e[max(e, key=order.key)] != 1 for e in elems)
+        cross_component += sum(len({t[:m] for t in e}) > 1 for e in elems)
+        _assert_module_core_matches_oracle(elems, m)
+        _assert_module_core_matches_oracle(_cyclotomic_scaled(elems), m)
+    assert non_monic and cross_component
+
+
+def test_module_pairs_skip_no_coprime_leads():
+    # f = x*1_0 + 1_1 and g = y*1_0: coprime leading monomials in one
+    # component, yet y*f - x*g = y*1_1 is a new basis element
+    f = {(1, 0, 1, 0): Fraction(1), (0, 1, 0, 0): Fraction(1)}
+    g = {(1, 0, 0, 1): Fraction(1)}
+    basis = poly.module_groebner([f, g], poly.TermOverPosition(2))
+    assert basis == [{(0, 1, 0, 1): 1}, g, f]
+    expect, _ = _oracle_module_groebner([_untag(f, 2), _untag(g, 2)])
+    assert [_untag(b, 2) for b in basis] == expect

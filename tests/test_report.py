@@ -17,6 +17,14 @@ NOT_SPANNING = '{"columns": [{"torsion": [], "free": [2]}], "beta": [0]}'
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 IDEALS_SPECS = ("mod4_line3", "z6_plane", "z2z2_line", "mod8_line", "mod6_line")
+SAMPLES = BENCH.parent / "sample_specs"
+PRESENTATION_JOBS = (
+    (SAMPLES, "mod4_line", "report"), (SAMPLES, "plane_segment", "report"),
+    (SAMPLES, "split_line", "report"), (BENCH / "specs", "mod6_line", "system"),
+    (BENCH / "specs", "z3_plane", "system"), (BENCH / "specs", "z3_plane", "dual"),
+    (BENCH / "specs", "cube3", "dual"), (BENCH / "specs", "mod2_plane", "system"),
+    (BENCH / "specs", "mod3_line", "dual"),
+)
 
 
 def test_unknown_command_rejected():
@@ -88,5 +96,16 @@ def test_ideal_reports_match_benchmark_references(name, command, workers):
     references = json.loads((BENCH / "references.json").read_text(encoding="utf-8"))
     spec = parse_spec((BENCH / "specs" / f"{name}.json").read_text(encoding="utf-8"))
     text = render(run_command(spec, command, workers=workers))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == references[f"{name}:{command}"]
+
+
+@pytest.mark.parametrize("folder,name,command", PRESENTATION_JOBS)
+def test_presentation_reports_match_benchmark_references(folder, name, command):
+    """The reports of the benchmark's presentation jobs hash to the
+    references stored with the benchmark (read, never written)."""
+    references = json.loads((BENCH / "references.json").read_text(encoding="utf-8"))
+    spec = parse_spec((folder / f"{name}.json").read_text(encoding="utf-8"))
+    text = render(run_command(spec, command))
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == references[f"{name}:{command}"]

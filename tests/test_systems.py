@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_config
-from tgkz import fieldlin
+from tgkz import fieldlin, systems
 from tgkz.cones import face_by_columns
 from tgkz.cyclotomic import Cyclotomic
-from tgkz.errors import NotStabilizedError, SliceTooSmallError
-from tgkz.poly import module_groebner
+from tgkz.errors import NotHomogeneousError, NotStabilizedError, SliceTooSmallError
+from tgkz.poly import TermOverPosition, module_groebner
 from tgkz.semigroups import K, K_INTERIOR, SemigroupModule
 from tgkz.systems import (
     FACE,
@@ -93,10 +93,21 @@ def test_relation_search_rational_matches_cyclotomic(name, mod4_line):
     rational = _pair_elements(config, gens, default_binomial_bound(config))
     assert all(type(c) is Fraction for e in rational for c in e.values())
     field = [{k: Cyclotomic.one() * c for k, c in e.items()} for e in rational]
-    fast = module_groebner(_span_reduce(rational))
-    slow = module_groebner(_span_reduce(field))
+    order = TermOverPosition(len(gens))
+    fast = module_groebner(_span_reduce(rational, order), order)
+    slow = module_groebner(_span_reduce(field, order), order)
     assert all(isinstance(c, Cyclotomic) for e in slow for c in e.values())
     assert [{k: Cyclotomic.coerce(c) for k, c in e.items()} for e in fast] == slow
+
+
+def test_inhomogeneous_relation_raises_typed_error(monkeypatch, mod4_line):
+    # 1_0 - d1*1_0 joins two degrees; mod4_line has four primitive generators
+    basis = [{(1, 0, 0, 0, 0, 0): Fraction(1), (1, 0, 0, 0, 1, 0): Fraction(-1)}]
+    monkeypatch.setattr(systems, "_module_basis", lambda config, gens, bound: basis)
+    with pytest.raises(NotHomogeneousError) as exc:
+        bbgkz_primitive_presentation(SemigroupModule(K, mod4_line), (0,))
+    assert exc.value.code == "NOT_HOMOGENEOUS"
+    assert exc.value.context == {"bound": 18, "degrees": 2}
 
 
 def test_primitive_presentation_interior(even_pair):
