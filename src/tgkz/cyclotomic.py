@@ -215,8 +215,7 @@ class Cyclotomic:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        inv = self.inverse()
-        return inv if other == 1 else Cyclotomic.coerce(other) * inv
+        return Cyclotomic.coerce(other) * self.inverse()
 
     def __pow__(self, k):
         k = int(k)

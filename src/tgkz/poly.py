@@ -87,18 +87,17 @@ GREVLEX = Grevlex()
 
 
 class TermOverPosition(MonomialOrder):
-    """Order on module terms onehot_m(c) + u: `base` on the monomial u
+    """Order on module terms onehot_m(c) + u: grevlex on the monomial u
     first, then the smaller component c wins ties."""
 
-    def __init__(self, m, base=GREVLEX):
+    def __init__(self, m):
         self.ntags = int(m)
-        self.base = base
 
     def key(self, exp):
-        return (self.base.key(exp[self.ntags:]), exp[:self.ntags])
+        return (GREVLEX.key(exp[self.ntags:]), exp[:self.ntags])
 
     def tag(self):
-        return f"top:{self.ntags}:{self.base.tag()}"
+        return f"top:{self.ntags}"
 
 
 def _divides(a, b):
@@ -512,6 +511,21 @@ def module_normal_form(elem, gens, order, leads):
     leading terms are `leads`; elements are dicts {onehot_m(c) + u: coeff}
     and `order` is a TermOverPosition(m)."""
     return _reduce(elem, gens, leads, order)
+
+
+def module_span_reduce(elems, order):
+    """The elements in order of leading term, dropping each one already in
+    the span of those kept before it; the kept ones are made monic.  A
+    smaller Groebner input for the same submodule."""
+    key = order.key
+    kept, leads = [], []
+    for e in sorted(elems, key=lambda e: key(max(e, key=key))):
+        r = module_normal_form(e, kept, order, leads) if kept else e
+        if r:
+            lead = max(r, key=key)
+            kept.append(_monic(r, lead))
+            leads.append(lead)
+    return kept
 
 
 def module_groebner(elems, order, pair_budget=None):

@@ -24,7 +24,7 @@ from .cones import (AffinePiece, Arrangement, PointConfig, facets,
                     positive_grading)
 from .cyclotomic import Cyclotomic
 from .errors import NotHomogeneousError, NotStabilizedError, SliceTooSmallError
-from .poly import TermOverPosition, module_groebner, module_normal_form
+from .poly import TermOverPosition, module_groebner, module_span_reduce
 from .semigroups import (EXPLICIT, K, K_INTERIOR, SemigroupModule,
                          cone_points_up_to, elements_with_height_at_most,
                          module_generators, primitive_elements)
@@ -180,27 +180,10 @@ def _pair_elements(config, generators, bound):
     return elements
 
 
-def _span_reduce(elements, order):
-    """Discard elements already in the span of earlier ones; keeps the
-    Groebner input small without changing the submodule.  The kept
-    elements are monic under `order`."""
-    key = order.key
-    elements = sorted(elements, key=lambda e: key(max(e, key=key)))
-    kept, leads = [], []
-    for e in elements:
-        r = module_normal_form(e, kept, order, leads) if kept else e
-        if r:
-            lead = max(r, key=key)
-            lc = r[lead]
-            kept.append({k: v / lc for k, v in r.items()})
-            leads.append(lead)
-    return kept
-
-
 def _module_basis(config, generators, bound):
     order = TermOverPosition(len(generators))
-    return module_groebner(_span_reduce(_pair_elements(config, generators, bound), order),
-                           order)
+    return module_groebner(
+        module_span_reduce(_pair_elements(config, generators, bound), order), order)
 
 
 def bbgkz_primitive_presentation(module: SemigroupModule, beta,

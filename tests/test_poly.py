@@ -35,7 +35,7 @@ from tgkz.poly import (
 )
 from tgkz.problem import parse_spec
 from tgkz.semigroups import K, K_INTERIOR, SemigroupModule
-from tgkz.systems import _pair_elements, _primitive_set_for, _span_reduce, default_binomial_bound
+from tgkz.systems import _pair_elements, _primitive_set_for, default_binomial_bound
 
 
 def P(text, nvars):
@@ -425,8 +425,8 @@ def test_module_core_matches_division_oracle_on_span_reduced_inputs(name, kind):
     config = _presentation_config(name)
     gens = _primitive_set_for(SemigroupModule(kind, config)).elements
     order = poly.TermOverPosition(len(gens))
-    elems = _span_reduce(_pair_elements(config, gens, default_binomial_bound(config)),
-                         order)
+    elems = poly.module_span_reduce(
+        _pair_elements(config, gens, default_binomial_bound(config)), order)
     _assert_module_core_matches_oracle(elems, len(gens))
     _assert_module_core_matches_oracle(_cyclotomic_scaled(elems), len(gens))
 

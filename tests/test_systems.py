@@ -8,7 +8,7 @@ from tgkz import fieldlin, systems
 from tgkz.cones import face_by_columns
 from tgkz.cyclotomic import Cyclotomic
 from tgkz.errors import NotHomogeneousError, NotStabilizedError, SliceTooSmallError
-from tgkz.poly import TermOverPosition, module_groebner
+from tgkz.poly import TermOverPosition, module_groebner, module_span_reduce
 from tgkz.semigroups import K, K_INTERIOR, SemigroupModule
 from tgkz.systems import (
     FACE,
@@ -17,7 +17,6 @@ from tgkz.systems import (
     VANISHES,
     _pair_elements,
     _primitive_set_for,
-    _span_reduce,
     bbgkz_primitive_presentation,
     bbgkz_relations,
     default_binomial_bound,
@@ -94,8 +93,8 @@ def test_relation_search_rational_matches_cyclotomic(name, mod4_line):
     assert all(type(c) is Fraction for e in rational for c in e.values())
     field = [{k: Cyclotomic.one() * c for k, c in e.items()} for e in rational]
     order = TermOverPosition(len(gens))
-    fast = module_groebner(_span_reduce(rational, order), order)
-    slow = module_groebner(_span_reduce(field, order), order)
+    fast = module_groebner(module_span_reduce(rational, order), order)
+    slow = module_groebner(module_span_reduce(field, order), order)
     assert all(isinstance(c, Cyclotomic) for e in slow for c in e.values())
     assert [{k: Cyclotomic.coerce(c) for k, c in e.items()} for e in fast] == slow
 
