@@ -20,8 +20,8 @@ from .cones import Face, PointConfig, face_by_columns
 from .cyclotomic import Cyclotomic
 from .errors import (LatticeMismatchError, NotSaturatedError,
                      PrimesDoNotIntersectError)
-from .lattice import (IntMatrix, express_in_rows, hnf_rows, kernel_basis,
-                      kernel_lattice, smith_normal_form)
+from .lattice import (IntMatrix, express_in_rows, hnf_rows, is_hermite,
+                      kernel_basis, kernel_lattice, smith_normal_form)
 from .poly import (GREVLEX, IdealBasis, Polynomial, canonical_ideal,
                    groebner_ideal, ideal_equal, intersect_many, normal_form,
                    saturate)
@@ -53,7 +53,8 @@ class PartialCharacter:
         if not rows:
             return PartialCharacter((), (), nvars)
         assert all(not v.is_zero() for v in values)
-        hermite = hnf_rows(rows)
+        # free kernel rows come from kernel_basis already in Hermite form
+        hermite = rows if is_hermite(rows) else hnf_rows(rows)
         rebased = []
         for h in hermite:
             coeffs = express_in_rows(h, rows)
@@ -81,9 +82,6 @@ class PartialCharacter:
             return True
         snf = smith_normal_form(IntMatrix.from_rows(list(self.basis)))
         return all(f == 1 for f in snf.invariant_factors)
-
-    def same_lattice(self, rows):
-        return tuple(self.basis) == tuple(hnf_rows([tuple(r) for r in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +185,8 @@ def twisted_ideal(config: PointConfig, rho: PartialCharacter, moves=None) -> Ide
     """Lattice ideal of the free kernel with coefficients twisted by rho;
     rho must live exactly on that kernel.  `moves`, when given, is
     markov_basis(config), taken once by a caller twisting many characters."""
-    rows = free_kernel_rows(config)
-    if not rho.same_lattice(rows):
+    # both bases are Hermite forms, so they agree exactly when the lattices do
+    if rho.basis != _free_kernel(config):
         raise LatticeMismatchError("character lattice differs from the free kernel")
     if moves is None:
         moves = markov_basis(config)

@@ -30,7 +30,8 @@ def build_parser():
         cmd.add_argument("--spec", required=True,
                          help="path to the JSON problem spec")
         cmd.add_argument("--bound", type=int, default=None,
-                         help="override the binomial degree bound")
+                         help="ceiling on the one-sided degree of a binomial "
+                              "relation (default from the Markov basis)")
         cmd.add_argument("--workers", type=int, default=None,
                          help="worker threads for per-character work")
         cmd.add_argument("--out", default=None,

@@ -8,10 +8,8 @@ different orders lift both to Q(zeta_lcm).
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
-
-_PHI_CACHE = {}
-_DEMOTE_CACHE = {}
 
 
 def _poly_divmod_int(num, den):
@@ -30,21 +28,19 @@ def _poly_divmod_int(num, den):
     return out
 
 
+@lru_cache(maxsize=64)
 def cyclotomic_polynomial(e: int):
     """Integer coefficients of Phi_e, ascending order, monic."""
     e = int(e)
     if e < 1:
         raise ValueError("order must be >= 1")
-    if e in _PHI_CACHE:
-        return _PHI_CACHE[e]
     # x^e - 1 = prod_{d | e} Phi_d
     num = [0] * (e + 1)
     num[0], num[e] = -1, 1
     for d in range(1, e):
         if e % d == 0:
             num = _poly_divmod_int(num, cyclotomic_polynomial(d))
-    _PHI_CACHE[e] = tuple(num)
-    return _PHI_CACHE[e]
+    return tuple(num)
 
 
 def _phi_degree(e):
@@ -265,25 +261,7 @@ class Cyclotomic:
         Canonicalizes printing and hashing regardless of the order in which
         arithmetic promoted the operands.
         """
-        key = (self.order, self.coeffs)
-        hit = _DEMOTE_CACHE.get(key)
-        if hit is not None:
-            return hit
-        from . import fieldlin
-        result = self
-        if self.is_rational():
-            result = Cyclotomic.rational(self.coeffs[0])
-        else:
-            for e in sorted(d for d in range(1, self.order) if self.order % d == 0):
-                deg = _phi_degree(e)
-                basis = [Cyclotomic.zeta(e, t).lift(self.order).coeffs for t in range(deg)]
-                rows = [[basis[t][i] for t in range(deg)] for i in range(len(self.coeffs))]
-                sol = fieldlin.solve(rows, list(self.coeffs))
-                if sol is not None:
-                    result = Cyclotomic(e, sol)
-                    break
-        _DEMOTE_CACHE[key] = result
-        return result
+        return _demote(self.order, self.coeffs)
 
     def unit_rational_form(self):
         """(q, k) with self = q * zeta(order)^k and q rational, or None."""
@@ -320,3 +298,19 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic({self.to_text()})"
+
+
+@lru_cache(maxsize=1024)
+def _demote(order, coeffs):
+    """Cyclotomic(order, coeffs).demoted(), memoized in a fixed-size cache."""
+    from . import fieldlin
+    if all(c == 0 for c in coeffs[1:]):
+        return Cyclotomic.rational(coeffs[0])
+    for e in sorted(d for d in range(1, order) if order % d == 0):
+        deg = _phi_degree(e)
+        basis = [Cyclotomic.zeta(e, t).lift(order).coeffs for t in range(deg)]
+        rows = [[basis[t][i] for t in range(deg)] for i in range(len(coeffs))]
+        sol = fieldlin.solve(rows, list(coeffs))
+        if sol is not None:
+            return Cyclotomic(e, sol)
+    return Cyclotomic(order, coeffs)

@@ -40,7 +40,8 @@ class SliceTooSmallError(TgkzError):
 
 
 class NotStabilizedError(TgkzError):
-    """The bounded relation search found more relations two degrees higher."""
+    """A binomial relation of the primitive presentation has one-sided
+    degree above the bound, which is a ceiling (exit 2)."""
 
     code = "NOT_STABILIZED"
 

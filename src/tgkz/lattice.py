@@ -214,6 +214,16 @@ def hnf_rows(rows):
     return h
 
 
+def is_hermite(rows):
+    """True iff the rows are their own hnf_rows: nonzero, with positive
+    pivots in strict staircase and entries above each pivot in [0, pivot)."""
+    pivots = _pivot_positions(rows)
+    return len(pivots) == len(rows) and all(
+        rows[i][p] > 0 and (i == 0 or pivots[i - 1] < p)
+        and all(0 <= rows[k][p] < rows[i][p] for k in range(i))
+        for i, p in enumerate(pivots))
+
+
 def hnf_with_transform(rows):
     """(H, T) with T unimodular, T * rows = H padded by zero rows."""
     m = [list(int(x) for x in r) for r in rows]
@@ -459,6 +469,14 @@ def kernel_lattice(columns, group) -> IntMatrix:
     projected = [kern.row(i)[:n] for i in range(kern.rows)]
     basis = hnf_rows([r for r in projected if any(x != 0 for x in r)])
     return IntMatrix.from_rows(basis) if basis else IntMatrix(0, n, ())
+
+
+def express_in_columns(columns, group, target):
+    """Integer w with sum w_j a_j = target in N, or None."""
+    combined = _presentation_matrix(columns, group)
+    coeffs = express_in_rows(target.torsion + target.free,
+                             [combined.column(j) for j in range(combined.cols)])
+    return coeffs and coeffs[:len(columns)]
 
 
 def lattice_index(columns, group):

@@ -9,7 +9,7 @@ The core works on term dicts {exponent tuple: coefficient} whose bases are
 monic from the moment an element enters them, so nothing divides by a
 leading coefficient.  Coefficients are Fraction or Cyclotomic and keep their
 type (Polynomial's are Cyclotomic).  The module term y_c * d^u is the tuple
-onehot_m(c) + u, ordered by TermOverPosition(m).
+onehot_m(c) + u, ordered by TermOverPosition(m) or PositionOverTerm(m).
 """
 
 import heapq
@@ -98,6 +98,19 @@ class TermOverPosition(MonomialOrder):
 
     def tag(self):
         return f"top:{self.ntags}"
+
+
+class PositionOverTerm(TermOverPosition):
+    """Order on the same module terms: the smaller component c wins, then
+    grevlex on u.  Every term of a component is larger than any term of a
+    later one, so a reduced basis whose element leads in a later component
+    has no term in the earlier ones: it eliminates them."""
+
+    def key(self, exp):
+        return (exp[:self.ntags], GREVLEX.key(exp[self.ntags:]))
+
+    def tag(self):
+        return f"pot:{self.ntags}"
 
 
 def _divides(a, b):
@@ -513,25 +526,10 @@ def module_normal_form(elem, gens, order, leads):
     return _reduce(elem, gens, leads, order)
 
 
-def module_span_reduce(elems, order):
-    """The elements in order of leading term, dropping each one already in
-    the span of those kept before it; the kept ones are made monic.  A
-    smaller Groebner input for the same submodule."""
-    key = order.key
-    kept, leads = [], []
-    for e in sorted(elems, key=lambda e: key(max(e, key=key))):
-        r = module_normal_form(e, kept, order, leads) if kept else e
-        if r:
-            lead = max(r, key=key)
-            kept.append(_monic(r, lead))
-            leads.append(lead)
-    return kept
-
-
 def module_groebner(elems, order, pair_budget=None):
     """Reduced Groebner basis of the submodule generated by elems under a
-    TermOverPosition order, with buchberger's contract.  S-pairs form only
-    between leading terms of one component."""
+    TermOverPosition or PositionOverTerm order, with buchberger's contract.
+    S-pairs form only between leading terms of one component."""
     return _groebner([e for e in elems if e], order, pair_budget)
 
 

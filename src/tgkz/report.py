@@ -204,6 +204,9 @@ def run_command(spec: ProblemSpec, command, bound=None, workers=None):
                 "standing hypotheses fail; run 'check' for the diagnosis",
                 hypotheses=hypotheses_json(hyp))
         truncation = spec.bounds["truncation"]
+        if command in ("system", "dual", "report"):
+            resolved = settings["bounds"]["binomial_degree"] = \
+                _resolved_binomial_bound(spec, bound)
         if command == "ideals":
             blocks["ideals"], extra = ideals_block(spec, workers)
             notes.extend(extra)
@@ -212,18 +215,12 @@ def run_command(spec: ProblemSpec, command, bound=None, workers=None):
         elif command == "module":
             blocks["module"] = module_block(spec)
         elif command == "system":
-            resolved = _resolved_binomial_bound(spec, bound)
-            settings["bounds"]["binomial_degree"] = resolved
             blocks["system"] = system_block(spec, resolved)
         elif command == "rank":
             blocks["rank"] = rank_block(spec)
         elif command == "dual":
-            resolved = _resolved_binomial_bound(spec, bound)
-            settings["bounds"]["binomial_degree"] = resolved
             blocks["dual"] = dual_block(spec, resolved, truncation)
         elif command == "report":
-            resolved = _resolved_binomial_bound(spec, bound)
-            settings["bounds"]["binomial_degree"] = resolved
             blocks["hypotheses"] = hypotheses_json(hyp)
             blocks["ideals"], extra = ideals_block(spec, workers)
             notes.extend(extra)

@@ -3,11 +3,11 @@
 Two presentation shapes are produced: the full form on a finite height slice
 of the module (one generator per module element in the slice, one lowering
 relation per column) and the finite primitive form (one generator per
-primitive element, binomial gluing relations found by bounded search and
-reduced to a canonical module Groebner basis, plus shifted Euler relations).
+primitive element, binomial gluing relations computed exactly as a
+canonical module Groebner basis, plus shifted Euler relations).
 Quasi-degree arrangements and the homology vanishing test live here too.
 
-The relation search writes the term d^u 1_c as the y-tagged exponent
+The relation module writes the term d^u 1_c as the y-tagged exponent
 onehot_m(c) + u (poly.TermOverPosition) with a Fraction coefficient (the
 binomials are rational); WeylElement coerces to Cyclotomic when relations
 are built.
@@ -15,16 +15,17 @@ are built.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from operator import add
 
 from . import fieldlin
-from .binomials import face_twisted_ideal, markov_basis
+from .binomials import face_twisted_ideal, markov_basis, toric_ideal_full
 from .cones import (AffinePiece, Arrangement, PointConfig, facets,
                     homogenizing_functional, membership_in_arrangement,
                     positive_grading)
 from .cyclotomic import Cyclotomic
 from .errors import NotHomogeneousError, NotStabilizedError, SliceTooSmallError
-from .poly import TermOverPosition, module_groebner, module_span_reduce
+from .lattice import express_in_columns
+from .poly import PositionOverTerm, TermOverPosition, module_groebner
 from .semigroups import (EXPLICIT, K, K_INTERIOR, SemigroupModule,
                          cone_points_up_to, elements_with_height_at_most,
                          module_generators, primitive_elements)
@@ -75,9 +76,8 @@ def _make_relation(pairs):
     merged = {}
     for idx, op in pairs:
         merged[idx] = merged[idx] + op if idx in merged else op
-    out = tuple((idx, merged[idx]) for idx in sorted(merged)
-                if not merged[idx].is_zero())
-    return out
+    return tuple((idx, merged[idx]) for idx in sorted(merged)
+                 if not merged[idx].is_zero())
 
 
 def _primitive_set_for(module: SemigroupModule):
@@ -137,9 +137,8 @@ def bbgkz_relations(module: SemigroupModule, beta, degree_bound) -> SystemPresen
 
 
 def default_binomial_bound(config: PointConfig) -> int:
-    """2 + 2*ell*(largest one-sided degree of a Markov move); the bounded
-    pair search plus a stabilization check stands in for a generating-degree
-    bound that is not known in closed form."""
+    """The default ceiling on the one-sided degree of a binomial relation:
+    2 + 2*ell*(largest one-sided degree of a Markov move)."""
     moves = markov_basis(config)
     top = 1
     for m in moves:
@@ -147,43 +146,42 @@ def default_binomial_bound(config: PointConfig) -> int:
     return 2 + 2 * config.ell * top
 
 
-def _monomials_up_to(n, bound):
-    for total in range(bound + 1):
-        for combo in combinations_with_replacement(range(n), total):
-            e = [0] * n
-            for j in combo:
-                e[j] += 1
-            yield tuple(e)
+def _relation_module(config, generators):
+    """Reduced module Groebner basis (TermOverPosition) of the binomial
+    relations y_j d^u - y_k d^v (g_j + A u = g_k + A v) among the primitive
+    generators, computed exactly.
 
-
-def _pair_elements(config, generators, bound):
-    """Module binomials y_g d^u - y_g' d^v, as y-tagged terms, over all monomial
-    pairs with equal full-group degree, one spanning chain per degree bucket."""
-    m = len(generators)
-    tags = [(0,) * gi + (1,) + (0,) * (m - 1 - gi) for gi in range(m)]
-    buckets = {}
-    for u in _monomials_up_to(config.n, bound):
-        shift = config.group.zero()
-        for j, e in enumerate(u):
-            if e:
-                shift = shift + e * config.columns[j]
-        for gi, t in enumerate(generators):
-            deg = shift + t
-            buckets.setdefault((deg.torsion, deg.free), []).append((u, gi))
-    elements = []
-    one = Fraction(1)
-    for key in sorted(buckets):
-        # each tagged term is built once and shared by the elements using it
-        first, *others = [tags[gi] + u for u, gi in sorted(buckets[key])]
-        for other in others:
-            elements.append({first: one, other: -one})
-    return elements
-
-
-def _module_basis(config, generators, bound):
-    order = TermOverPosition(len(generators))
-    return module_groebner(
-        module_span_reduce(_pair_elements(config, generators, bound), order), order)
+    Only generators of one class of N / ZA are related.  With A w_j = g_j -
+    g_r for the class's first member g_r and one shift D making each
+    v_j = w_j + D >= 0, y_j d^u - y_k d^v is a relation exactly when
+    d^(u + v_j) - d^(v + v_k) lies in the (saturated) full-group toric ideal
+    I: the class's relations are the kernel of y_j -> d^(v_j) into S / I.
+    One PositionOverTerm run on I e_C and d^(v_j) e_C - y_j, with a component
+    e_C per class ahead of the generators, leaves them free of every e_C.
+    """
+    m, n = len(generators), config.n
+    classes = []  # per class: [(generator index, w)], first member w = 0
+    for j, g in enumerate(generators):
+        for cls in classes:
+            w = express_in_columns(config.columns, config.group, g - generators[cls[0][0]])
+            if w is not None:
+                cls.append((j, w))
+                break
+        else:
+            classes.append([(j, (0,) * n)])
+    c = len(classes)
+    tags = [(0,) * p + (1,) + (0,) * (c + m - 1 - p) for p in range(c + m)]
+    elems = []
+    for tag, cls in zip(tags, classes):
+        elems += [{tag + e: coeff.rational_value() for e, coeff in g.terms.items()}
+                  for g in toric_ideal_full(config).generators]
+        shift = [max(0, *(-w[k] for _, w in cls)) for k in range(n)]
+        elems += [{tag + tuple(map(add, w, shift)): Fraction(1),
+                   tags[c + j] + (0,) * n: Fraction(-1)} for j, w in cls]
+    kernel = [{t[c:]: coeff for t, coeff in e.items()}
+              for e in module_groebner(elems, PositionOverTerm(c + m))
+              if not any(1 in t[:c] for t in e)]
+    return module_groebner(kernel, TermOverPosition(m))
 
 
 def bbgkz_primitive_presentation(module: SemigroupModule, beta,
@@ -191,41 +189,36 @@ def bbgkz_primitive_presentation(module: SemigroupModule, beta,
     """Finite presentation on the primitive generators.
 
     Binomial relations are the reduced module Groebner basis of all
-    degree-matched operator pairs d^u 1_t - d^v 1_t' with one-sided degree
-    within the bound; the same basis is recomputed two degrees higher and
-    must agree (stabilization), otherwise the bound was too small and the
-    run fails loudly rather than under-reporting relations.
+    degree-matched operator pairs d^u 1_t - d^v 1_t', computed exactly (see
+    _relation_module).  The bound (default_binomial_bound when None) is a
+    ceiling: a basis element with one-sided degree above it raises
+    NotStabilizedError rather than report relations beyond the bound.
     """
     config = module.config
     n = config.n
     beta = coerce_beta(beta, config.d)
-    prim = _primitive_set_for(module)
-    gens = prim.elements
+    gens = _primitive_set_for(module).elements
     bound = default_binomial_bound(config) if binomial_degree_bound is None \
         else int(binomial_degree_bound)
-    basis = _module_basis(config, gens, bound)
-    wider = _module_basis(config, gens, bound + 2)
-    if basis != wider:
-        raise NotStabilizedError(
-            f"binomial relations did not stabilize at bound {bound}", bound=bound)
+    basis = _relation_module(config, gens)
     m = len(gens)
+    if any(sum(term[m:]) > bound for elem in basis for term in elem):
+        raise NotStabilizedError(
+            f"a binomial relation has one-sided degree above the bound {bound}",
+            bound=bound)
     binomials = []
     for elem in basis:
-        degs = set()
-        by_comp = {}
+        degs, by_comp = set(), {}
         for term, c in elem.items():
             gi, exp = term[:m].index(1), term[m:]
-            deg = gens[gi]
-            for j, e in enumerate(exp):
-                if e:
-                    deg = deg + e * config.columns[j]
+            deg = sum((e * col for e, col in zip(exp, config.columns)), gens[gi])
             degs.add((deg.torsion, deg.free))
             by_comp.setdefault(gi, {})[((0,) * n, exp)] = c
         if len(degs) != 1:
             raise NotHomogeneousError("binomial relation is not degree homogeneous",
                                       bound=bound, degrees=len(degs))
-        rel = _make_relation([(gi, WeylElement(n, 1, terms)) for gi, terms in by_comp.items()])
-        binomials.append(rel)
+        binomials.append(_make_relation([(gi, WeylElement(n, 1, terms))
+                                         for gi, terms in by_comp.items()]))
     binomials.sort(key=_relation_key)
     relations = tuple(binomials) + tuple(_euler_relations(config, beta, gens))
     return SystemPresentation(config, module.kind, beta, gens, relations,
@@ -288,12 +281,11 @@ def quasi_degrees(config: PointConfig, kind, face=None, shift=None) -> Arrangeme
         boundary = [p for p in cone_points_up_to(config, height, bound)
                     if tau(p) == 0]
         on_boundary = set(boundary)
-        all_taus = taus
         for p in boundary:
             reducible = False
             for v in span:
                 q = tuple(a - b for a, b in zip(p, v))
-                if q in on_boundary or (all(t(q) >= 0 for t in all_taus)
+                if q in on_boundary or (all(t(q) >= 0 for t in taus)
                                         and tau(q) == 0):
                     reducible = True
                     break

@@ -190,6 +190,20 @@ def test_free_kernel_rows_computed_once_per_config(monkeypatch, mod4_line):
     assert len(calls) == 1
 
 
+def test_characters_reuse_the_hermite_free_kernel(monkeypatch, mod4_line):
+    expect = [(rho.basis, rho.values, ideal.generators)
+              for rho, ideal in minimal_primes(mod4_line)]
+    calls = []
+    real = binomials.hnf_rows
+    monkeypatch.setattr(binomials, "hnf_rows", lambda rows: calls.append(rows) or real(rows))
+    primes = minimal_primes(mod4_line)
+    assert [(rho.basis, rho.values, ideal.generators) for rho, ideal in primes] == expect
+    assert calls == []  # four characters, none re-runs Hermite reduction
+    assert PartialCharacter.on_rows([(-2, 1)], (Cyclotomic.rational(-1),), 2).basis == \
+        ((2, -1),)  # a basis not in Hermite form is still reduced
+    assert calls == [[(-2, 1)]]
+
+
 @pytest.mark.parametrize("workers", [None, 2])
 def test_wrong_prime_raises_typed_error(monkeypatch, mod4_line, workers):
     monkeypatch.setattr(binomials, "twisted_ideal",

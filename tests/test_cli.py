@@ -65,11 +65,11 @@ import sys
 from fractions import Fraction
 from tgkz import systems
 from tgkz.cli import main
-def basis(config, generators, bound):
+def basis(config, generators):
     one = (1,) + (0,) * (len(generators) - 1)
     unit = (1,) + (0,) * (config.n - 1)
     return [{one + (0,) * config.n: Fraction(1), one + unit: Fraction(-1)}]
-systems._module_basis = basis
+systems._relation_module = basis
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -255,6 +255,18 @@ def test_report_byte_identical_across_runs_and_workers(spec_file):
     payload = json.loads(outputs[0])
     assert payload["analysis"]["rank"] == 8
     assert payload["analysis"]["duality"]["report"]["rank_dual"] == 8
+
+
+def test_z6_plane_presentations_finish_and_report_is_deterministic():
+    path = str(SAMPLES / "z6_plane.json")
+    for command in ("system", "dual"):
+        res = run_cli(command, "--spec", path)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["settings"]["pair_budget"] == 5000
+    outputs = [run_cli("report", "--spec", path, *extra)
+               for extra in ([], [], ["--workers", "4"])]
+    assert [res.returncode for res in outputs] == [0, 0, 0]
+    assert len({res.stdout for res in outputs}) == 1
 
 
 def test_dual_command_payload(spec_file):

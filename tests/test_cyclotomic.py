@@ -4,9 +4,9 @@ from math import gcd
 
 import pytest
 
+from tgkz import cyclotomic, fieldlin
 from tgkz.cyclotomic import (Cyclotomic, _reduce_mod_phi, _xgcd_poly,
                              cyclotomic_polynomial)
-from tgkz import fieldlin
 
 
 def test_rational_arithmetic():
@@ -155,3 +155,18 @@ def test_rational_fast_paths_match_generic_arithmetic(e):
         low = Cyclotomic.rational(q)
         assert (low * y).coeffs == _convolution(low.lift(e), y)
         assert (y * low).coeffs == _convolution(y, low.lift(e))
+
+
+def test_demotion_cache_is_bounded_and_eviction_keeps_results():
+    # multiples of zeta(12)^k demote to the smallest order whose field holds
+    # them (Q(zeta_6) = Q(zeta_3)); rationals demote to order 1
+    values = [Cyclotomic.zeta(12, k) * Fraction(k + 1, 3) for k in range(12)]
+    values += [Cyclotomic.rational(Fraction(5, 2), 8), Cyclotomic.zeta(4).lift(8)]
+    before = [(d.order, d.coeffs) for d in (x.demoted() for x in values)]
+    assert [order for order, _ in before] == [1, 12, 3, 4, 3, 12, 1, 12, 3, 4, 3, 12, 1, 4]
+    size = cyclotomic._demote.cache_info().maxsize
+    for k in range(size + 1):  # as many fresh keys as the cache holds, and one more
+        Cyclotomic.rational(Fraction(k, 7919), 6).demoted()
+    assert cyclotomic._demote.cache_info().currsize == size
+    after = [(d.order, d.coeffs) for d in (x.demoted() for x in values)]
+    assert after == before

@@ -14,8 +14,10 @@ from tgkz.lattice import (
     Functional,
     GroupElement,
     IntMatrix,
+    express_in_columns,
     express_in_rows,
     hnf_rows,
+    is_hermite,
     kernel_basis,
     kernel_lattice,
     kernel_lattice_free,
@@ -153,6 +155,30 @@ def test_lattice_index_values():
 def test_express_in_rows():
     assert express_in_rows([4, 6], [[2, 0], [0, 3]]) == (2, 2)
     assert express_in_rows([1, 0], [[2, 0], [0, 3]]) is None
+
+
+def test_is_hermite_exactly_when_rows_are_their_own_hnf():
+    assert is_hermite(((2, -1),)) and is_hermite(())
+    assert not is_hermite(((-2, 1),)) and not is_hermite(((0, 0),))
+    assert not is_hermite(((1, 2), (0, 3), (0, 1)))
+    rng = random.Random(11)
+    for _ in range(300):
+        rows = [tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 4)))]
+        rows += [tuple(rng.choice([0, 0, rng.randint(-3, 3)]) for _ in rows[0])
+                 for _ in range(rng.randint(0, 2))]
+        assert is_hermite(rows) == (tuple(hnf_rows(rows)) == tuple(rows))
+        assert is_hermite(hnf_rows(rows))
+
+
+def test_express_in_columns_with_torsion():
+    g = AbelianGroup((4,), 1)
+    cols = [g.element((1,), (1,)), g.element((1,), (2,))]
+    for target in (g.element((2,), (1,)), g.element((3,), (0,)), g.zero()):
+        w = express_in_columns(cols, g, target)
+        assert sum((x * c for x, c in zip(w, cols)), g.zero()) == target
+    # columns of even torsion never reach an odd torsion part
+    even = [g.element((2,), (1,)), g.element((0,), (1,))]
+    assert express_in_columns(even, g, g.element((1,), (0,))) is None
 
 
 def test_functional_on_elements_and_vectors():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_config
+from relation_oracle import pair_elements, span_reduce
 from tgkz import poly
 from tgkz.binomials import (
     PartialCharacter,
@@ -35,7 +36,7 @@ from tgkz.poly import (
 )
 from tgkz.problem import parse_spec
 from tgkz.semigroups import K, K_INTERIOR, SemigroupModule
-from tgkz.systems import _pair_elements, _primitive_set_for, default_binomial_bound
+from tgkz.systems import _primitive_set_for, default_binomial_bound
 
 
 def P(text, nvars):
@@ -425,8 +426,8 @@ def test_module_core_matches_division_oracle_on_span_reduced_inputs(name, kind):
     config = _presentation_config(name)
     gens = _primitive_set_for(SemigroupModule(kind, config)).elements
     order = poly.TermOverPosition(len(gens))
-    elems = poly.module_span_reduce(
-        _pair_elements(config, gens, default_binomial_bound(config)), order)
+    elems = span_reduce(
+        pair_elements(config, gens, default_binomial_bound(config)), order)
     _assert_module_core_matches_oracle(elems, len(gens))
     _assert_module_core_matches_oracle(_cyclotomic_scaled(elems), len(gens))
 
@@ -438,13 +439,27 @@ def test_module_core_matches_division_oracle_on_raw_pair_elements(bound):
         config = _presentation_config(name)
         gens = _primitive_set_for(SemigroupModule(K, config)).elements
         m = len(gens)
-        elems = _pair_elements(config, gens, bound)
+        elems = pair_elements(config, gens, bound)
         order = poly.TermOverPosition(m)
         non_monic += sum(e[max(e, key=order.key)] != 1 for e in elems)
         cross_component += sum(len({t[:m] for t in e}) > 1 for e in elems)
         _assert_module_core_matches_oracle(elems, m)
         _assert_module_core_matches_oracle(_cyclotomic_scaled(elems), m)
     assert non_monic and cross_component
+
+
+def test_position_over_term_ranks_components_before_terms():
+    pot = poly.PositionOverTerm(2)
+    # every term of component 0 outranks any term of component 1, and
+    # grevlex decides within a component
+    assert pot.key((1, 0, 0, 0)) > pot.key((0, 1, 5, 7))
+    assert pot.key((0, 1, 2, 0)) > pot.key((0, 1, 1, 1)) > pot.key((0, 1, 0, 1))
+    # the kernel of (e_1, e_2) -> (x, y) is the e_0-free part of the basis
+    x_e0, y_e0 = {(1, 0, 0, 1, 0): Fraction(1), (0, 1, 0, 0, 0): Fraction(-1)}, \
+        {(1, 0, 0, 0, 1): Fraction(1), (0, 0, 1, 0, 0): Fraction(-1)}
+    basis = poly.module_groebner([x_e0, y_e0], poly.PositionOverTerm(3))
+    assert [g for g in basis if not any(t[0] for t in g)] == \
+        [{(0, 1, 0, 0, 1): 1, (0, 0, 1, 1, 0): -1}]
 
 
 def test_module_pairs_skip_no_coprime_leads():

@@ -1,0 +1,114 @@
+"""The exact binomial relation module of the primitive presentation against
+the bounded relation search kept in relation_oracle."""
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from conftest import make_config
+from relation_oracle import bounded_basis, stable_basis
+from tgkz.cones import check_hypotheses, is_pointed
+from tgkz.errors import NotStabilizedError
+from tgkz.problem import parse_spec
+from tgkz.semigroups import K, K_INTERIOR, SemigroupModule
+from tgkz.systems import (_primitive_set_for, _relation_module,
+                          bbgkz_primitive_presentation, default_binomial_bound)
+
+ROOT = Path(__file__).resolve().parent.parent
+PRESENTATION_SPECS = {
+    "mod4_line": "sample_specs", "plane_segment": "sample_specs",
+    "split_line": "sample_specs", "mod6_line": "bench/specs", "z3_plane": "bench/specs",
+    "cube3": "bench/specs", "mod2_plane": "bench/specs", "mod3_line": "bench/specs",
+}
+
+
+def _spec(name, folder):
+    return parse_spec((ROOT / folder / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def _assert_exact_matches_oracle(module, bound):
+    gens = _primitive_set_for(module).elements
+    expect = stable_basis(module.config, gens, bound)
+    assert expect is not None, "the oracle did not stabilize"
+    assert _relation_module(module.config, gens) == expect
+
+
+@pytest.mark.parametrize("kind", [K, K_INTERIOR])
+@pytest.mark.parametrize("name", sorted(PRESENTATION_SPECS))
+def test_exact_relations_match_oracle_at_default_bound(name, kind):
+    config = _spec(name, PRESENTATION_SPECS[name]).config
+    _assert_exact_matches_oracle(SemigroupModule(kind, config),
+                                 default_binomial_bound(config))
+
+
+@pytest.mark.parametrize("kind", [K, K_INTERIOR])
+def test_exact_relations_match_oracle_on_z6_plane(kind):
+    config = _spec("z6_plane", "sample_specs").config
+    _assert_exact_matches_oracle(SemigroupModule(kind, config), 4)
+
+
+def test_exact_relations_match_oracle_on_explicit_module():
+    spec = parse_spec(json.dumps({
+        "torsion_orders": [4],
+        "columns": [{"torsion": [1], "free": [1]}, {"torsion": [1], "free": [2]}],
+        "beta": [0],
+        "module": [{"torsion": [0], "free": [0]}, {"torsion": [2], "free": [1]},
+                   {"torsion": [3], "free": [3]}],
+    }))
+    assert len(_primitive_set_for(spec.module).elements) == 2
+    _assert_exact_matches_oracle(spec.module, default_binomial_bound(spec.config))
+
+
+def _random_battery(seed, count):
+    """Small pointed spanning configs: d <= 2, at most three columns of
+    height-one or short free parts, torsion (), 2, 3, 4, 2x2 or 6, and about
+    half of those with torsion carry one extra unit column (free part 0)."""
+    rng = random.Random(seed)
+    battery = []
+    while len(battery) < count:
+        orders = rng.choice([(), (2,), (3,), (4,), (2, 2), (6,)])
+        d = rng.randint(1, 2)
+        cols = [(tuple(rng.randrange(o) for o in orders),
+                 (rng.randint(1, 3),) if d == 1 else (1, rng.randint(0, 3)))
+                for _ in range(rng.randint(d, d + 1))]
+        if orders and rng.random() < 0.5:
+            unit = (rng.randrange(1, orders[0]),) + tuple(rng.randrange(o) for o in orders[1:])
+            cols.insert(rng.randrange(len(cols) + 1), (unit, (0,) * d))
+        config = make_config(list(orders), cols)
+        if is_pointed(config) and check_hypotheses(config).spans:
+            battery.append(config)
+    return battery
+
+
+def test_exact_relations_match_oracle_on_random_battery():
+    # a BudgetExceededError here would mean an input beyond the default budget
+    battery = _random_battery(20240, 40)
+    assert sum(len(c.nonunit_indices()) < c.n for c in battery) >= 10
+    assert {c.group.torsion_orders for c in battery} == {(), (2,), (3,), (4,), (2, 2), (6,)}
+    for config in battery:
+        for kind in (K, K_INTERIOR):
+            _assert_exact_matches_oracle(SemigroupModule(kind, config), 4)
+
+
+def _ceiling_passes(module, bound):
+    try:
+        bbgkz_primitive_presentation(module, (0,) * module.config.d, bound)
+    except NotStabilizedError as exc:
+        assert exc.context == {"bound": bound}
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATION_SPECS))
+def test_ceiling_outcome_matches_oracle_at_small_bounds(name):
+    config = _spec(name, PRESENTATION_SPECS[name]).config
+    for kind in (K, K_INTERIOR):
+        module = SemigroupModule(kind, config)
+        gens = _primitive_set_for(module).elements
+        bases = [bounded_basis(config, gens, b) for b in range(11)]
+        outcomes = [_ceiling_passes(module, b) for b in range(9)]
+        assert outcomes == [bases[b] == bases[b + 2] for b in range(9)], kind
+        if name == "mod4_line":
+            assert outcomes == [False, False] + [True] * 7

@@ -4,18 +4,18 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_config
+from relation_oracle import pair_elements, span_reduce
 from tgkz import fieldlin, systems
 from tgkz.cones import face_by_columns
 from tgkz.cyclotomic import Cyclotomic
 from tgkz.errors import NotHomogeneousError, NotStabilizedError, SliceTooSmallError
-from tgkz.poly import TermOverPosition, module_groebner, module_span_reduce
+from tgkz.poly import TermOverPosition, module_groebner
 from tgkz.semigroups import K, K_INTERIOR, SemigroupModule
 from tgkz.systems import (
     FACE,
     K_MOD_KINTERIOR,
     NONVANISHING,
     VANISHES,
-    _pair_elements,
     _primitive_set_for,
     bbgkz_primitive_presentation,
     bbgkz_relations,
@@ -89,12 +89,12 @@ Z3_PLANE = make_config([3], [((1,), (1, 0)), ((2,), (1, 1)), ((0,), (1, 2))])
 def test_relation_search_rational_matches_cyclotomic(name, mod4_line):
     config = {"mod4_line": mod4_line, "z3_plane": Z3_PLANE}[name]
     gens = _primitive_set_for(SemigroupModule(K, config)).elements
-    rational = _pair_elements(config, gens, default_binomial_bound(config))
+    rational = pair_elements(config, gens, default_binomial_bound(config))
     assert all(type(c) is Fraction for e in rational for c in e.values())
     field = [{k: Cyclotomic.one() * c for k, c in e.items()} for e in rational]
     order = TermOverPosition(len(gens))
-    fast = module_groebner(module_span_reduce(rational, order), order)
-    slow = module_groebner(module_span_reduce(field, order), order)
+    fast = module_groebner(span_reduce(rational, order), order)
+    slow = module_groebner(span_reduce(field, order), order)
     assert all(isinstance(c, Cyclotomic) for e in slow for c in e.values())
     assert [{k: Cyclotomic.coerce(c) for k, c in e.items()} for e in fast] == slow
 
@@ -102,7 +102,7 @@ def test_relation_search_rational_matches_cyclotomic(name, mod4_line):
 def test_inhomogeneous_relation_raises_typed_error(monkeypatch, mod4_line):
     # 1_0 - d1*1_0 joins two degrees; mod4_line has four primitive generators
     basis = [{(1, 0, 0, 0, 0, 0): Fraction(1), (1, 0, 0, 0, 1, 0): Fraction(-1)}]
-    monkeypatch.setattr(systems, "_module_basis", lambda config, gens, bound: basis)
+    monkeypatch.setattr(systems, "_relation_module", lambda config, gens: basis)
     with pytest.raises(NotHomogeneousError) as exc:
         bbgkz_primitive_presentation(SemigroupModule(K, mod4_line), (0,))
     assert exc.value.code == "NOT_HOMOGENEOUS"
