@@ -10,7 +10,6 @@ The free and full toric ideals are memoized per configuration value (a
 small LRU cache); callers must not mutate the cached ideals.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -20,8 +19,8 @@ from .cones import Face, PointConfig, face_by_columns
 from .cyclotomic import Cyclotomic
 from .errors import (LatticeMismatchError, NotSaturatedError,
                      PrimesDoNotIntersectError)
-from .lattice import (IntMatrix, express_in_rows, hnf_rows, is_hermite,
-                      kernel_basis, kernel_lattice, smith_normal_form)
+from .lattice import (IntMatrix, express_in_rows, hermite_coordinates, hnf_rows,
+                      is_hermite, kernel_basis, kernel_lattice, smith_normal_form)
 from .poly import (GREVLEX, IdealBasis, Polynomial, canonical_ideal,
                    groebner_ideal, ideal_equal, intersect_many, normal_form,
                    saturate)
@@ -54,13 +53,15 @@ class PartialCharacter:
             return PartialCharacter((), (), nvars)
         assert all(not v.is_zero() for v in values)
         # free kernel rows come from kernel_basis already in Hermite form
-        hermite = rows if is_hermite(rows) else hnf_rows(rows)
+        if is_hermite(rows):
+            return PartialCharacter(tuple(rows), tuple(values), nvars)
+        hermite = hnf_rows(rows)
         rebased = []
         for h in hermite:
             coeffs = express_in_rows(h, rows)
             assert coeffs is not None, "Hermite row left the lattice"
             rebased.append(_power_product(values, coeffs))
-        return PartialCharacter(tuple(hermite), tuple(rebased), nvars)
+        return PartialCharacter(hermite, tuple(rebased), nvars)
 
     @staticmethod
     def trivial_on(rows, nvars):
@@ -68,13 +69,13 @@ class PartialCharacter:
 
     def value_of(self, m):
         """Value on a lattice element; the element must lie in the span."""
-        coeffs = express_in_rows(tuple(m), list(self.basis))
+        coeffs = hermite_coordinates(m, self.basis)
         if coeffs is None:
             raise LatticeMismatchError(f"{tuple(m)} outside the character lattice")
         return _power_product(self.values, coeffs)
 
     def contains(self, m):
-        return express_in_rows(tuple(m), list(self.basis)) is not None
+        return hermite_coordinates(m, self.basis) is not None
 
     def is_saturated(self):
         """True iff Z^n modulo the lattice is torsion-free."""
@@ -282,6 +283,8 @@ def minimal_primes(config: PointConfig, workers=None):
     and the intersection of the primes to equal the (memoized) full-group
     ideal; either failure raises PrimesDoNotIntersectError.
     Returns [(character, ideal)], characters enumerated in a fixed order.
+    `workers` is accepted and has no effect: the work is pure Python, and
+    threads ran it no faster.
     """
     free_rows = free_kernel_rows(config)
     n = config.n
@@ -293,7 +296,7 @@ def minimal_primes(config: PointConfig, workers=None):
     assert len(full_rows) == r, "full kernel must have finite index in the free kernel"
     x_rows = []
     for row in full_rows:
-        coeffs = express_in_rows(row, free_rows)
+        coeffs = hermite_coordinates(row, free_rows)  # free_rows are in Hermite form
         assert coeffs is not None
         x_rows.append(coeffs)
     snf = smith_normal_form(IntMatrix.from_rows(x_rows))
@@ -315,13 +318,8 @@ def minimal_primes(config: PointConfig, workers=None):
                 torsion_orders=config.group.torsion_orders, primes=prod(orders))
         characters.append(rho)
 
-    moves = markov_basis(config)  # once, before the threads; every prime reuses it
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ideals = list(pool.map(lambda rho: twisted_ideal(config, rho, moves),
-                                   characters))
-    else:
-        ideals = [twisted_ideal(config, rho, moves) for rho in characters]
+    moves = markov_basis(config)  # once; every prime reuses it
+    ideals = [twisted_ideal(config, rho, moves) for rho in characters]
     meet = intersect_many(list(ideals))
     if not ideal_equal(meet, toric_ideal_full(config)):
         raise PrimesDoNotIntersectError(

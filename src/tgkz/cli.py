@@ -33,7 +33,7 @@ def build_parser():
                          help="ceiling on the one-sided degree of a binomial "
                               "relation (default from the Markov basis)")
         cmd.add_argument("--workers", type=int, default=None,
-                         help="worker threads for per-character work")
+                         help="accepted for compatibility; has no effect")
         cmd.add_argument("--out", default=None,
                          help="write the report here instead of stdout")
     return parser

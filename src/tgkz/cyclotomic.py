@@ -1,15 +1,23 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_e).
 
-Elements are stored in the power basis 1, zeta, ..., zeta^(phi(e)-1) of
-Q[x]/Phi_e(x) with Fraction coordinates, where Phi_e is the e-th cyclotomic
-polynomial.  Phi_e is irreducible over Q, so this is an honest field: every
+An element of Q(zeta_e) = Q[x]/Phi_e(x), Phi_e the e-th cyclotomic
+polynomial, is stored as integer numerators `num` in the power basis 1,
+zeta, ..., zeta^(phi(e)-1) over one denominator `den`, in canonical form:
+den > 0 and gcd(den, *num) == 1, so zero is all-zero over 1 and elements
+of one order are equal exactly when (num, den) are.  All arithmetic runs on
+Python ints (Phi_e is monic, so reducing by it never divides); `coeffs`
+gives the coordinates as Fractions.  Phi_e is irreducible over Q, so every
 nonzero element is invertible.  Binary operations between elements of
 different orders lift both to Q(zeta_lcm).
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import add, sub
+
+from .errors import NotInvertibleError
+from .lattice import IntMatrix
 
 
 def _poly_divmod_int(num, den):
@@ -48,75 +56,43 @@ def _phi_degree(e):
 
 
 def _reduce_mod_phi(coeffs, e):
-    """Reduce an ascending Fraction coefficient list modulo Phi_e."""
+    """Reduce an ascending integer coefficient list modulo Phi_e."""
     phi = cyclotomic_polynomial(e)
     deg = len(phi) - 1
     c = list(coeffs)
     for k in range(len(c) - 1, deg - 1, -1):
-        lead = c[k]
+        lead = c.pop()  # Phi_e is monic: subtracting lead * x^(k-deg) * Phi_e clears c[k]
         if lead:
-            for i in range(deg + 1):
+            for i in range(deg):
                 c[k - deg + i] -= lead * phi[i]
-        c.pop()
-    while len(c) < deg:
-        c.append(Fraction(0))
-    return tuple(c)
-
-
-def _xgcd_poly(a, b):
-    """Extended Euclid in Q[x] on ascending Fraction lists: (g, s, t) with
-    s*a + t*b = g."""
-
-    def trim(p):
-        while p and p[-1] == 0:
-            p = p[:-1]
-        return p
-
-    def sub_scaled(p, q, c, shift):
-        out = list(p) + [Fraction(0)] * max(0, len(q) + shift - len(p))
-        for i, x in enumerate(q):
-            out[i + shift] -= c * x
-        return trim(out)
-
-    r0, r1 = trim(list(a)), trim(list(b))
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        # one full division step
-        q = []
-        rem = list(r0)
-        while len(rem) >= len(r1) and rem:
-            c = rem[-1] / r1[-1]
-            shift = len(rem) - len(r1)
-            while len(q) < shift + 1:
-                q.append(Fraction(0))
-            q[shift] += c
-            rem = sub_scaled(rem, r1, c, shift)
-        news = list(s0)
-        newt = list(t0)
-        for shift, c in enumerate(q):
-            if c:
-                news = sub_scaled(news, s1, c, shift)
-                newt = sub_scaled(newt, t1, c, shift)
-        r0, r1 = r1, rem
-        s0, s1 = s1, news
-        t0, t1 = t1, newt
-    return r0, s0, t0
+    return tuple(c) + (0,) * (deg - len(c))
 
 
 class Cyclotomic:
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order, coeffs):
+        """The element with the given rational power-basis coordinates."""
         self.order = int(order)
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        assert len(self.coeffs) == _phi_degree(self.order)
+        coeffs = [Fraction(c) for c in coeffs]
+        if len(coeffs) != _phi_degree(self.order):
+            raise ValueError(f"Q(zeta_{self.order}) takes {_phi_degree(self.order)} "
+                             f"coordinates, got {len(coeffs)}")
+        # an lcm of reduced denominators leaves gcd(den, *num) == 1: canonical
+        self.den = lcm(*(c.denominator for c in coeffs))
+        self.num = tuple(c.numerator * (self.den // c.denominator) for c in coeffs)
+
+    @property
+    def coeffs(self):
+        """Power-basis coordinates as a tuple of Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     @staticmethod
     def rational(q, order=1):
-        q = Fraction(q)
-        deg = _phi_degree(order)
-        return Cyclotomic(order, (q,) + (Fraction(0),) * (deg - 1))
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        order = int(order)
+        return _raw(order, (q.numerator,) + (0,) * (_phi_degree(order) - 1), q.denominator)
 
     @staticmethod
     def zero(order=1):
@@ -131,9 +107,7 @@ class Cyclotomic:
         """zeta_e^k as an element of Q(zeta_e)."""
         e = int(e)
         k = int(k) % e
-        coeffs = [Fraction(0)] * (k + 1)
-        coeffs[k] = Fraction(1)
-        return Cyclotomic(e, _reduce_mod_phi(coeffs, e))
+        return _raw(e, _reduce_mod_phi((0,) * k + (1,), e), 1)
 
     @staticmethod
     def coerce(x, order=1):
@@ -147,64 +121,79 @@ class Cyclotomic:
         if e2 == self.order:
             return self
         assert e2 % self.order == 0
+        if self.is_rational():
+            return _raw(e2, self.num[:1] + (0,) * (_phi_degree(e2) - 1), self.den)
         step = e2 // self.order
-        raised = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for t, c in enumerate(self.coeffs):
-            if c:
-                raised[t * step] += c
-        return Cyclotomic(e2, _reduce_mod_phi(raised, e2))
+        raised = [0] * ((len(self.num) - 1) * step + 1)
+        raised[::step] = self.num
+        return _canonical(e2, _reduce_mod_phi(raised, e2), self.den)
 
     def _pair(self, other):
         other = Cyclotomic.coerce(other)
+        if self.order == other.order:
+            return self, other
         e = self.order * other.order // gcd(self.order, other.order)
         return self.lift(e), other.lift(e)
 
-    def __add__(self, other):
+    def _linear(self, other, op):
+        """a op b for op add or sub, over the denominators' product unless
+        they are equal."""
         a, b = self._pair(other)
-        return Cyclotomic(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if a.den == b.den:
+            return _canonical(a.order, tuple(map(op, a.num, b.num)), a.den)
+        return _canonical(a.order, tuple(op(x * b.den, y * a.den)
+                                         for x, y in zip(a.num, b.num)), a.den * b.den)
+
+    def __add__(self, other):
+        return self._linear(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        return Cyclotomic(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return self._linear(other, sub)
 
     def __rsub__(self, other):
         return Cyclotomic.coerce(other).__sub__(self)
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-x for x in self.coeffs))
+        return _raw(self.order, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.order, tuple(x * other for x in self.coeffs))
+            return _canonical(self.order, tuple(x * other.numerator for x in self.num),
+                              self.den * other.denominator)
         a, b = self._pair(other)
         if b.is_rational():
             a, b = b, a  # the product commutes; scale by whichever is rational
         if a.is_rational():
-            q = a.coeffs[0]
-            return Cyclotomic(b.order, tuple(q * y for y in b.coeffs))
-        out = [Fraction(0)] * (2 * len(a.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
+            q = a.num[0]
+            return _canonical(b.order, tuple(q * y for y in b.num), a.den * b.den)
+        out = [0] * (2 * len(a.num) - 1)
+        for i, x in enumerate(a.num):
             if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        out[i + j] += x * y
-        return Cyclotomic(a.order, _reduce_mod_phi(out, a.order))
+                for j, y in enumerate(b.num):
+                    out[i + j] += x * y
+        return _canonical(a.order, _reduce_mod_phi(out, a.order), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        q = self.rational_value()
-        if q is not None:
-            return Cyclotomic.rational(1 / q, self.order)
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        g, s, _ = _xgcd_poly(list(self.coeffs), phi)
-        assert len(g) == 1 and g[0] != 0
-        inv = [c / g[0] for c in s]
-        return Cyclotomic(self.order, _reduce_mod_phi(inv, self.order))
+        if self.is_rational():
+            return _canonical(self.order, (self.den,) + self.num[1:], self.num[0])
+        # row j is num * zeta^j: the transposed matrix of multiplication by num,
+        # whose determinant is its norm; by Cramer's rule num * y = 1 has
+        # y_i = det(rows with row i replaced by 1) / norm
+        deg = len(self.num)
+        rows = [_reduce_mod_phi((0,) * j + self.num, self.order) for j in range(deg)]
+        norm = IntMatrix.from_rows(rows).det()
+        if not norm:
+            raise NotInvertibleError(f"no inverse in Q(zeta_{self.order}): zero norm",
+                                     order=self.order, num=self.num)
+        one = (1,) + (0,) * (deg - 1)
+        y = [IntMatrix.from_rows(rows[:i] + [one] + rows[i + 1:]).det() for i in range(deg)]
+        return _canonical(self.order, tuple(self.den * v for v in y), norm)
 
     def __truediv__(self, other):
         other = Cyclotomic.coerce(other)
@@ -227,33 +216,32 @@ class Cyclotomic:
         return out
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self):
-        return self.coeffs[0] if self.is_rational() else None
+        return Fraction(self.num[0], self.den) if self.is_rational() else None
 
     def is_one(self):
-        return self.is_rational() and self.coeffs[0] == 1
+        return self.num[0] == self.den == 1 and self.is_rational()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (self.num[0] == other.numerator and self.den == other.denominator
+                    and self.is_rational())
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        if self.order == other.order:
-            return self.coeffs == other.coeffs
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
         d = self.demoted()
         return hash((d.order, d.coeffs))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def demoted(self):
         """Equal element in the smallest cyclotomic subfield that contains it.
@@ -261,7 +249,7 @@ class Cyclotomic:
         Canonicalizes printing and hashing regardless of the order in which
         arithmetic promoted the operands.
         """
-        return _demote(self.order, self.coeffs)
+        return _demote(self.order, self.num, self.den)
 
     def unit_rational_form(self):
         """(q, k) with self = q * zeta(order)^k and q rational, or None."""
@@ -275,7 +263,7 @@ class Cyclotomic:
     def to_text(self):
         d = self.demoted()
         if d.is_rational():
-            return str(d.coeffs[0])
+            return str(d.rational_value())
         parts = []
         for k, c in enumerate(d.coeffs):
             if c == 0:
@@ -300,17 +288,36 @@ class Cyclotomic:
         return f"Cyclotomic({self.to_text()})"
 
 
+def _raw(order, num, den):
+    """Cyclotomic(order, num / den) from a form already canonical."""
+    x = object.__new__(Cyclotomic)
+    x.order, x.num, x.den = order, num, den
+    return x
+
+
+def _canonical(order, num, den):
+    """Cyclotomic(order, num / den) for integer num and nonzero den: divided
+    by gcd(den, *num), with the sign moved off the denominator."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num, den = tuple(x // g for x in num), den // g
+    return _raw(order, num, den)
+
+
 @lru_cache(maxsize=1024)
-def _demote(order, coeffs):
-    """Cyclotomic(order, coeffs).demoted(), memoized in a fixed-size cache."""
+def _demote(order, num, den):
+    """Cyclotomic(order, num / den).demoted(), memoized in a fixed-size cache."""
     from . import fieldlin
-    if all(c == 0 for c in coeffs[1:]):
-        return Cyclotomic.rational(coeffs[0])
+    if not any(num[1:]):
+        return _raw(1, num[:1], den)
+    coeffs = [Fraction(x, den) for x in num]
     for e in sorted(d for d in range(1, order) if order % d == 0):
         deg = _phi_degree(e)
-        basis = [Cyclotomic.zeta(e, t).lift(order).coeffs for t in range(deg)]
-        rows = [[basis[t][i] for t in range(deg)] for i in range(len(coeffs))]
-        sol = fieldlin.solve(rows, list(coeffs))
+        basis = [Cyclotomic.zeta(e, t).lift(order).num for t in range(deg)]
+        rows = [[Fraction(basis[t][i]) for t in range(deg)] for i in range(len(num))]
+        sol = fieldlin.solve(rows, coeffs)
         if sol is not None:
             return Cyclotomic(e, sol)
-    return Cyclotomic(order, coeffs)
+    return _raw(order, num, den)

@@ -89,6 +89,13 @@ class SplitSingularError(TgkzError):
     code = "SPLIT_SINGULAR"
 
 
+class NotInvertibleError(TgkzError):
+    """A nonzero cyclotomic element has norm 0, so it has no inverse
+    (exit 2).  Context: order, num."""
+
+    code = "NOT_INVERTIBLE"
+
+
 class BudgetExceededError(TgkzError):
     code = "BUDGET_EXCEEDED"
 

@@ -7,6 +7,7 @@ lattices always produce identical output.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import SmithCheckError
 
@@ -283,27 +284,32 @@ def _pivot_positions(hrows):
     return out
 
 
+def hermite_coordinates(v, hrows):
+    """Integer y with sum(y_i * hrows_i) = v, or None, for rows in Hermite
+    form (see is_hermite): pivot substitution, no transform."""
+    w = [int(x) for x in v]
+    y = []
+    for row, p in zip(hrows, _pivot_positions(hrows)):
+        q, r = divmod(w[p], row[p])
+        if r:
+            return None
+        y.append(q)
+        w = [a - q * b for a, b in zip(w, row)]
+    return None if any(w) else tuple(y)
+
+
 def express_in_rows(v, rows):
     """Integer coefficients c with sum(c_i * rows_i) = v, or None."""
-    rows = [tuple(r) for r in rows]
-    if not rows:
-        return () if all(x == 0 for x in v) else None
-    h, t = hnf_with_transform(rows)
-    pivots = _pivot_positions(h)
-    w = list(int(x) for x in v)
-    y = [0] * t.rows
-    for idx, row in enumerate(h):
-        p = pivots[idx]
-        if w[p] % row[p] != 0:
-            return None
-        q = w[p] // row[p]
-        y[idx] = q
-        for k in range(len(w)):
-            w[k] -= q * row[k]
-    if any(x != 0 for x in w):
+    return _untransform(v, *hnf_with_transform(rows))
+
+
+def _untransform(v, h, t):
+    """Coordinates of v on the rows that T * rows = H came from, or None."""
+    y = hermite_coordinates(v, h)
+    if y is None:
         return None
     # y * H = v and T * rows = H, so (y * T) * rows = v
-    return tuple(sum(y[i] * t.entry(i, j) for i in range(t.rows)) for j in range(t.rows))
+    return tuple(sum(y[i] * t.entry(i, j) for i in range(len(y))) for j in range(t.rows))
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -471,11 +477,18 @@ def kernel_lattice(columns, group) -> IntMatrix:
     return IntMatrix.from_rows(basis) if basis else IntMatrix(0, n, ())
 
 
+@lru_cache(maxsize=16)
+def _column_hermite(columns, group):
+    """hnf_with_transform of the presentation matrix's columns, once per
+    (columns, group) (memoized)."""
+    combined = _presentation_matrix(columns, group)
+    return hnf_with_transform([combined.column(j) for j in range(combined.cols)])
+
+
 def express_in_columns(columns, group, target):
     """Integer w with sum w_j a_j = target in N, or None."""
-    combined = _presentation_matrix(columns, group)
-    coeffs = express_in_rows(target.torsion + target.free,
-                             [combined.column(j) for j in range(combined.cols)])
+    coeffs = _untransform(target.torsion + target.free,
+                          *_column_hermite(tuple(columns), group))
     return coeffs and coeffs[:len(columns)]
 
 

@@ -186,8 +186,8 @@ def run_command(spec: ProblemSpec, command, bound=None, workers=None):
     """
     if command not in COMMANDS:
         raise SpecError(f"unknown command {command!r}")
-    # Worker count is deliberately not echoed: reports must be byte-identical
-    # across thread counts.
+    # Worker count is deliberately not echoed: it has no effect, and reports
+    # must be byte-identical across worker counts.
     settings = {
         "volume_convention": VOLUME_CONVENTION,
         "pair_budget": default_pair_budget(),

@@ -93,6 +93,17 @@ duality.fieldlin = SimpleNamespace(determinant=lambda rows: 0)
 sys.exit(main(sys.argv[1:]))
 """
 
+# the CLI with every multiplication matrix of a cyclotomic inverse singular
+NOT_INVERTIBLE_CLI = """
+import sys
+from types import SimpleNamespace
+from tgkz import cyclotomic
+from tgkz.cli import main
+singular = SimpleNamespace(det=lambda: 0)
+cyclotomic.IntMatrix = SimpleNamespace(from_rows=lambda rows: singular)
+sys.exit(main(sys.argv[1:]))
+"""
+
 def run_cli(*args, env_extra=None, python_flags=()):
     env = dict(os.environ)
     if env_extra:
@@ -202,6 +213,16 @@ def test_broken_invariant_exits_2_without_asserts(script, command, code, context
                          capture_output=True, text=True)
     assert res.returncode == 2, res.stderr
     assert code in res.stderr and context in res.stderr
+    assert res.stdout == ""
+
+
+def test_non_invertible_element_exits_2_without_asserts():
+    res = subprocess.run([sys.executable, "-O", "-c", NOT_INVERTIBLE_CLI, "ideals",
+                          "--spec", str(SAMPLES / "mod4_line.json")],
+                         capture_output=True, text=True)
+    assert res.returncode == 2, res.stderr
+    assert "NOT_INVERTIBLE" in res.stderr
+    assert '"order": 4' in res.stderr
     assert res.stdout == ""
 
 

@@ -1,12 +1,15 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from cyclotomic_oracle import Cyclotomic as Oracle
+from cyclotomic_oracle import _reduce_mod_phi, _xgcd_poly
 from tgkz import cyclotomic, fieldlin
-from tgkz.cyclotomic import (Cyclotomic, _reduce_mod_phi, _xgcd_poly,
-                             cyclotomic_polynomial)
+from tgkz.cyclotomic import Cyclotomic, cyclotomic_polynomial
 
 
 def test_rational_arithmetic():
@@ -170,3 +173,94 @@ def test_demotion_cache_is_bounded_and_eviction_keeps_results():
     assert cyclotomic._demote.cache_info().currsize == size
     after = [(d.order, d.coeffs) for d in (x.demoted() for x in values)]
     assert after == before
+
+
+# ---------------------------------------------------------------------------
+# differential test against the Fraction-tuple kernel (tests/cyclotomic_oracle.py)
+
+ORACLE_ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
+
+
+def _random_coeffs(rng, e):
+    """Power-basis coordinates of a random element of Q(zeta_e): zero, a
+    rational, q * zeta^k, an element of a subfield, or a general one."""
+    deg = len(cyclotomic_polynomial(e)) - 1
+    q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 12))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return [Fraction(0)] * deg
+    if kind == 1:
+        return [q] + [Fraction(0)] * (deg - 1)
+    if kind == 2:
+        return list((Oracle.zeta(e, rng.randrange(e)) * q).coeffs)
+    if kind == 3:
+        d = rng.choice([d for d in ORACLE_ORDERS if e % d == 0])
+        return list(Oracle(d, _random_coeffs(rng, d)).lift(e).coeffs)
+    return [Fraction(rng.randint(-20, 20), rng.choice([1, 1, 2, 3, 4, 6, 9, 35]))
+            for _ in range(deg)]
+
+
+def _random_pair(rng):
+    """The same random element as (Cyclotomic, oracle)."""
+    e = rng.choice(ORACLE_ORDERS)
+    coeffs = _random_coeffs(rng, e)
+    return Cyclotomic(e, coeffs), Oracle(e, coeffs)
+
+
+def _assert_same(x, expected):
+    assert isinstance(x, Cyclotomic)
+    assert (x.order, x.coeffs) == (expected.order, expected.coeffs)
+    # canonical form: positive denominator, coprime to the numerators, 0 = 0/1
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    assert any(x.num) or x.den == 1
+
+
+def test_arithmetic_matches_the_fraction_kernel():
+    rng = random.Random(20240207)
+    scalars = [0, 1, -1, 3, Fraction(1, 2), Fraction(-7, 3)]
+    for _ in range(150):
+        (a, oa), (b, ob) = _random_pair(rng), _random_pair(rng)
+        _assert_same(a + b, oa + ob)
+        _assert_same(a - b, oa - ob)
+        _assert_same(a * b, oa * ob)
+        _assert_same(-a, -oa)
+        assert (a == b) == (oa == ob)
+        s = rng.choice(scalars)
+        _assert_same(a + s, oa + s)
+        _assert_same(s - a, s - oa)
+        _assert_same(a * s, oa * s)
+        _assert_same(s * a, s * oa)
+        for k in (0, 1, 2, 3):
+            _assert_same(a ** k, oa ** k)
+        if not oa.is_zero():
+            _assert_same(a.inverse(), oa.inverse())
+            _assert_same(Fraction(2, 3) / a, Fraction(2, 3) / oa)
+            _assert_same(b / a, ob / oa)
+            for k in (-1, -2, -3):
+                _assert_same(a ** k, oa ** k)
+        for m in (1, 2, 3):
+            _assert_same(a.lift(m * a.order), oa.lift(m * oa.order))
+        for s in scalars + [oa.coeffs[0], -oa.coeffs[0]]:
+            assert (a == s) == (oa == s)
+            assert (a == Cyclotomic.rational(s)) == (oa == Oracle.rational(s))
+        assert hash(a) == hash(oa)
+        _assert_same(a.demoted(), oa.demoted())
+        assert a.to_text() == oa.to_text()
+        assert a.unit_rational_form() == oa.unit_rational_form()
+        assert (a.is_zero(), a.is_rational(), a.is_one(), bool(a), a.rational_value()) == \
+            (oa.is_zero(), oa.is_rational(), oa.is_one(), bool(oa), oa.rational_value())
+
+
+def test_negative_rational_inverts_to_a_positive_denominator():
+    x = Cyclotomic.rational(Fraction(-4, 6), 8).inverse()
+    assert (x.num, x.den) == ((-3, 0, 0, 0), 2)
+    assert Cyclotomic.rational(-5).inverse().den == 5
+
+
+def test_constructor_checks_coordinate_count_under_optimize():
+    code = ("from tgkz.cyclotomic import Cyclotomic\n"
+            "try:\n    Cyclotomic(4, [1])\n"
+            "except ValueError as exc:\n    print(exc)\n")
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "Q(zeta_4) takes 2 coordinates, got 1\n"
