@@ -13,17 +13,16 @@ small LRU cache); callers must not mutate the cached ideals.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import gcd, prod
+from math import prod
 
 from .cones import Face, PointConfig, face_by_columns
 from .cyclotomic import Cyclotomic
 from .errors import (LatticeMismatchError, NotSaturatedError,
                      PrimesDoNotIntersectError)
-from .lattice import (IntMatrix, express_in_rows, hermite_coordinates, hnf_rows,
+from .lattice import (IntMatrix, hermite_coordinates, hnf_rows, hnf_with_transform,
                       is_hermite, kernel_basis, kernel_lattice, smith_normal_form)
-from .poly import (GREVLEX, IdealBasis, Polynomial, canonical_ideal,
-                   groebner_ideal, ideal_equal, intersect_many, normal_form,
-                   saturate)
+from .poly import (GREVLEX, IdealBasis, Polynomial, groebner_ideal, ideal_equal,
+                   intersect_many, normal_form, saturate)
 
 
 def _power_product(values, exponents):
@@ -55,13 +54,10 @@ class PartialCharacter:
         # free kernel rows come from kernel_basis already in Hermite form
         if is_hermite(rows):
             return PartialCharacter(tuple(rows), tuple(values), nvars)
-        hermite = hnf_rows(rows)
-        rebased = []
-        for h in hermite:
-            coeffs = express_in_rows(h, rows)
-            assert coeffs is not None, "Hermite row left the lattice"
-            rebased.append(_power_product(values, coeffs))
-        return PartialCharacter(hermite, tuple(rebased), nvars)
+        # T * rows = H, so row i of T holds the coordinates of H[i] on rows
+        hermite, t = hnf_with_transform(rows)
+        rebased = tuple(_power_product(values, t.row(i)) for i in range(len(hermite)))
+        return PartialCharacter(hermite, rebased, nvars)
 
     @staticmethod
     def trivial_on(rows, nvars):
@@ -124,7 +120,7 @@ def _face_kernel_rows(config: PointConfig, face_cols):
     return embedded
 
 
-def lattice_ideal(rows, nvars, values=None, do_saturate=True) -> IdealBasis:
+def lattice_ideal(rows, nvars, values=None) -> IdealBasis:
     """Reduced basis of the (optionally twisted) lattice ideal of the row
     span: binomials with exponents the positive/negative parts of each row,
     coefficient twisted by the character value, then saturated so membership
@@ -132,10 +128,9 @@ def lattice_ideal(rows, nvars, values=None, do_saturate=True) -> IdealBasis:
     if values is None:
         values = [Cyclotomic.one()] * len(rows)
     gens = [_binomial(m, nvars, val) for m, val in zip(rows, values)]
-    ideal = groebner_ideal(gens, nvars) if gens else IdealBasis(nvars, (), GREVLEX, True)
-    if do_saturate and ideal.generators:
-        ideal = saturate(ideal, range(nvars))
-    return ideal
+    if not gens:
+        return IdealBasis(nvars, ())
+    return saturate(groebner_ideal(gens, nvars), range(nvars))
 
 
 @lru_cache(maxsize=16)
@@ -174,7 +169,7 @@ def power_ideal(config: PointConfig) -> IdealBasis:
     """
     gens = [_binomial([config.ell * x for x in m], config.n) for m in markov_basis(config)]
     if not gens:
-        return IdealBasis(config.n, (), GREVLEX, True)
+        return IdealBasis(config.n, ())
     return groebner_ideal(gens, config.n)
 
 
@@ -206,7 +201,7 @@ def face_twisted_ideal(config: PointConfig, face: Face, rho: PartialCharacter) -
         face_ideal = lattice_ideal(embedded, n, [rho.value_of(m) for m in embedded])
         gens.extend(face_ideal.generators)
     if not gens:
-        return IdealBasis(n, (), GREVLEX, True)
+        return IdealBasis(n, ())
     return groebner_ideal(gens, n)
 
 
@@ -259,13 +254,8 @@ def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
 
 def twist_automorphism(f: Polynomial, full_character: PartialCharacter) -> Polynomial:
     """Scale each monomial by the character value of its exponent."""
-    terms = {}
-    for exp, c in f.terms.items():
-        terms[exp] = c * full_character.value_of(exp)
-    field = f.field_order
-    for v in full_character.values:
-        field = field * v.order // gcd(field, v.order)
-    return Polynomial(f.nvars, field, terms)
+    return Polynomial(f.nvars, {exp: c * full_character.value_of(exp)
+                                for exp, c in f.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +339,11 @@ def classify_graded_binomial_prime(ideal: IdealBasis, config: PointConfig):
                 for e in g.terms}
         if len(degs) > 1:
             return None
-    basis = canonical_ideal(ideal)
-    gb = list(basis.generators)
+    gb = list(ideal.generators)
     if any(g.total_degree() == 0 for g in gb):
         return None  # unit ideal
-    inside = []
-    for j in range(n):
-        dj = Polynomial.variable(j, n, basis.field_order())
-        if not normal_form(dj, gb, GREVLEX).is_zero():
-            inside.append(j)
+    inside = [j for j in range(n)
+              if not normal_form(Polynomial.variable(j, n), gb, GREVLEX).is_zero()]
     face = face_by_columns(config, inside)
     if face is None:
         return None
@@ -367,10 +353,8 @@ def classify_graded_binomial_prime(ideal: IdealBasis, config: PointConfig):
     for m in sub_kernel:
         plus = tuple(max(x, 0) for x in m)
         minus = tuple(max(-x, 0) for x in m)
-        nf_plus = normal_form(Polynomial.monomial(n, plus, 1, basis.field_order()),
-                              gb, GREVLEX)
-        nf_minus = normal_form(Polynomial.monomial(n, minus, 1, basis.field_order()),
-                               gb, GREVLEX)
+        nf_plus = normal_form(Polynomial.monomial(n, plus), gb, GREVLEX)
+        nf_minus = normal_form(Polynomial.monomial(n, minus), gb, GREVLEX)
         if nf_minus.is_zero() or set(nf_plus.terms) != set(nf_minus.terms):
             return None
         exp = next(iter(nf_minus.terms))
@@ -381,6 +365,6 @@ def classify_graded_binomial_prime(ideal: IdealBasis, config: PointConfig):
         values.append(ratio)
     rho = PartialCharacter.on_rows(sub_kernel, values, n)
     rebuilt = face_twisted_ideal(config, face, rho)
-    if not ideal_equal(basis, rebuilt):
+    if not ideal_equal(ideal, rebuilt):
         return None
     return face, rho

@@ -15,7 +15,7 @@ from . import fieldlin
 from .cyclotomic import Cyclotomic
 from .errors import EmptyConeError, NotPointedError
 from .lattice import (AbelianGroup, Functional, GroupElement, IntMatrix,
-                      INFINITE, lattice_index, smith_normal_form)
+                      INFINITE, lattice_index, rank, smith_normal_form)
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ def facets(config: PointConfig):
     def consider(tau):
         if all(_dot(tau, c) >= 0 for c in cols):
             vanish = [c for c in cols if _dot(tau, c) == 0]
-            if _int_rank(vanish) == d - 1:
+            if rank(vanish) == d - 1:
                 found.add(tau)
 
     if d == 1:
@@ -180,7 +180,7 @@ def facets(config: PointConfig):
     else:
         from .lattice import kernel_basis
         for subset in combinations(cols, d - 1):
-            if _int_rank(subset) != d - 1:
+            if rank(subset) != d - 1:
                 continue
             kern = kernel_basis(IntMatrix.from_rows(subset))
             if kern.rows != 1:
@@ -193,13 +193,6 @@ def facets(config: PointConfig):
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def _int_rank(vectors):
-    if not vectors:
-        return 0
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    return fieldlin.rank(rows)
 
 
 def is_pointed(config: PointConfig) -> bool:
@@ -244,8 +237,7 @@ def face_lattice(config: PointConfig):
                 continue
             normals = tuple(t for t in taus
                             if all(t(free[j]) == 0 for j in colset))
-            dim = _int_rank([free[j] for j in colset
-                             if any(x != 0 for x in free[j])])
+            dim = rank([free[j] for j in colset if any(x != 0 for x in free[j])])
             seen[colset] = Face(colset, normals, dim)
     return tuple(sorted(seen.values(), key=lambda f: (f.dim, f.column_indices)))
 

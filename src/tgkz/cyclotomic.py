@@ -120,7 +120,8 @@ class Cyclotomic:
         e2 = int(e2)
         if e2 == self.order:
             return self
-        assert e2 % self.order == 0
+        if e2 % self.order:
+            raise ValueError(f"Q(zeta_{self.order}) does not embed in Q(zeta_{e2})")
         if self.is_rational():
             return _raw(e2, self.num[:1] + (0,) * (_phi_degree(e2) - 1), self.den)
         step = e2 // self.order

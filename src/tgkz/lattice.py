@@ -201,10 +201,6 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(um, dm, vm, factors)
 
 
-def rank(m: IntMatrix) -> int:
-    return len(smith_normal_form(m).invariant_factors)
-
-
 def hnf_rows(rows):
     """Canonical basis of the lattice spanned by the given integer rows.
 
@@ -213,6 +209,11 @@ def hnf_rows(rows):
     """
     h, _ = hnf_with_transform(rows)
     return h
+
+
+def rank(vectors) -> int:
+    """Rank of integer vectors over Q: the row count of their Hermite form."""
+    return len(hnf_rows(vectors))
 
 
 def is_hermite(rows):

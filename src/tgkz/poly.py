@@ -5,6 +5,12 @@ bases of ideals and of submodules of free modules (used by the presentation
 builder), saturation and intersection by variable adjunction/elimination,
 and the canonical round-trippable text format.
 
+Coefficients carry their own field: a Cyclotomic knows its order and lifts
+mixed orders to their lcm on every operation, so a Polynomial is just a
+variable count and its terms.  buchberger lifts its input once to the lcm of
+the coefficient orders, so no step of the core lifts again.  An IdealBasis
+is the ideal's reduced grevlex basis, so equal ideals have equal bases.
+
 The core works on term dicts {exponent tuple: coefficient} whose bases are
 monic from the moment an element enters them, so nothing divides by a
 leading coefficient.  Coefficients are Fraction or Cyclotomic and keep their
@@ -16,7 +22,7 @@ import heapq
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _gcd
+from math import lcm
 from operator import add, le, sub
 
 from .cyclotomic import Cyclotomic
@@ -48,24 +54,12 @@ class MonomialOrder:
     def key(self, exp):
         raise NotImplementedError
 
-    def tag(self):
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.tag() == other.tag()
-
-    def __hash__(self):
-        return hash(self.tag())
-
 
 class Grevlex(MonomialOrder):
     """Graded reverse lexicographic."""
 
     def key(self, exp):
         return (sum(exp), tuple(-x for x in reversed(exp)))
-
-    def tag(self):
-        return "grevlex"
 
 
 class BlockElim(MonomialOrder):
@@ -78,9 +72,6 @@ class BlockElim(MonomialOrder):
 
     def key(self, exp):
         return (sum(exp[i] for i in self.elim), sum(exp), tuple(-x for x in reversed(exp)))
-
-    def tag(self):
-        return f"elim:{list(self.elim)}"
 
 
 GREVLEX = Grevlex()
@@ -96,9 +87,6 @@ class TermOverPosition(MonomialOrder):
     def key(self, exp):
         return (GREVLEX.key(exp[self.ntags:]), exp[:self.ntags])
 
-    def tag(self):
-        return f"top:{self.ntags}"
-
 
 class PositionOverTerm(TermOverPosition):
     """Order on the same module terms: the smaller component c wins, then
@@ -108,9 +96,6 @@ class PositionOverTerm(TermOverPosition):
 
     def key(self, exp):
         return (exp[:self.ntags], GREVLEX.key(exp[self.ntags:]))
-
-    def tag(self):
-        return f"pot:{self.ntags}"
 
 
 def _divides(a, b):
@@ -134,11 +119,10 @@ def _lcm_exp(a, b):
 
 
 class Polynomial:
-    __slots__ = ("nvars", "field_order", "terms")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars, field_order=1, terms=None):
+    def __init__(self, nvars, terms=None):
         self.nvars = int(nvars)
-        self.field_order = int(field_order)
         clean = {}
         for exp, c in (terms or {}).items():
             c = Cyclotomic.coerce(c)
@@ -149,96 +133,81 @@ class Polynomial:
     # -- constructors
 
     @staticmethod
-    def _of(nvars, field_order, terms):
+    def _of(nvars, terms):
         """Wrap a dict of nonzero Cyclotomic coefficients as is."""
-        p = Polynomial(nvars, field_order)
+        p = Polynomial(nvars)
         p.terms = terms
         return p
 
     @staticmethod
-    def zero(nvars, field_order=1):
-        return Polynomial(nvars, field_order)
+    def zero(nvars):
+        return Polynomial(nvars)
 
     @staticmethod
-    def constant(nvars, c, field_order=1):
-        c = Cyclotomic.coerce(c)
-        return Polynomial(nvars, max(field_order, c.order), {(0,) * nvars: c})
+    def constant(nvars, c):
+        return Polynomial(nvars, {(0,) * nvars: c})
 
     @staticmethod
-    def monomial(nvars, exp, c=1, field_order=1):
-        c = Cyclotomic.coerce(c)
-        return Polynomial(nvars, max(field_order, c.order), {tuple(exp): c})
+    def monomial(nvars, exp, c=1):
+        return Polynomial(nvars, {tuple(exp): c})
 
     @staticmethod
-    def variable(i, nvars, field_order=1):
+    def variable(i, nvars):
         exp = [0] * nvars
         exp[i] = 1
-        return Polynomial.monomial(nvars, exp, 1, field_order)
+        return Polynomial.monomial(nvars, exp)
 
     # -- helpers
 
     def is_zero(self):
         return not self.terms
 
-    def promote(self, field_order):
-        if field_order == self.field_order:
-            return self
-        assert field_order % self.field_order == 0
-        return Polynomial(self.nvars, field_order,
-                          {e: c.lift(field_order) for e, c in self.terms.items()})
-
-    def _pair(self, other):
+    def _operand(self, other):
+        """other as a Polynomial of this ring; scalars become constants."""
         if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = Polynomial.constant(self.nvars, other)
+            return Polynomial.constant(self.nvars, other)
         if self.nvars != other.nvars:
             raise ValueError("polynomials in different rings")
-        e = self.field_order * other.field_order // _gcd(self.field_order, other.field_order)
-        return self.promote(e), other.promote(e)
+        return other
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        terms = dict(a.terms)
-        for e, c in b.terms.items():
+        terms = dict(self.terms)
+        for e, c in self._operand(other).terms.items():
             terms[e] = terms[e] + c if e in terms else c
-        return Polynomial(a.nvars, a.field_order, terms)
+        return Polynomial(self.nvars, terms)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        terms = dict(a.terms)
-        for e, c in b.terms.items():
+        terms = dict(self.terms)
+        for e, c in self._operand(other).terms.items():
             terms[e] = terms[e] - c if e in terms else -c
-        return Polynomial(a.nvars, a.field_order, terms)
+        return Polynomial(self.nvars, terms)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Polynomial(self.nvars, self.field_order,
-                          {e: -c for e, c in self.terms.items()})
+        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
-            c0 = Cyclotomic.coerce(other)
-            e = self.field_order * c0.order // _gcd(self.field_order, c0.order)
-            return Polynomial(self.nvars, e,
-                              {exp: c * c0 for exp, c in self.terms.items()})
-        a, b = self._pair(other)
+            return Polynomial(self.nvars, {exp: c * other for exp, c in self.terms.items()})
+        other = self._operand(other)
         terms = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
                 e = _add(e1, e2)
                 c = c1 * c2
                 terms[e] = terms[e] + c if e in terms else c
-        return Polynomial(a.nvars, a.field_order, terms)
+        return Polynomial(self.nvars, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         k = int(k)
         assert k >= 0
-        out = Polynomial.constant(self.nvars, 1, self.field_order)
+        out = Polynomial.constant(self.nvars, 1)
         for _ in range(k):
             out = out * self
         return out
@@ -246,8 +215,7 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self._pair(other)
-        return a.terms == b.terms
+        return self.terms == self._operand(other).terms
 
     def leading(self, order):
         exp = max(self.terms, key=order.key)
@@ -261,7 +229,7 @@ class Polynomial:
         for e, c in self.terms.items():
             ne = fn(e)
             terms[ne] = terms[ne] + c if ne in terms else c
-        return Polynomial(new_nvars, self.field_order, terms)
+        return Polynomial(new_nvars, terms)
 
     def extend_vars(self, extra):
         """Append `extra` fresh variables (exponent 0) at the end."""
@@ -276,13 +244,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({polynomial_to_text(self)})"
-
-
-def _common_field(polys):
-    e = 1
-    for p in polys:
-        e = e * p.field_order // _gcd(e, p.field_order)
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -404,18 +365,15 @@ def normal_form(f, gens, order):
     """Full multivariate division remainder of f by gens, deterministic.
     Every divisor must be monic, as the bases buchberger returns are."""
     gens = [g for g in gens if not g.is_zero()]
-    e = _common_field([f] + gens)
-    rem = _reduce(f.promote(e).terms, [g.promote(e).terms for g in gens],
-                  [g.leading(order)[0] for g in gens], order)
-    return Polynomial._of(f.nvars, e, rem)
+    return Polynomial._of(f.nvars, _reduce(f.terms, [g.terms for g in gens],
+                                           [g.leading(order)[0] for g in gens], order))
 
 
 def s_polynomial(f, g, order):
     """S-polynomial of two monic polynomials: each is shifted up to the lcm
     of the leading monomials, then they are subtracted."""
-    e = _common_field([f, g])
-    return Polynomial._of(f.nvars, e, _s_pair(f.promote(e).terms, g.promote(e).terms,
-                                             f.leading(order)[0], g.leading(order)[0]))
+    return Polynomial._of(f.nvars, _s_pair(f.terms, g.terms,
+                                           f.leading(order)[0], g.leading(order)[0]))
 
 
 def buchberger(gens, order=GREVLEX, pair_budget=None):
@@ -423,52 +381,38 @@ def buchberger(gens, order=GREVLEX, pair_budget=None):
     Raises BudgetExceededError after processing `pair_budget` S-pairs
     (default from TGKZ_PAIR_BUDGET or 5000)."""
     gens = [g for g in gens if not g.is_zero()]
-    e = _common_field(gens)
-    basis = _groebner([g.promote(e).terms for g in gens], order, pair_budget)
-    return [Polynomial._of(gens[0].nvars, e, t) for t in basis]
+    # every coefficient enters Q(zeta_e) for the lcm e of their orders, so
+    # no step of the core lifts one again
+    e = lcm(*(c.order for g in gens for c in g.terms.values()))
+    basis = _groebner([{x: c.lift(e) for x, c in g.terms.items()} for g in gens],
+                      order, pair_budget)
+    return [Polynomial._of(gens[0].nvars, t) for t in basis]
 
 
 @dataclass(frozen=True)
 class IdealBasis:
-    """A generating set, flagged when it is a reduced Groebner basis."""
+    """An ideal by its reduced grevlex Groebner basis (monic, sorted
+    ascending by leading monomial), so equal ideals have equal bases."""
 
     nvars: int
     generators: tuple
-    order: MonomialOrder
-    is_groebner: bool
-
-    def field_order(self):
-        return _common_field(list(self.generators)) if self.generators else 1
 
 
-def groebner_ideal(gens, nvars=None, order=GREVLEX, pair_budget=None) -> IdealBasis:
+def groebner_ideal(gens, nvars=None, pair_budget=None) -> IdealBasis:
     gens = [g for g in gens if not g.is_zero()]
     if nvars is None:
         if not gens:
             raise ValueError("nvars required for the zero ideal")
         nvars = gens[0].nvars
-    basis = buchberger(gens, order, pair_budget)
-    return IdealBasis(nvars, tuple(basis), order, True)
+    return IdealBasis(nvars, tuple(buchberger(gens, GREVLEX, pair_budget)))
 
 
 def ideal_member(f, ideal: IdealBasis) -> bool:
-    basis = ideal.generators if ideal.is_groebner else \
-        tuple(buchberger(list(ideal.generators), ideal.order))
-    return normal_form(f, list(basis), ideal.order).is_zero()
-
-
-def canonical_ideal(ideal: IdealBasis) -> IdealBasis:
-    """Reduced grevlex Groebner basis: the canonical form used for equality."""
-    if ideal.is_groebner and ideal.order == GREVLEX:
-        return ideal
-    return groebner_ideal(list(ideal.generators), ideal.nvars, GREVLEX)
+    return normal_form(f, list(ideal.generators), GREVLEX).is_zero()
 
 
 def ideal_equal(a: IdealBasis, b: IdealBasis) -> bool:
-    ca, cb = canonical_ideal(a), canonical_ideal(b)
-    if ca.nvars != cb.nvars or len(ca.generators) != len(cb.generators):
-        return False
-    return all(f == g for f, g in zip(ca.generators, cb.generators))
+    return a.nvars == b.nvars and a.generators == b.generators
 
 
 def eliminate(gens, elim_indices, pair_budget=None):
@@ -481,7 +425,7 @@ def eliminate(gens, elim_indices, pair_budget=None):
 def saturate(ideal: IdealBasis, var_indices, pair_budget=None) -> IdealBasis:
     """(I : (prod of the given variables)^infinity), reduced grevlex basis."""
     if not ideal.generators:
-        return IdealBasis(ideal.nvars, (), GREVLEX, True)
+        return IdealBasis(ideal.nvars, ())
     n = ideal.nvars
     gens = [g.extend_vars(1) for g in ideal.generators]
     prod = Polynomial.variable(n, n + 1)
@@ -490,25 +434,27 @@ def saturate(ideal: IdealBasis, var_indices, pair_budget=None) -> IdealBasis:
     gens.append(prod - 1)
     kept = eliminate(gens, [n], pair_budget)
     back = [g.drop_last_vars(1) for g in kept]
-    return groebner_ideal(back, n, GREVLEX, pair_budget)
+    return groebner_ideal(back, n, pair_budget)
 
 
 def intersect(a: IdealBasis, b: IdealBasis, pair_budget=None) -> IdealBasis:
     """I cap J via t*I + (1-t)*J and elimination of t."""
-    assert a.nvars == b.nvars
+    if a.nvars != b.nvars:
+        raise ValueError(f"ideals in different rings: {a.nvars} and {b.nvars} variables")
     n = a.nvars
     if not a.generators or not b.generators:
-        return IdealBasis(n, (), GREVLEX, True)
+        return IdealBasis(n, ())
     t = Polynomial.variable(n, n + 1)
     gens = [t * g.extend_vars(1) for g in a.generators]
     gens += [(Polynomial.constant(n + 1, 1) - t) * g.extend_vars(1) for g in b.generators]
     kept = eliminate(gens, [n], pair_budget)
     back = [g.drop_last_vars(1) for g in kept]
-    return groebner_ideal(back, n, GREVLEX, pair_budget)
+    return groebner_ideal(back, n, pair_budget)
 
 
 def intersect_many(ideals, pair_budget=None) -> IdealBasis:
-    assert ideals
+    if not ideals:
+        raise ValueError("intersection of no ideals")
     out = ideals[0]
     for nxt in ideals[1:]:
         out = intersect(out, nxt, pair_budget)

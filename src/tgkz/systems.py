@@ -17,14 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from . import fieldlin
 from .binomials import face_twisted_ideal, markov_basis, toric_ideal_full
 from .cones import (AffinePiece, Arrangement, PointConfig, facets,
                     homogenizing_functional, membership_in_arrangement,
                     positive_grading)
 from .cyclotomic import Cyclotomic
 from .errors import NotHomogeneousError, NotStabilizedError, SliceTooSmallError
-from .lattice import express_in_columns
+from .lattice import express_in_columns, rank
 from .poly import PositionOverTerm, TermOverPosition, module_groebner
 from .semigroups import (EXPLICIT, K, K_INTERIOR, SemigroupModule,
                          cone_points_up_to, elements_with_height_at_most,
@@ -217,7 +216,7 @@ def bbgkz_primitive_presentation(module: SemigroupModule, beta,
         if len(degs) != 1:
             raise NotHomogeneousError("binomial relation is not degree homogeneous",
                                       bound=bound, degrees=len(degs))
-        binomials.append(_make_relation([(gi, WeylElement(n, 1, terms))
+        binomials.append(_make_relation([(gi, WeylElement(n, terms))
                                          for gi, terms in by_comp.items()]))
     binomials.sort(key=_relation_key)
     relations = tuple(binomials) + tuple(_euler_relations(config, beta, gens))
@@ -265,8 +264,7 @@ def quasi_degrees(config: PointConfig, kind, face=None, shift=None) -> Arrangeme
                              if any(x != 0 for x in config.columns[j].free)}))
         shift = zero if shift is None else tuple(Fraction(s) for s in shift)
         piece = AffinePiece(shift, span, tuple(face.column_indices))
-        rank = fieldlin.rank([[Fraction(x) for x in v] for v in span]) if span else 0
-        return Arrangement(rank, (piece,))
+        return Arrangement(rank(span), (piece,))
     assert kind == K_MOD_KINTERIOR, f"unsupported module spec {kind!r}"
     height = positive_grading(config)
     taus = facets(config)
@@ -276,7 +274,7 @@ def quasi_degrees(config: PointConfig, kind, face=None, shift=None) -> Arrangeme
                         if tau(config.columns[j].free) == 0)
         span = tuple(sorted({config.columns[j].free for j in cols_on
                              if any(x != 0 for x in config.columns[j].free)}))
-        span_frac = [[Fraction(x) for x in v] for v in span]
+        span_rank = rank(span)
         bound = sum((height(v) for v in span), Fraction(0)) + 1
         boundary = [p for p in cone_points_up_to(config, height, bound)
                     if tau(p) == 0]
@@ -291,17 +289,13 @@ def quasi_degrees(config: PointConfig, kind, face=None, shift=None) -> Arrangeme
                     break
             if reducible:
                 continue
-            if span and fieldlin.in_span(span_frac, [Fraction(x) for x in p]):
+            if rank(span + (p,)) == span_rank:
                 shift_t = zero
             else:
                 shift_t = tuple(Fraction(x) for x in p)
             pieces[(shift_t, span)] = AffinePiece(shift_t, span, cols_on)
     ordered = tuple(pieces[k] for k in sorted(pieces))
-    top = 0
-    for piece in ordered:
-        if piece.span_vectors:
-            top = max(top, fieldlin.rank([[Fraction(x) for x in v]
-                                          for v in piece.span_vectors]))
+    top = max((rank(piece.span_vectors) for piece in ordered), default=0)
     return Arrangement(top, ordered)
 
 

@@ -2,21 +2,23 @@
 
 Terms are stored as (x-exponent, d-exponent) -> coefficient with every x to
 the left of every d; products are renormalized through the Leibniz rule
-d*x = x*d + 1.  Exact cyclotomic coefficients throughout.
+d*x = x*d + 1.  Exact cyclotomic coefficients throughout; they carry their
+own field (a Cyclotomic lifts mixed orders to their lcm), so an element is
+just a variable count and its terms.
 """
 
-from math import comb, factorial, gcd
+from fractions import Fraction
+from math import comb, factorial
 
 from .cyclotomic import Cyclotomic
 from .poly import Polynomial, _coeff_text
 
 
 class WeylElement:
-    __slots__ = ("nvars", "field_order", "terms")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars, field_order=1, terms=None):
+    def __init__(self, nvars, terms=None):
         self.nvars = int(nvars)
-        self.field_order = int(field_order)
         clean = {}
         for (xe, de), c in (terms or {}).items():
             c = Cyclotomic.coerce(c)
@@ -27,107 +29,91 @@ class WeylElement:
     # -- constructors
 
     @staticmethod
-    def zero(nvars, field_order=1):
-        return WeylElement(nvars, field_order)
+    def zero(nvars):
+        return WeylElement(nvars)
 
     @staticmethod
-    def constant(nvars, c, field_order=1):
-        c = Cyclotomic.coerce(c)
+    def constant(nvars, c):
         zero = (0,) * nvars
-        return WeylElement(nvars, max(field_order, c.order), {(zero, zero): c})
+        return WeylElement(nvars, {(zero, zero): c})
 
     @staticmethod
-    def monomial(nvars, x_exp, d_exp, c=1, field_order=1):
-        c = Cyclotomic.coerce(c)
-        return WeylElement(nvars, max(field_order, c.order),
-                           {(tuple(x_exp), tuple(d_exp)): c})
+    def monomial(nvars, x_exp, d_exp, c=1):
+        return WeylElement(nvars, {(tuple(x_exp), tuple(d_exp)): c})
 
     @staticmethod
-    def x(i, nvars, field_order=1):
+    def x(i, nvars):
         e = [0] * nvars
         e[i] = 1
-        return WeylElement.monomial(nvars, e, [0] * nvars, 1, field_order)
+        return WeylElement.monomial(nvars, e, [0] * nvars)
 
     @staticmethod
-    def d(i, nvars, field_order=1):
+    def d(i, nvars):
         e = [0] * nvars
         e[i] = 1
-        return WeylElement.monomial(nvars, [0] * nvars, e, 1, field_order)
+        return WeylElement.monomial(nvars, [0] * nvars, e)
 
     @staticmethod
     def from_differential_polynomial(p: Polynomial):
         """Embed a polynomial in the d-variables."""
         zero = (0,) * p.nvars
-        return WeylElement(p.nvars, p.field_order,
-                           {(zero, e): c for e, c in p.terms.items()})
+        return WeylElement(p.nvars, {(zero, e): c for e, c in p.terms.items()})
 
     # -- structure
 
     def is_zero(self):
         return not self.terms
 
-    def promote(self, field_order):
-        if field_order == self.field_order:
-            return self
-        assert field_order % self.field_order == 0
-        return WeylElement(self.nvars, field_order,
-                           {k: c.lift(field_order) for k, c in self.terms.items()})
-
-    def _pair(self, other):
-        if isinstance(other, (int, Cyclotomic)) or type(other).__name__ == "Fraction":
-            other = WeylElement.constant(self.nvars, other)
+    def _operand(self, other):
+        """other as an element on the same variables; scalars become constants."""
+        if isinstance(other, (int, Fraction, Cyclotomic)):
+            return WeylElement.constant(self.nvars, other)
         if self.nvars != other.nvars:
             raise ValueError("different variable counts")
-        e = self.field_order * other.field_order // gcd(self.field_order,
-                                                        other.field_order)
-        return self.promote(e), other.promote(e)
+        return other
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        terms = dict(a.terms)
-        for k, c in b.terms.items():
+        terms = dict(self.terms)
+        for k, c in self._operand(other).terms.items():
             terms[k] = terms[k] + c if k in terms else c
-        return WeylElement(a.nvars, a.field_order, terms)
+        return WeylElement(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeylElement(self.nvars, self.field_order,
-                           {k: -c for k, c in self.terms.items()})
+        return WeylElement(self.nvars, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        return a + (-b)
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
-        a, b = self._pair(other)
-        return b + (-a)
+        return self._operand(other) + (-self)
 
     def __mul__(self, other):
-        a, b = self._pair(other)
+        other = self._operand(other)
+        n = self.nvars
         out = {}
-        for (xa, da), ca in a.terms.items():
-            for (xb, db), cb in b.terms.items():
+        for (xa, da), ca in self.terms.items():
+            for (xb, db), cb in other.terms.items():
                 base = ca * cb
                 # d^da then x^xb: iterate the Leibniz contraction per variable
                 for k in _contractions(da, xb):
                     coef = base
-                    for i in range(a.nvars):
+                    for i in range(n):
                         coef = coef * (comb(da[i], k[i]) * comb(xb[i], k[i])
                                        * factorial(k[i]))
-                    key = (tuple(xa[i] + xb[i] - k[i] for i in range(a.nvars)),
-                           tuple(da[i] + db[i] - k[i] for i in range(a.nvars)))
+                    key = (tuple(xa[i] + xb[i] - k[i] for i in range(n)),
+                           tuple(da[i] + db[i] - k[i] for i in range(n)))
                     out[key] = out[key] + coef if key in out else coef
-        return WeylElement(a.nvars, a.field_order, out)
+        return WeylElement(n, out)
 
     def __rmul__(self, other):
-        a, b = self._pair(other)
-        return b * a
+        return self._operand(other) * self
 
     def __pow__(self, k):
         k = int(k)
         assert k >= 0
-        out = WeylElement.constant(self.nvars, 1, self.field_order)
+        out = WeylElement.constant(self.nvars, 1)
         for _ in range(k):
             out = out * self
         return out
@@ -135,8 +121,7 @@ class WeylElement:
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
             return NotImplemented
-        a, b = self._pair(other)
-        return a.terms == b.terms
+        return self.terms == self._operand(other).terms
 
     def __hash__(self):
         return hash((self.nvars, frozenset(
@@ -153,7 +138,7 @@ class WeylElement:
             if (sum(xe) + sum(de)) % 2:
                 c = -c
             terms[(xe, de)] = c
-        return WeylElement(self.nvars, self.field_order, terms)
+        return WeylElement(self.nvars, terms)
 
     def total_degree(self):
         return max((sum(xe) + sum(de) for (xe, de) in self.terms), default=0)

@@ -194,14 +194,21 @@ def test_characters_reuse_the_hermite_free_kernel(monkeypatch, mod4_line):
     expect = [(rho.basis, rho.values, ideal.generators)
               for rho, ideal in minimal_primes(mod4_line)]
     calls = []
-    real = binomials.hnf_rows
-    monkeypatch.setattr(binomials, "hnf_rows", lambda rows: calls.append(rows) or real(rows))
+    real = binomials.hnf_with_transform
+    monkeypatch.setattr(binomials, "hnf_with_transform",
+                        lambda rows: calls.append(rows) or real(rows))
     primes = minimal_primes(mod4_line)
     assert [(rho.basis, rho.values, ideal.generators) for rho, ideal in primes] == expect
     assert calls == []  # four characters, none re-runs Hermite reduction
     assert PartialCharacter.on_rows([(-2, 1)], (Cyclotomic.rational(-1),), 2).basis == \
         ((2, -1),)  # a basis not in Hermite form is still reduced
     assert calls == [[(-2, 1)]]
+    # two rows: one transform rebases both values
+    rho = PartialCharacter.on_rows([(1, 1), (1, -1)], (Cyclotomic.zeta(4), -1), 2)
+    assert rho.basis == ((1, 1), (0, 2))
+    assert rho.values == (Cyclotomic.zeta(4), -Cyclotomic.zeta(4))
+    assert rho.value_of((1, -1)) == -1
+    assert calls == [[(-2, 1)], [(1, 1), (1, -1)]]
 
 
 @pytest.mark.parametrize("workers", [None, 2])

@@ -1,11 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from tgkz import errors
 from tgkz.problem import parse_spec
 from tgkz.report import render, run_command
 
@@ -321,3 +323,21 @@ def test_explicit_module_commands(spec_file):
     payload = json.loads(res.stdout)
     assert payload["analysis"]["rank"] is None
     assert any("explicit" in note for note in payload["notes"])
+
+
+def test_every_error_code_is_documented_with_its_exit_code():
+    root = Path(__file__).resolve().parent.parent
+    documented = dict(re.findall(r"^\| `([A-Z_]+)` \| (\d) \|",
+                                 (root / "README.md").read_text(encoding="utf-8"), re.M))
+    expected = {}
+    for cls in vars(errors).values():
+        if isinstance(cls, type) and issubclass(cls, errors.TgkzError) \
+                and cls.code != errors.TgkzError.code:
+            expected[cls.code] = "4" if issubclass(cls, errors.BudgetExceededError) else "2"
+    # code="..." is SpecError's argument (or a helper raising SpecError): exit 3
+    for path in sorted((root / "src" / "tgkz").glob("*.py")):
+        for code in re.findall(r'code="([A-Z_]+)"', path.read_text(encoding="utf-8")):
+            expected[code] = "3"
+    assert {"BUDGET_EXCEEDED", "MALFORMED", "INVALID_ENVIRONMENT",
+            "HYPOTHESIS_FAILED"} <= set(expected)
+    assert {code: documented.get(code) for code in expected} == expected

@@ -264,3 +264,20 @@ def test_constructor_checks_coordinate_count_under_optimize():
     res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "Q(zeta_4) takes 2 coordinates, got 1\n"
+
+
+def test_api_checks_raise_value_error_under_optimize():
+    code = ("from tgkz.cyclotomic import Cyclotomic\n"
+            "from tgkz.poly import groebner_ideal, intersect, intersect_many, parse_polynomial\n"
+            "one = groebner_ideal([parse_polynomial('d1', 1)])\n"
+            "two = groebner_ideal([parse_polynomial('d1', 2)])\n"
+            "for call in (lambda: Cyclotomic.zeta(4).lift(6), lambda: intersect(one, two),\n"
+            "             lambda: intersect_many([])):\n"
+            "    try:\n        call()\n"
+            "    except ValueError as exc:\n        print(exc)\n")
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "Q(zeta_4) does not embed in Q(zeta_6)",
+        "ideals in different rings: 1 and 2 variables",
+        "intersection of no ideals"]

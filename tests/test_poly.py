@@ -1,6 +1,8 @@
 import heapq
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,7 +64,7 @@ def test_groebner_simple_binomial():
     # elimination ordering; here check membership behaviour on a known ideal
     gens = [P("d1^2 - d2", 2), P("d1^3 - d1*d2", 2)]
     gb = groebner_ideal(gens, nvars=2)
-    assert gb.is_groebner
+    assert list(gb.generators) == poly.buchberger(gens)
     assert ideal_member(P("d1^4 - d2^2", 2), gb)
     assert not ideal_member(P("d1 - d2", 2), gb)
 
@@ -146,9 +148,6 @@ def test_random_generator_combinations_are_members():
 def _oracle_normal_form(f, gens, order, leads):
     if f.is_zero() or not gens:
         return f
-    e = poly._common_field([f] + gens)
-    f = f.promote(e)
-    gens = [g.promote(e) for g in gens]
     remainder = {}
     work = dict(f.terms)
     while work:
@@ -173,14 +172,14 @@ def _oracle_normal_form(f, gens, order, leads):
                     del work[tgt]
             else:
                 work[tgt] = -c
-    return Polynomial(f.nvars, e, remainder)
+    return Polynomial(f.nvars, remainder)
 
 
 def _oracle_s_polynomial(f, g, order):
     (fe, fc), (ge, gc) = f.leading(order), g.leading(order)
     lcm = poly._lcm_exp(fe, ge)
-    mf = Polynomial.monomial(f.nvars, poly._sub(lcm, fe), 1, f.field_order)
-    mg = Polynomial.monomial(g.nvars, poly._sub(lcm, ge), 1, g.field_order)
+    mf = Polynomial.monomial(f.nvars, poly._sub(lcm, fe))
+    mg = Polynomial.monomial(g.nvars, poly._sub(lcm, ge))
     return (mf * f) * (Cyclotomic.one() / fc) - (mg * g) * (Cyclotomic.one() / gc)
 
 
@@ -188,8 +187,6 @@ def _oracle_buchberger(gens, order):
     basis = [g for g in gens if not g.is_zero()]
     if not basis:
         return [], 0
-    e = poly._common_field(basis)
-    basis = [g.promote(e) for g in basis]
     leads = [g.leading(order)[0] for g in basis]
 
     def entry(i, j):
@@ -287,7 +284,7 @@ def test_s_polynomial_and_normal_form_match_oracle_on_monic_inputs():
     for f, g in itertools.combinations(basis, 2):
         assert poly.s_polynomial(f, g, GREVLEX) == _oracle_s_polynomial(f, g, GREVLEX)
     for _ in range(20):
-        f = Polynomial.zero(3, 6)
+        f = Polynomial.zero(3)
         for _ in range(rng.randint(1, 5)):
             exp = [rng.randint(0, 3) for _ in range(3)]
             f = f + Polynomial.monomial(3, exp, Cyclotomic.zeta(6, rng.randint(0, 5)))
@@ -471,3 +468,94 @@ def test_module_pairs_skip_no_coprime_leads():
     assert basis == [{(0, 1, 0, 1): 1}, g, f]
     expect, _ = _oracle_module_groebner([_untag(f, 2), _untag(g, 2)])
     assert [_untag(b, 2) for b in basis] == expect
+
+
+# ---------------------------------------------------------------------------
+# Mixed coefficient fields: each Cyclotomic lifts mixed orders to their lcm
+# itself, so every operation must agree with the same inputs lifted to
+# Q(zeta_12) first.
+
+MIXED_ORDERS = (1, 2, 3, 4, 6, 12)
+
+
+def _lift12(p):
+    return Polynomial(p.nvars, {e: c.lift(12) for e, c in p.terms.items()})
+
+
+def _mixed_coefficient(rng):
+    e = rng.choice(MIXED_ORDERS)
+    scale = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+    return Cyclotomic.zeta(e, rng.randrange(e)) * scale + rng.randint(-1, 1)
+
+
+def _mixed_polynomial(rng, nvars, size):
+    return Polynomial(nvars, {tuple(rng.randint(0, 2) for _ in range(nvars)):
+                              _mixed_coefficient(rng) for _ in range(size)})
+
+
+def _mixed_binomial(rng, nvars):
+    lead, tail = (tuple(rng.randint(0, 2) for _ in range(nvars)) for _ in range(2))
+    e = rng.choice(MIXED_ORDERS)
+    return Polynomial.monomial(nvars, lead) - \
+        Polynomial.monomial(nvars, tail, Cyclotomic.zeta(e, rng.randrange(e)))
+
+
+def test_mixed_field_arithmetic_agrees_with_lifting_first():
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(40):
+        f, g = _mixed_polynomial(rng, 2, 3), _mixed_polynomial(rng, 2, 3)
+        seen |= {c.order for p in (f, g) for c in p.terms.values()}
+        F, G = _lift12(f), _lift12(g)
+        for got, want in ((f + g, F + G), (f - g, F - G), (f * g, F * G), (f * 3, F * 3)):
+            assert _lift12(got).terms == want.terms
+            assert got == want
+            assert polynomial_to_text(got) == polynomial_to_text(want)
+        assert f == F and (f == g) == (F == G) and f != f + 1
+        assert polynomial_to_text(f) == polynomial_to_text(F)
+    assert seen == set(MIXED_ORDERS)
+
+
+def test_mixed_field_groebner_agrees_with_lifting_first():
+    rng = random.Random(4)
+    seen, unequal = set(), 0
+    for _ in range(12):
+        gens = [_mixed_binomial(rng, 3) for _ in range(rng.randint(2, 3))]
+        seen |= {c.order for g in gens for c in g.terms.values()}
+        lifted = [_lift12(g) for g in gens]
+        basis, lifted_basis = poly.buchberger(gens), poly.buchberger(lifted)
+        # one lift at the entry: the whole basis lives in one field
+        assert len({c.order for b in basis for c in b.terms.values()}) <= 1
+        assert [_lift12(b).terms for b in basis] == [b.terms for b in lifted_basis]
+        assert [polynomial_to_text(b) for b in basis] == \
+            [polynomial_to_text(b) for b in lifted_basis]
+        assert ideal_equal(groebner_ideal(gens), groebner_ideal(lifted))
+        f = _mixed_polynomial(rng, 3, 4)
+        assert _lift12(poly.normal_form(f, basis, GREVLEX)).terms == \
+            poly.normal_form(_lift12(f), lifted_basis, GREVLEX).terms
+        first = groebner_ideal(gens[:1])
+        same = all(ideal_member(g, first) for g in gens[1:])
+        assert ideal_equal(first, groebner_ideal(lifted)) == same
+        unequal += not same
+    assert seen == set(MIXED_ORDERS) and unequal
+
+
+ZETA3_PLUS_ZETA8 = (
+    "from tgkz.cyclotomic import Cyclotomic\n"
+    "from tgkz.poly import Polynomial, polynomial_to_text\n"
+    "p = Polynomial.constant(1, Cyclotomic.zeta(3)) + "
+    "Polynomial.monomial(1, (1,), Cyclotomic.zeta(8))\n"
+    "print(polynomial_to_text(p))\n")
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_sum_over_coprime_fields(flags):
+    # the constant in Q(zeta_3) and the term in Q(zeta_8) keep their fields
+    res = subprocess.run([sys.executable, *flags, "-c", ZETA3_PLUS_ZETA8],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "zeta(8)*d1 + zeta(3)\n"
+    p = Polynomial.constant(1, Cyclotomic.zeta(3)) + \
+        Polynomial.monomial(1, (1,), Cyclotomic.zeta(8))
+    assert p - Polynomial.monomial(1, (1,), Cyclotomic.zeta(8)) == \
+        Polynomial.constant(1, Cyclotomic.zeta(24, 8))
