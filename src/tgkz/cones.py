@@ -9,13 +9,14 @@ only needed for reproducibility of candidate boxes downstream.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from . import fieldlin
 from .cyclotomic import Cyclotomic
-from .errors import EmptyConeError, NotPointedError
-from .lattice import (AbelianGroup, Functional, GroupElement, IntMatrix,
-                      INFINITE, lattice_index, rank, smith_normal_form)
+from .errors import EmptyConeError, HypothesisError, NotPointedError
+from .lattice import (AbelianGroup, Functional, GroupElement, IntMatrix, INFINITE,
+                      kernel_basis, lattice_index, rank, smith_normal_form)
 
 
 @dataclass(frozen=True)
@@ -82,12 +83,6 @@ def placing_triangulation(vectors):
         rows = [[Fraction(vectors[b][i]) for b in basis_idx] for i in range(len(v))]
         return fieldlin.solve_unique(rows, [Fraction(x) for x in v])
 
-    def recompute_coords(active):
-        coords.clear()
-        for j in active:
-            coords[j] = express(vectors[j])
-            assert coords[j] is not None
-
     placed = []
     for idx, v in enumerate(vectors):
         assert any(x != 0 for x in v), "zero vector has no ray"
@@ -103,7 +98,8 @@ def placing_triangulation(vectors):
             simplices = [s + (idx,) for s in simplices]
             basis_idx.append(idx)
             placed.append(idx)
-            recompute_coords(placed)
+            coords = {j: express(vectors[j]) for j in placed}
+            assert None not in coords.values()
             continue
         coords[idx] = lam
         r = len(basis_idx)
@@ -128,16 +124,19 @@ def placing_triangulation(vectors):
     return simplices, len(basis_idx)
 
 
+@lru_cache(maxsize=16)
 def cone_triangulation(config: PointConfig):
     """Maximal simplicial subcones (as tuples of free-column vectors) covering
-    the cone, from the placing triangulation of the distinct nonzero columns."""
+    the cone, from the placing triangulation of the distinct nonzero columns
+    (which must span the free part: each simplex carries a box)."""
     vecs = config.nonzero_free_columns()
     if not vecs:
         raise EmptyConeError("all columns have zero free part")
     simplices, rk = placing_triangulation(vecs)
-    maximal = [tuple(vecs[i] for i in s) for s in simplices if len(s) == rk]
-    assert maximal, "triangulation produced no maximal simplices"
-    return maximal, rk
+    if rk != config.d:
+        raise HypothesisError("columns must span the free part rationally",
+                              d=config.d, rank=rk)
+    return tuple(tuple(vecs[i] for i in s) for s in simplices)
 
 
 def normalized_volume(config: PointConfig) -> int:
@@ -178,7 +177,6 @@ def facets(config: PointConfig):
         consider((1,))
         consider((-1,))
     else:
-        from .lattice import kernel_basis
         for subset in combinations(cols, d - 1):
             if rank(subset) != d - 1:
                 continue
@@ -195,6 +193,7 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+@lru_cache(maxsize=16)
 def is_pointed(config: PointConfig) -> bool:
     """True iff some rational functional is strictly positive on every
     nonzero pi(a_j); equivalently 0 is not in conv of the nonzero columns."""

@@ -299,11 +299,6 @@ def hermite_coordinates(v, hrows):
     return None if any(w) else tuple(y)
 
 
-def express_in_rows(v, rows):
-    """Integer coefficients c with sum(c_i * rows_i) = v, or None."""
-    return _untransform(v, *hnf_with_transform(rows))
-
-
 def _untransform(v, h, t):
     """Coordinates of v on the rows that T * rows = H came from, or None."""
     y = hermite_coordinates(v, h)

@@ -9,7 +9,8 @@ triangulation.
 
 Cone tests use the facet functionals as cached primitive integer rows
 (`_facet_rows`): v is in K when every dot product is >= 0, in the interior
-when every one is >= 1.  Box points come from the Smith form in integers.
+when every one is >= 1.  Box points come from the Smith form in integers
+and are streamed: each b + o is tested on the values of b plus those of o.
 """
 
 import math
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import add, mul
+from operator import add, ge, mul
 
 from .cones import PointConfig, cone_triangulation, facets, is_pointed
 from .errors import BoxScanIncompleteError, NotPointedError, SpecError
@@ -146,14 +147,16 @@ def member_semigroup(config: PointConfig, t) -> bool:
 # primitive generating sets
 
 
-def _box_points(simplex, scales):
-    """Lattice points of {sum mu_j v_j : 0 <= mu_j < scales[j]} for linearly
-    independent integer vectors v_j spanning Z^d rationally.
+def _box_points(simplex, scales, rows, floor):
+    """Lattice points b + o of {sum mu_j v_j : 0 <= mu_j < scales[j]} for
+    linearly independent integer vectors v_j spanning Z^d rationally, yielded
+    one at a time as (b, o, values) when values = rows . (b + o) >= floor.
 
-    One representative per residue class of Z^d modulo the sublattice the
-    vectors span, translated into the fundamental box, then shifted by all
-    nonnegative integer combinations k with k_j < scales[j].  If U M V = D is
-    the Smith form of M = (v_1 ... v_d), the class of U^-1 r has coordinates
+    b is one representative per residue class of Z^d modulo the sublattice
+    the vectors span, in the fundamental box, and o = sum k_j v_j with
+    0 <= k_j < scales[j].  Values are linear, so each candidate is tested on
+    the values of b plus those of o, each taken once.  If U M V = D is the
+    Smith form of M = (v_1 ... v_d), the class of U^-1 r has coordinates
     mu = M^-1 U^-1 r = V D^-1 r and point M frac(mu), both times |det M|.
     """
     d = len(simplex)
@@ -173,28 +176,32 @@ def _box_points(simplex, scales):
         raise BoxScanIncompleteError(
             "box representatives do not cover the residue classes",
             simplex=simplex, expected=vol, found=len(base))
-    offsets = [_values(m_rows, k) for k in product(*map(range, scales))]
-    return {tuple(map(add, b, o)) for b in base for o in offsets}
+    offsets = [(o, _values(rows, o))
+               for o in (_values(m_rows, k) for k in product(*map(range, scales)))]
+    for b in base:
+        at_b = _values(rows, b)
+        for o, at_o in offsets:
+            values = tuple(map(add, at_b, at_o))
+            if all(map(ge, values, floor)):
+                yield b, o, values
 
 
 def _primitive_degrees(module: SemigroupModule, scale):
     """Free degrees of the box candidates that lie in the module and stay
-    irreducible.  Facet values are linear, so v - c leaves the module exactly
-    when some tau(v) - tau(c) drops below the module's bound."""
+    irreducible, sorted.  Facet values are linear, so v - c stays in the
+    module exactly when every tau(v) >= tau(c) + low, the floor of c."""
     config = module.config
     rows = _facet_rows(config)
     low = _LOW[module.kind]
-    tri, rk = cone_triangulation(config)
-    assert rk == config.d, "columns must span the free part rationally"
-    candidates = set().union(*(_box_points(s, [scale] * config.d) for s in tri))
-    shifts = {_values(rows, c.free) for c in _distinct_nonunit_columns(config)}
-    out = []
-    for v in sorted(candidates):
-        values = _values(rows, v)
-        if min(values) >= low and not any(
-                all(a - b >= low for a, b in zip(values, s)) for s in shifts):
-            out.append(v)
-    return tuple(out)
+    floors = [tuple(x + low for x in _values(rows, c.free))
+              for c in _distinct_nonunit_columns(config)]
+    member = (low,) * len(rows)
+    kept = set()
+    for simplex in cone_triangulation(config):
+        for b, o, values in _box_points(simplex, [scale] * config.d, rows, member):
+            if not any(all(map(ge, values, f)) for f in floors):
+                kept.add(tuple(map(add, b, o)))
+    return tuple(sorted(kept))
 
 
 def module_generators(module: SemigroupModule) -> PrimitiveSet:
@@ -247,28 +254,25 @@ def primitive_elements(module: SemigroupModule) -> PrimitiveSet:
 
 def cone_points_up_to(config: PointConfig, height, bound):
     """Free-part lattice points of the cone with height(v) <= bound, where
-    `height` is a functional >= 1 on every nonzero column."""
-    rows = _facet_rows(config)
-    tri, rk = cone_triangulation(config)
-    assert rk == config.d
+    `height` is a functional >= 1 on every nonzero column; -den * height,
+    den clearing its denominators, is tested as one more row."""
+    den = math.lcm(*(Fraction(c).denominator for c in height.free_part))
+    rows = _facet_rows(config) + (tuple(int(-den * c) for c in height.free_part),)
+    floor = (0,) * (len(rows) - 1) + (-math.floor(den * Fraction(bound)),)
     out = set()
-    for simplex in tri:
+    for simplex in cone_triangulation(config):
         scales = [math.floor(Fraction(bound) / height(v)) + 2 for v in simplex]
-        out.update(x for x in _box_points(simplex, scales)
-                   if height(x) <= bound and _in_cone(rows, x))
+        out.update(tuple(map(add, b, o))
+                   for b, o, _ in _box_points(simplex, scales, rows, floor))
     return sorted(out)
 
 
 def elements_with_height_at_most(module: SemigroupModule, height, bound):
     """All module elements t with height(free part of t) <= bound, every
     torsion fiber included; sorted."""
-    config = module.config
-    pts = cone_points_up_to(config, height, bound)
-    out = []
-    for v in pts:
-        for f in config.group.torsion_elements():
-            t = config.group.element(f.torsion, v)
-            if membership(t, module):
-                out.append(t)
-    out.sort(key=lambda e: e.sort_key())
-    return out
+    group = module.config.group
+    fibers = (group.element(f.torsion, v)
+              for v in cone_points_up_to(module.config, height, bound)
+              for f in group.torsion_elements())
+    return sorted((t for t in fibers if membership(t, module)),
+                  key=lambda e: e.sort_key())

@@ -112,7 +112,8 @@ class WeylElement:
 
     def __pow__(self, k):
         k = int(k)
-        assert k >= 0
+        if k < 0:
+            raise ValueError(f"negative power {k}")
         out = WeylElement.constant(self.nvars, 1)
         for _ in range(k):
             out = out * self

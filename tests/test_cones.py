@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from conftest import make_config
+from tgkz import cones
 from tgkz.cones import (
     Arrangement,
     AffinePiece,
@@ -138,9 +139,35 @@ def test_is_pointed():
                                            ((), (0, 1))]))
 
 
+def test_is_pointed_runs_once_per_config(monkeypatch, battery):
+    calls = []
+    real = cones.fieldlin.solve_unique
+    monkeypatch.setattr(cones.fieldlin, "solve_unique",
+                        lambda rows, rhs: calls.append(rows) or real(rows, rhs))
+    is_pointed.cache_clear()
+    for config in battery:
+        assert is_pointed(config)
+        first = len(calls)
+        assert first > 0
+        # an equal config built anew, and every caller, hit the same entry
+        again = make_config(config.group.torsion_orders,
+                            [(c.torsion, c.free) for c in config.columns])
+        assert is_pointed(again)
+        check_hypotheses(again)
+        positive_grading(again)
+        face_lattice(again)
+        assert len(calls) == first
+        calls.clear()
+    assert is_pointed.cache_parameters()["maxsize"] == 16
+    for k in range(1, 40):  # more configs than the cache holds
+        is_pointed(make_config([], [((), (1, 0)), ((), (1, k))]))
+    assert is_pointed.cache_info().currsize == 16
+
+
 def test_cone_triangulation_covers(plane_segment):
-    simplices, rk = cone_triangulation(plane_segment)
-    assert rk == 2
+    simplices = cone_triangulation(plane_segment)
+    assert all(len(s) == 2 for s in simplices)  # each spans the plane
+    assert cone_triangulation(plane_segment) is simplices  # once per config
     assert sorted(tuple(v) for s in simplices for v in s) == \
         [(1, 0), (1, 1), (1, 1), (1, 2)]
 

@@ -15,8 +15,8 @@ from tgkz.lattice import (
     GroupElement,
     IntMatrix,
     express_in_columns,
-    express_in_rows,
     hnf_rows,
+    hnf_with_transform,
     is_hermite,
     kernel_basis,
     kernel_lattice,
@@ -150,6 +150,12 @@ def test_lattice_index_values():
     g2 = AbelianGroup((), 1)
     assert lattice_index([g2.element((), (2,))], g2) == 2
     assert lattice_index([g2.element((), (0,))], g2) is INFINITE
+
+
+def express_in_rows(v, rows):
+    """Integer coefficients c with sum(c_i * rows_i) = v, or None: a
+    reference that reduces the rows afresh on every call."""
+    return lattice._untransform(v, *hnf_with_transform(rows))
 
 
 def test_express_in_rows():

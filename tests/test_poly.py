@@ -559,3 +559,19 @@ def test_sum_over_coprime_fields(flags):
         Polynomial.monomial(1, (1,), Cyclotomic.zeta(8))
     assert p - Polynomial.monomial(1, (1,), Cyclotomic.zeta(8)) == \
         Polynomial.constant(1, Cyclotomic.zeta(24, 8))
+
+
+NEGATIVE_POWERS = (
+    "from tgkz.poly import Polynomial\n"
+    "from tgkz.weyl import WeylElement\n"
+    "for base, k in ((Polynomial.variable(0, 1), -1), (WeylElement.d(0, 1), -2)):\n"
+    "    try:\n        print(base ** k)\n"
+    "    except ValueError as exc:\n        print(exc)\n")
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_negative_powers_raise_value_error(flags):
+    res = subprocess.run([sys.executable, *flags, "-c", NEGATIVE_POWERS],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["negative power -1", "negative power -2"]

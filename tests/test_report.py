@@ -25,6 +25,7 @@ PRESENTATION_JOBS = (
     (BENCH / "specs", "cube3", "dual"), (BENCH / "specs", "mod2_plane", "system"),
     (BENCH / "specs", "mod3_line", "dual"),
 )
+GEOMETRY_SPECS = ("prism6_int", "prism8_int", "prism8_t2", "hex4")
 
 
 def test_unknown_command_rejected():
@@ -106,6 +107,18 @@ def test_presentation_reports_match_benchmark_references(folder, name, command):
     references stored with the benchmark (read, never written)."""
     references = json.loads((BENCH / "references.json").read_text(encoding="utf-8"))
     spec = parse_spec((folder / f"{name}.json").read_text(encoding="utf-8"))
+    text = render(run_command(spec, command))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == references[f"{name}:{command}"]
+
+
+@pytest.mark.parametrize("command", ["check", "module", "rank"])
+@pytest.mark.parametrize("name", GEOMETRY_SPECS)
+def test_geometry_reports_match_benchmark_references(name, command):
+    """The reports of the benchmark's geometry jobs hash to the references
+    stored with the benchmark (read, never written)."""
+    references = json.loads((BENCH / "references.json").read_text(encoding="utf-8"))
+    spec = parse_spec((BENCH / "specs" / f"{name}.json").read_text(encoding="utf-8"))
     text = render(run_command(spec, command))
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == references[f"{name}:{command}"]

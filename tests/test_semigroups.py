@@ -1,7 +1,10 @@
 import dataclasses
 import itertools
 import math
+import operator
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -10,8 +13,8 @@ import pytest
 from conftest import make_config
 from tgkz import fieldlin, semigroups
 from tgkz.cones import cone_triangulation, facets, positive_grading
-from tgkz.errors import BoxScanIncompleteError, SpecError
-from tgkz.lattice import IntMatrix, smith_normal_form
+from tgkz.errors import BoxScanIncompleteError, HypothesisError, SpecError
+from tgkz.lattice import Functional, IntMatrix, smith_normal_form
 from tgkz.semigroups import (
     EXPLICIT,
     K,
@@ -20,6 +23,7 @@ from tgkz.semigroups import (
     SemigroupModule,
     _box_points,
     _primitive_degrees,
+    cone_points_up_to,
     elements_with_height_at_most,
     member_semigroup,
     membership,
@@ -240,7 +244,7 @@ def _fraction_in_module(v, kind, taus):
 def _fraction_primitive_degrees(module, scale):
     config, kind = module.config, module.kind
     taus = facets(config)
-    tri, _ = cone_triangulation(config)
+    tri = cone_triangulation(config)
     candidates = set().union(*(_fraction_box_points(s, scale) for s in tri))
     nonunit = {c.free for c in config.columns if not c.has_finite_order()}
     return tuple(
@@ -270,17 +274,34 @@ def _square_prism(orders):
                                 for t, p in zip(torsion, points)])
 
 
+def _streamed(simplex, scale, rows, floor):
+    """The streamed box scan as {point: values}, each point yielded once."""
+    out = {}
+    for b, o, values in _box_points(simplex, [scale] * len(simplex), rows, floor):
+        point = tuple(map(operator.add, b, o))
+        assert point not in out
+        out[point] = values
+    return out
+
+
 def test_integer_kernel_matches_fraction_scan(battery):
     configs = battery + [_square_prism([]), _square_prism([2])]
     for cfg in configs:
-        tri, _ = cone_triangulation(cfg)
+        tri = cone_triangulation(cfg)
+        taus = facets(cfg)
+        rows = semigroups._facet_rows(cfg)
         for simplex in tri:
             for scale in (1, 2):
-                assert _box_points(simplex, [scale] * cfg.d) == \
-                    _fraction_box_points(simplex, scale), (cfg, simplex)
+                box = _fraction_box_points(simplex, scale)
+                assert set(_streamed(simplex, scale, (), ())) == box, (cfg, simplex)
+                for low in (0, 1):  # the cone, then its interior
+                    streamed = _streamed(simplex, scale, rows, (low,) * len(rows))
+                    assert streamed == {
+                        v: tuple(tau(v) for tau in taus) for v in box
+                        if all(tau(v) >= low for tau in taus)}, (cfg, simplex)
         for kind in (K, K_INTERIOR):
             mod = SemigroupModule(kind, cfg)
-            for scale in (1, 3):  # module_generators covers 2 and 4
+            for scale in (1, 2, 3, 4):
                 assert _primitive_degrees(mod, scale) == \
                     _fraction_primitive_degrees(mod, scale), (cfg, kind)
             prim = module_generators(mod)
@@ -290,9 +311,9 @@ def test_integer_kernel_matches_fraction_scan(battery):
 def _drop_smallest_at_unit_scale(monkeypatch):
     original = semigroups._box_points
 
-    def lossy(simplex, scales):
-        points = original(simplex, scales)
-        return points - {min(points)} if max(scales) == 1 else points
+    def lossy(simplex, scales, rows, floor):
+        found = sorted(original(simplex, scales, rows, floor))  # by point at unit scale
+        return found[1:] if max(scales) == 1 else found
     monkeypatch.setattr(semigroups, "_box_points", lossy)
 
 
@@ -311,9 +332,53 @@ def test_box_representative_count_is_checked(monkeypatch):
                                    V=IntMatrix.from_rows([[0, 0], [0, 0]]))
     monkeypatch.setattr(semigroups, "smith_normal_form", broken)
     with pytest.raises(BoxScanIncompleteError) as info:
-        _box_points(((1, 0), (1, 2)), [1, 1])
+        list(_box_points(((1, 0), (1, 2)), [1, 1], (), ()))
     assert info.value.context["expected"] == 2
     assert info.value.context["found"] == 1
+
+
+def test_cone_points_match_brute_force(battery):
+    configs = battery + [_square_prism([]), _square_prism([2])]
+    for cfg in configs:
+        taus = facets(cfg)
+        grading = positive_grading(cfg)
+        halves = Functional(tuple(Fraction(3, 2) * c for c in grading.free_part))
+        reach = max(abs(x) for c in cfg.columns for x in c.free)
+        for height, bound in ((grading, 3), (halves, Fraction(7, 2))):
+            # a cone point of height <= bound is a combination of columns
+            # with coefficient sum <= bound, so its entries are small
+            box = itertools.product(range(-3 * reach, 3 * reach + 1), repeat=cfg.d)
+            expected = [v for v in box if height(v) <= bound
+                        and all(tau(v) >= 0 for tau in taus)]
+            assert cone_points_up_to(cfg, height, bound) == expected, (cfg, height)
+
+
+NOT_SPANNING = (
+    "from tgkz.cones import PointConfig\n"
+    "from tgkz.errors import HypothesisError\n"
+    "from tgkz.lattice import AbelianGroup, Functional\n"
+    "from tgkz.semigroups import K, SemigroupModule, cone_points_up_to, module_generators\n"
+    "group = AbelianGroup((), 2)\n"
+    "config = PointConfig(group, (group.element((), (1, 0)), group.element((), (2, 0))))\n"
+    "for call in (lambda: module_generators(SemigroupModule(K, config)),\n"
+    "             lambda: cone_points_up_to(config, Functional.of((1, 0)), 3)):\n"
+    "    try:\n        call()\n"
+    "    except HypothesisError as exc:\n        print(exc.code, sorted(exc.context.items()))\n")
+
+
+def test_non_spanning_box_scan_raises_typed_error():
+    config = make_config([], [((), (1, 0)), ((), (2, 0))])
+    for call in (lambda: module_generators(SemigroupModule(K, config)),
+                 lambda: cone_points_up_to(config, Functional.of((1, 0)), 3)):
+        with pytest.raises(HypothesisError) as info:
+            call()
+        assert info.value.code == "HYPOTHESIS_FAILED"
+        assert info.value.context == {"d": 2, "rank": 1}
+    # under -O an assert would vanish and the box scan fail elsewhere
+    res = subprocess.run([sys.executable, "-O", "-c", NOT_SPANNING],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["HYPOTHESIS_FAILED [('d', 2), ('rank', 1)]"] * 2
 
 
 # ---------------------------------------------------------------------------
