@@ -1,22 +1,24 @@
 """Polyhedral geometry of a point configuration in N = F (+) Z^d.
 
-Everything runs on the free parts pi(a_j) in Z^d with exact arithmetic.
-Zero free-part columns are invisible to the cone; they come back as
-semigroup units.  The triangulation is the incremental lexicographic
-(placing) one; any triangulation gives the same volume, so canonicity is
-only needed for reproducibility of candidate boxes downstream.
+Everything runs on the free parts pi(a_j) in Z^d; zero free-part columns
+come back as semigroup units.  The cone kernel is integer: facets are
+primitive integer rows (`facet_rows`, once per config), pointedness is the
+sum of the facet normals being positive on the columns, and the placing
+triangulation tests rank by Hermite form and visibility by integer minors.
+Any triangulation gives the same volume, so canonicity is only needed for
+reproducibility of candidate boxes downstream.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from . import fieldlin
 from .cyclotomic import Cyclotomic
 from .errors import EmptyConeError, HypothesisError, NotPointedError
-from .lattice import (AbelianGroup, Functional, GroupElement, IntMatrix, INFINITE,
-                      kernel_basis, lattice_index, rank, smith_normal_form)
+from .lattice import (AbelianGroup, Functional, IntMatrix, hnf_rows, kernel_basis,
+                      lattice_index, rank, smith_normal_form)
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,16 @@ class PointConfig:
 # placing triangulation
 
 
+def _pivot_columns(vectors):
+    """Pivot columns of the Hermite form of integer `vectors`; on them the
+    vectors' rational span projects isomorphically onto Q^rank."""
+    return tuple(next(j for j, x in enumerate(row) if x) for row in hnf_rows(vectors))
+
+
+def _minor(rows, pivots):
+    return IntMatrix.from_rows([[r[p] for p in pivots] for r in rows]).det()
+
+
 def placing_triangulation(vectors):
     """Incremental placing triangulation of the cone over `vectors`.
 
@@ -73,55 +85,35 @@ def placing_triangulation(vectors):
     each simplex is a tuple of indices into `vectors` and all simplices have
     exactly `rank` members.  New vectors inside the current cone add nothing;
     vectors raising the linear rank cone over every existing simplex; other
-    outside vectors cone over the strictly visible boundary faces.
+    outside vectors cone over the strictly visible boundary faces: the new
+    vector and the opposite vertex give integer minors of opposite sign on the
+    span's pivot columns (basis-coordinate determinants times one factor).
     """
     simplices = []
-    basis_idx = []
-    coords = {}  # index -> coordinates w.r.t. the current basis
-
-    def express(v):
-        rows = [[Fraction(vectors[b][i]) for b in basis_idx] for i in range(len(v))]
-        return fieldlin.solve_unique(rows, [Fraction(x) for x in v])
-
-    placed = []
+    basis = []
+    pivots = ()
     for idx, v in enumerate(vectors):
-        assert any(x != 0 for x in v), "zero vector has no ray"
-        if not basis_idx:
-            basis_idx.append(idx)
-            simplices = [(idx,)]
-            placed.append(idx)
-            coords[idx] = (Fraction(1),)
-            continue
-        lam = express(v)
-        if lam is None:
+        if not any(v):
+            raise ValueError("zero vector has no ray")
+        grown = _pivot_columns(basis + [v])
+        if len(grown) > len(basis):
             # rank jump: cone every simplex over the new vector
-            simplices = [s + (idx,) for s in simplices]
-            basis_idx.append(idx)
-            placed.append(idx)
-            coords = {j: express(vectors[j]) for j in placed}
-            assert None not in coords.values()
+            simplices = [s + (idx,) for s in simplices] or [(idx,)]
+            basis.append(v)
+            pivots = grown
             continue
-        coords[idx] = lam
-        r = len(basis_idx)
-        face_count = {}
-        face_opp = {}
+        opposite = {}  # face -> the other vertex of its simplex, None if two share it
         for s in simplices:
             for i in range(len(s)):
                 face = s[:i] + s[i + 1:]
-                face_count[face] = face_count.get(face, 0) + 1
-                face_opp[face] = s[i]
-        fresh = []
-        for face, cnt in face_count.items():
-            if cnt != 1:
+                opposite[face] = None if face in opposite else s[i]
+        for face, opp in opposite.items():
+            if opp is None:
                 continue
-            rows = [list(coords[f]) for f in face]
-            s_side = fieldlin.determinant(rows + [list(coords[face_opp[face]])]) if r > 0 else 0
-            p_side = fieldlin.determinant(rows + [list(lam)])
-            if s_side != 0 and p_side != 0 and (s_side > 0) != (p_side > 0):
-                fresh.append(tuple(sorted(face + (idx,))))
-        simplices.extend(fresh)
-        placed.append(idx)
-    return simplices, len(basis_idx)
+            rows = [vectors[f] for f in face]
+            if _minor(rows + [vectors[opp]], pivots) * _minor(rows + [v], pivots) < 0:
+                simplices.append(tuple(sorted(face + (idx,))))
+    return simplices, len(basis)
 
 
 @lru_cache(maxsize=16)
@@ -139,6 +131,7 @@ def cone_triangulation(config: PointConfig):
     return tuple(tuple(vecs[i] for i in s) for s in simplices)
 
 
+@lru_cache(maxsize=16)
 def normalized_volume(config: PointConfig) -> int:
     """Normalized lattice volume of conv({0} cup pi(cal A)); unit simplex = 1."""
     pts = sorted({(0,) * config.d} | {c.free for c in config.columns})
@@ -146,30 +139,23 @@ def normalized_volume(config: PointConfig) -> int:
     simplices, rk = placing_triangulation(vectors)
     if rk < config.d + 1:
         return 0
-    total = 0
-    for s in simplices:
-        if len(s) == config.d + 1:
-            m = IntMatrix.from_rows([vectors[i] for i in s])
-            total += abs(m.det())
-    return total
+    return sum(abs(IntMatrix.from_rows([vectors[i] for i in s]).det())
+               for s in simplices)
 
 
 # ---------------------------------------------------------------------------
 # facets and faces
 
 
-def facets(config: PointConfig):
-    """Primitive integer functionals nonnegative on the cone and vanishing on
-    a (d-1)-dimensional subset of it, lexicographically sorted."""
-    cols = config.nonzero_free_columns()
-    if not cols:
-        raise EmptyConeError("all columns have zero free part")
-    d = config.d
+def _facet_normals(vectors, d):
+    """Primitive integer normals of the facets of the cone over the nonzero
+    integer `vectors` in Q^d, lexicographically sorted: nonnegative on every
+    vector and vanishing on a rank d-1 subset of them."""
     found = set()
 
     def consider(tau):
-        if all(_dot(tau, c) >= 0 for c in cols):
-            vanish = [c for c in cols if _dot(tau, c) == 0]
+        if all(_dot(tau, c) >= 0 for c in vectors):
+            vanish = [c for c in vectors if _dot(tau, c) == 0]
             if rank(vanish) == d - 1:
                 found.add(tau)
 
@@ -177,7 +163,7 @@ def facets(config: PointConfig):
         consider((1,))
         consider((-1,))
     else:
-        for subset in combinations(cols, d - 1):
+        for subset in combinations(vectors, d - 1):
             if rank(subset) != d - 1:
                 continue
             kern = kernel_basis(IntMatrix.from_rows(subset))
@@ -186,7 +172,7 @@ def facets(config: PointConfig):
             tau = tuple(kern.row(0))
             consider(tau)
             consider(tuple(-x for x in tau))
-    return tuple(Functional.of(t) for t in sorted(found))
+    return tuple(sorted(found))
 
 
 def _dot(a, b):
@@ -194,22 +180,36 @@ def _dot(a, b):
 
 
 @lru_cache(maxsize=16)
+def facet_rows(config: PointConfig):
+    """The facet functionals as primitive integer rows, once per config."""
+    cols = config.nonzero_free_columns()
+    if not cols:
+        raise EmptyConeError("all columns have zero free part")
+    return _facet_normals(cols, config.d)
+
+
+def facets(config: PointConfig):
+    """Primitive integer functionals nonnegative on the cone and vanishing on
+    a (d-1)-dimensional subset of it, lexicographically sorted."""
+    return tuple(Functional.of(t) for t in facet_rows(config))
+
+
+@lru_cache(maxsize=16)
 def is_pointed(config: PointConfig) -> bool:
     """True iff some rational functional is strictly positive on every
-    nonzero pi(a_j); equivalently 0 is not in conv of the nonzero columns."""
+    nonzero pi(a_j).  On the pivot columns of their Hermite form the nonzero
+    columns span Q^r and their cone is full-dimensional, so it is pointed
+    exactly when the sum of its facet normals is positive on every column."""
     cols = config.nonzero_free_columns()
     if not cols:
         return True
-    d = config.d
-    for size in range(1, min(len(cols), d + 1) + 1):
-        for subset in combinations(cols, size):
-            rows = [[Fraction(v[i]) for v in subset] for i in range(d)]
-            rows.append([Fraction(1)] * size)
-            rhs = [Fraction(0)] * d + [Fraction(1)]
-            lam = fieldlin.solve_unique(rows, rhs)
-            if lam is not None and all(x >= 0 for x in lam):
-                return False
-    return True
+    pivots = _pivot_columns(cols)
+    cols = [tuple(c[p] for p in pivots) for c in cols]
+    # spanning columns have pivots 0..d-1: the cone's own facet rows serve
+    normals = facet_rows(config) if len(pivots) == config.d \
+        else _facet_normals(cols, len(pivots))
+    h = [sum(column) for column in zip(*normals)]
+    return all(_dot(h, c) > 0 for c in cols)
 
 
 @dataclass(frozen=True)
@@ -280,12 +280,10 @@ def positive_grading(config: PointConfig) -> Functional:
     torsion columns, >= 1 on every column with nonzero free part."""
     if not is_pointed(config):
         raise NotPointedError("positive grading requires a pointed cone")
-    taus = facets(config)
-    h = tuple(sum(t.free_part[i] for t in taus) for i in range(config.d))
-    fn = Functional(h)
-    for c in config.nonzero_free_columns():
-        if fn(c) < 1:
-            raise NotPointedError("no strictly positive integral grading found")
+    # the zero row keeps d entries when rank-deficient columns have no facet
+    fn = Functional.of(map(sum, zip((0,) * config.d, *facet_rows(config))))
+    if any(fn(c) < 1 for c in config.nonzero_free_columns()):
+        raise NotPointedError("no strictly positive integral grading found")
     return fn
 
 

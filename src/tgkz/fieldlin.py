@@ -96,7 +96,8 @@ def determinant(rows):
     n = len(m)
     if n == 0:
         return Fraction(1)
-    assert all(len(r) == n for r in m)
+    if any(len(r) != n for r in m):
+        raise ValueError("determinant of non-square matrix")
     det = None
     sign = 1
     for c in range(n):

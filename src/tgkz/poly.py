@@ -237,7 +237,8 @@ class Polynomial:
         return self.map_exponents(lambda e: e + (0,) * extra, self.nvars + extra)
 
     def drop_last_vars(self, count):
-        assert all(all(x == 0 for x in e[self.nvars - count:]) for e in self.terms)
+        if any(any(e[self.nvars - count:]) for e in self.terms):
+            raise ValueError(f"cannot drop variables that occur in {polynomial_to_text(self)}")
         return self.map_exponents(lambda e: e[:self.nvars - count], self.nvars - count)
 
     def sorted_terms(self, order=GREVLEX, reverse=True):

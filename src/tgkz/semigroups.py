@@ -7,10 +7,11 @@ an exact membership test and a finite primitive generating set obtained by
 Caratheodory reduction into half-open parallelepiped boxes over a placing
 triangulation.
 
-Cone tests use the facet functionals as cached primitive integer rows
-(`_facet_rows`): v is in K when every dot product is >= 0, in the interior
-when every one is >= 1.  Box points come from the Smith form in integers
-and are streamed: each b + o is tested on the values of b plus those of o.
+Cone tests use the integer cone kernel's facet rows (`cones.facet_rows`,
+primitive, once per config): v is in K when every dot product is >= 0, in
+the interior when every one is >= 1.  Box points come from the Smith form
+in integers and are streamed: each b + o is tested on the values of b plus
+those of o.
 """
 
 import math
@@ -20,7 +21,7 @@ from functools import lru_cache
 from itertools import product
 from operator import add, ge, mul
 
-from .cones import PointConfig, cone_triangulation, facets, is_pointed
+from .cones import PointConfig, cone_triangulation, facet_rows, is_pointed
 from .errors import BoxScanIncompleteError, NotPointedError, SpecError
 from .lattice import IntMatrix, smith_normal_form
 
@@ -45,7 +46,7 @@ class SemigroupModule:
         if self.kind == EXPLICIT:
             if not self.explicit_generators:
                 raise ValueError("explicit module needs at least one generator")
-            rows = _facet_rows(self.config)
+            rows = facet_rows(self.config)
             for g in self.explicit_generators:
                 if g.group != self.config.group:
                     raise ValueError("generator outside the ambient group")
@@ -61,11 +62,6 @@ class PrimitiveSet:
 
     elements: tuple
     degrees: tuple
-
-
-@lru_cache(maxsize=16)
-def _facet_rows(config: PointConfig):
-    return tuple(tau.as_int_tuple() for tau in facets(config))
 
 
 def _values(rows, v):
@@ -110,7 +106,7 @@ def membership(t, module: SemigroupModule) -> bool:
     if module.kind == EXPLICIT:
         return any(member_semigroup(module.config, t - g)
                    for g in module.explicit_generators)
-    return _in_cone(_facet_rows(module.config), t.free, _LOW[module.kind])
+    return _in_cone(facet_rows(module.config), t.free, _LOW[module.kind])
 
 
 def member_semigroup(config: PointConfig, t) -> bool:
@@ -121,7 +117,7 @@ def member_semigroup(config: PointConfig, t) -> bool:
     then does a grading strictly decrease.
     """
     memo = _membership_memo(config)
-    rows = _facet_rows(config)
+    rows = facet_rows(config)
     stack = [t]
     while stack:
         cur = stack[-1]
@@ -191,7 +187,7 @@ def _primitive_degrees(module: SemigroupModule, scale):
     irreducible, sorted.  Facet values are linear, so v - c stays in the
     module exactly when every tau(v) >= tau(c) + low, the floor of c."""
     config = module.config
-    rows = _facet_rows(config)
+    rows = facet_rows(config)
     low = _LOW[module.kind]
     floors = [tuple(x + low for x in _values(rows, c.free))
               for c in _distinct_nonunit_columns(config)]
@@ -257,7 +253,7 @@ def cone_points_up_to(config: PointConfig, height, bound):
     `height` is a functional >= 1 on every nonzero column; -den * height,
     den clearing its denominators, is tested as one more row."""
     den = math.lcm(*(Fraction(c).denominator for c in height.free_part))
-    rows = _facet_rows(config) + (tuple(int(-den * c) for c in height.free_part),)
+    rows = facet_rows(config) + (tuple(int(-den * c) for c in height.free_part),)
     floor = (0,) * (len(rows) - 1) + (-math.floor(den * Fraction(bound)),)
     out = set()
     for simplex in cone_triangulation(config):

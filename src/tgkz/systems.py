@@ -22,7 +22,7 @@ from .cones import (AffinePiece, Arrangement, PointConfig, facets,
                     homogenizing_functional, membership_in_arrangement,
                     positive_grading)
 from .cyclotomic import Cyclotomic
-from .errors import NotHomogeneousError, NotStabilizedError, SliceTooSmallError
+from .errors import NotHomogeneousError, NotStabilizedError, SliceTooSmallError, SpecError
 from .lattice import express_in_columns, rank
 from .poly import PositionOverTerm, TermOverPosition, module_groebner
 from .semigroups import (EXPLICIT, K, K_INTERIOR, SemigroupModule,
@@ -259,13 +259,15 @@ def quasi_degrees(config: PointConfig, kind, face=None, shift=None) -> Arrangeme
                             tuple(config.nonunit_indices()))
         return Arrangement(d, (piece,))
     if kind == FACE:
-        assert face is not None
+        if face is None:
+            raise SpecError("a face module needs its face", code="UNSUPPORTED_MODULE")
         span = tuple(sorted({config.columns[j].free for j in face.column_indices
                              if any(x != 0 for x in config.columns[j].free)}))
         shift = zero if shift is None else tuple(Fraction(s) for s in shift)
         piece = AffinePiece(shift, span, tuple(face.column_indices))
         return Arrangement(rank(span), (piece,))
-    assert kind == K_MOD_KINTERIOR, f"unsupported module spec {kind!r}"
+    if kind != K_MOD_KINTERIOR:
+        raise SpecError(f"unsupported module spec {kind!r}", code="UNSUPPORTED_MODULE")
     height = positive_grading(config)
     taus = facets(config)
     pieces = {}

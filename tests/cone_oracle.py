@@ -1,0 +1,90 @@
+"""The Fraction cone routines, kept as a test-only oracle for tgkz.cones.
+
+The placing triangulation expresses every placed vector in coordinates of
+the current basis (re-expressing all of them on each rank jump) and decides
+visibility by Fraction determinants of those coordinates; pointedness solves
+one Fraction linear program per column subset of size <= d+1.  Nothing is
+memoized.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+from tgkz import fieldlin
+from tgkz.lattice import IntMatrix
+
+
+def placing_triangulation(vectors):
+    """(simplices, rank) of the incremental placing triangulation."""
+    simplices = []
+    basis_idx = []
+    coords = {}  # index -> coordinates w.r.t. the current basis
+
+    def express(v):
+        rows = [[Fraction(vectors[b][i]) for b in basis_idx] for i in range(len(v))]
+        return fieldlin.solve_unique(rows, [Fraction(x) for x in v])
+
+    placed = []
+    for idx, v in enumerate(vectors):
+        if not any(x != 0 for x in v):
+            raise ValueError("zero vector has no ray")
+        if not basis_idx:
+            basis_idx.append(idx)
+            simplices = [(idx,)]
+            placed.append(idx)
+            coords[idx] = (Fraction(1),)
+            continue
+        lam = express(v)
+        if lam is None:
+            simplices = [s + (idx,) for s in simplices]
+            basis_idx.append(idx)
+            placed.append(idx)
+            coords = {j: express(vectors[j]) for j in placed}
+            continue
+        coords[idx] = lam
+        face_count = {}
+        face_opp = {}
+        for s in simplices:
+            for i in range(len(s)):
+                face = s[:i] + s[i + 1:]
+                face_count[face] = face_count.get(face, 0) + 1
+                face_opp[face] = s[i]
+        fresh = []
+        for face, cnt in face_count.items():
+            if cnt != 1:
+                continue
+            rows = [list(coords[f]) for f in face]
+            s_side = fieldlin.determinant(rows + [list(coords[face_opp[face]])])
+            p_side = fieldlin.determinant(rows + [list(lam)])
+            if s_side != 0 and p_side != 0 and (s_side > 0) != (p_side > 0):
+                fresh.append(tuple(sorted(face + (idx,))))
+        simplices.extend(fresh)
+        placed.append(idx)
+    return simplices, len(basis_idx)
+
+
+def normalized_volume(config) -> int:
+    """Normalized volume of conv({0} cup pi(cal A)) from the oracle
+    triangulation of the homogenized points."""
+    pts = sorted({(0,) * config.d} | {c.free for c in config.columns})
+    vectors = [(1,) + p for p in pts]
+    simplices, rk = placing_triangulation(vectors)
+    if rk < config.d + 1:
+        return 0
+    return sum(abs(IntMatrix.from_rows([vectors[i] for i in s]).det())
+               for s in simplices if len(s) == config.d + 1)
+
+
+def is_pointed(config) -> bool:
+    """False iff 0 is a convex combination of at most d+1 nonzero columns."""
+    cols = config.nonzero_free_columns()
+    d = config.d
+    for size in range(1, min(len(cols), d + 1) + 1):
+        for subset in combinations(cols, size):
+            rows = [[Fraction(v[i]) for v in subset] for i in range(d)]
+            rows.append([Fraction(1)] * size)
+            rhs = [Fraction(0)] * d + [Fraction(1)]
+            lam = fieldlin.solve_unique(rows, rhs)
+            if lam is not None and all(x >= 0 for x in lam):
+                return False
+    return True

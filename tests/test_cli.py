@@ -142,6 +142,18 @@ def test_check_succeeds_on_failing_hypotheses(spec_file):
     assert json.loads(res.stdout)["hypotheses"]["pointed"] is False
 
 
+@pytest.mark.parametrize("free, pointed", [([[1, 0], [2, 0]], True),
+                                           ([[1, 0], [-1, 0]], False)])
+def test_check_reports_pointedness_of_non_spanning_columns(spec_file, free, pointed):
+    path = spec_file(json.dumps({"columns": [{"torsion": [], "free": v} for v in free],
+                                 "beta": [0, 0]}))
+    res = run_cli("check", "--spec", path)
+    assert res.returncode == 0, res.stderr
+    hypotheses = json.loads(res.stdout)["hypotheses"]
+    assert (hypotheses["pointed"], hypotheses["spans"]) == (pointed, False)
+    assert run_cli("check", "--spec", path, python_flags=("-O",)).stdout == res.stdout
+
+
 def test_refusal_exit_code(spec_file):
     path = spec_file(NOT_POINTED)
     for cmd in ("ideals", "primes", "module", "system", "rank", "dual",

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+import cone_oracle
 from conftest import make_config
 from tgkz import cones
 from tgkz.cones import (
@@ -21,6 +22,7 @@ from tgkz.cones import (
     is_pointed,
     membership_in_arrangement,
     normalized_volume,
+    placing_triangulation,
     positive_grading,
 )
 from tgkz.errors import NotPointedError
@@ -141,10 +143,11 @@ def test_is_pointed():
 
 def test_is_pointed_runs_once_per_config(monkeypatch, battery):
     calls = []
-    real = cones.fieldlin.solve_unique
-    monkeypatch.setattr(cones.fieldlin, "solve_unique",
-                        lambda rows, rhs: calls.append(rows) or real(rows, rhs))
+    real = cones._facet_normals
+    monkeypatch.setattr(cones, "_facet_normals",
+                        lambda vectors, d: calls.append(vectors) or real(vectors, d))
     is_pointed.cache_clear()
+    cones.facet_rows.cache_clear()
     for config in battery:
         assert is_pointed(config)
         first = len(calls)
@@ -162,6 +165,27 @@ def test_is_pointed_runs_once_per_config(monkeypatch, battery):
     for k in range(1, 40):  # more configs than the cache holds
         is_pointed(make_config([], [((), (1, 0)), ((), (1, k))]))
     assert is_pointed.cache_info().currsize == 16
+
+
+def test_integer_cone_kernel_matches_fraction_oracle():
+    rng = random.Random(31)
+    seen = {"non_spanning": 0, "not_pointed": 0}
+    for _ in range(300):
+        d = rng.randint(1, 3)
+        cols = [tuple(rng.randint(-1, 3) for _ in range(d))
+                for _ in range(rng.randint(1, d + 3))]
+        if d > 1 and rng.random() < 0.3:  # drop a coordinate: the columns cannot span
+            cols = [c[:-1] + (0,) for c in cols]
+        cfg = make_config([], [((), c) for c in cols])
+        vecs = cfg.nonzero_free_columns()
+        assert is_pointed(cfg) == cone_oracle.is_pointed(cfg), cols
+        assert normalized_volume(cfg) == cone_oracle.normalized_volume(cfg), cols
+        for order in (vecs, rng.sample(vecs, len(vecs)), [(1,) + v for v in vecs]):
+            assert placing_triangulation(order) == \
+                cone_oracle.placing_triangulation(order), order
+        seen["non_spanning"] += not check_hypotheses(cfg).spans
+        seen["not_pointed"] += not is_pointed(cfg)
+    assert min(seen.values()) > 30
 
 
 def test_cone_triangulation_covers(plane_segment):

@@ -5,8 +5,8 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import make_config
-from tgkz.cones import epsilon_vector, normalized_volume
-from tgkz import duality
+from tgkz.cones import cone_triangulation, epsilon_vector, normalized_volume
+from tgkz import cones, duality
 from tgkz.cyclotomic import Cyclotomic
 from tgkz.duality import (
     DEFAULT_TRUNCATION,
@@ -150,3 +150,16 @@ def test_rank_duality_identity(battery):
             beta = tuple(Fraction(rng.randint(-9, 9)) for _ in range(cfg.d))
             assert rank_formula(cfg, K) == rank_formula(cfg, K_INTERIOR)
             dual_parameter(beta, cfg)  # defined everywhere on the battery
+
+
+def test_volume_triangulated_once_per_config(monkeypatch, mod4_line):
+    cone_triangulation(mod4_line)  # the box scan's own triangulation
+    normalized_volume.cache_clear()
+    calls = []
+    real = cones.placing_triangulation
+    monkeypatch.setattr(cones, "placing_triangulation",
+                        lambda vectors: calls.append(vectors) or real(vectors))
+    assert rank_formula(mod4_line, K) == rank_formula(mod4_line, K_INTERIOR) == 8
+    dual_system(mod4_line, (0,))
+    assert calls == [[(1, 0), (1, 1), (1, 2)]]
+    assert normalized_volume.cache_parameters()["maxsize"] == 16

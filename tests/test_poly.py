@@ -575,3 +575,25 @@ def test_negative_powers_raise_value_error(flags):
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == ["negative power -1", "negative power -2"]
+
+
+PUBLIC_VALUE_ERRORS = (
+    "from tgkz import fieldlin\n"
+    "from tgkz.cones import placing_triangulation\n"
+    "from tgkz.poly import parse_polynomial\n"
+    "for call in (lambda: fieldlin.determinant([[1, 2, 3], [4, 5, 6]]),\n"
+    "             lambda: parse_polynomial('d1*d2', 2).drop_last_vars(1),\n"
+    "             lambda: placing_triangulation([(1, 0), (0, 0)])):\n"
+    "    try:\n        print(call())\n"
+    "    except ValueError as exc:\n        print(exc)\n")
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_public_api_checks_raise_value_error(flags):
+    res = subprocess.run([sys.executable, *flags, "-c", PUBLIC_VALUE_ERRORS],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "determinant of non-square matrix",
+        "cannot drop variables that occur in d1*d2",
+        "zero vector has no ray"]

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import make_config
 from tgkz import fieldlin, semigroups
-from tgkz.cones import cone_triangulation, facets, positive_grading
+from tgkz.cones import cone_triangulation, facet_rows, facets, positive_grading
 from tgkz.errors import BoxScanIncompleteError, HypothesisError, SpecError
 from tgkz.lattice import Functional, IntMatrix, smith_normal_form
 from tgkz.semigroups import (
@@ -289,7 +289,7 @@ def test_integer_kernel_matches_fraction_scan(battery):
     for cfg in configs:
         tri = cone_triangulation(cfg)
         taus = facets(cfg)
-        rows = semigroups._facet_rows(cfg)
+        rows = facet_rows(cfg)
         for simplex in tri:
             for scale in (1, 2):
                 box = _fraction_box_points(simplex, scale)

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -174,6 +176,27 @@ def test_quasi_degrees_vertex_face():
     assert len(arr.pieces) == 1
     assert arr.pieces[0].span_vectors == ()
     assert arr.pieces[0].shift == (0,)
+
+
+BAD_QUASI_DEGREE_KINDS = (
+    "from tgkz.cones import PointConfig\n"
+    "from tgkz.errors import SpecError\n"
+    "from tgkz.lattice import AbelianGroup\n"
+    "from tgkz.systems import FACE, quasi_degrees\n"
+    "group = AbelianGroup((), 2)\n"
+    "config = PointConfig(group, (group.element((), (1, 0)), group.element((), (1, 2))))\n"
+    "for kind in ('BOGUS', FACE):\n"
+    "    try:\n        print(quasi_degrees(config, kind))\n"
+    "    except SpecError as exc:\n        print(exc.code)\n")
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_quasi_degrees_rejects_bad_module_kinds(flags):
+    # an unknown kind, and a face module without its face
+    res = subprocess.run([sys.executable, *flags, "-c", BAD_QUASI_DEGREE_KINDS],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["UNSUPPORTED_MODULE"] * 2
 
 
 def _weyl_left_ideal_contains_one(ops, nvars, bound=6):
