@@ -100,7 +100,6 @@ from .systems import (
     bbgkz_primitive_presentation,
     bbgkz_relations,
     default_binomial_bound,
-    h0_face_presentation,
     quasi_degrees,
     regularity_certificate,
     vanishing_test,

@@ -6,8 +6,8 @@ map, torsion included.  Characters on a kernel sublattice twist binomial
 coefficients into roots of unity, which is how the minimal primes of the
 full-group ideal arise.
 
-The free and full toric ideals are memoized per configuration value (a
-small LRU cache); callers must not mutate the cached ideals.
+Toric ideals and minimal primes are memoized per configuration value (small
+LRU caches); callers must not mutate the cached ideals.
 """
 
 from dataclasses import dataclass
@@ -17,8 +17,8 @@ from math import prod
 
 from .cones import Face, PointConfig, face_by_columns
 from .cyclotomic import Cyclotomic
-from .errors import (LatticeMismatchError, NotSaturatedError,
-                     PrimesDoNotIntersectError)
+from .errors import (LatticeMismatchError, NotBinomialError, NotSaturatedError,
+                     PrimesDoNotIntersectError, SmithCheckError)
 from .lattice import (IntMatrix, hermite_coordinates, hnf_rows, hnf_with_transform,
                       is_hermite, kernel_basis, kernel_lattice, smith_normal_form)
 from .poly import (GREVLEX, IdealBasis, Polynomial, groebner_ideal, ideal_equal,
@@ -47,10 +47,10 @@ class PartialCharacter:
         """Build from any basis; rebases values onto the Hermite form."""
         rows = [tuple(r) for r in rows]
         values = [Cyclotomic.coerce(v) for v in values]
-        assert len(rows) == len(values)
+        if len(rows) != len(values) or any(v.is_zero() for v in values):
+            raise ValueError(f"{len(rows)} rows need as many nonzero values, got {len(values)}")
         if not rows:
             return PartialCharacter((), (), nvars)
-        assert all(not v.is_zero() for v in values)
         # free kernel rows come from kernel_basis already in Hermite form
         if is_hermite(rows):
             return PartialCharacter(tuple(rows), tuple(values), nvars)
@@ -72,13 +72,6 @@ class PartialCharacter:
 
     def contains(self, m):
         return hermite_coordinates(m, self.basis) is not None
-
-    def is_saturated(self):
-        """True iff Z^n modulo the lattice is torsion-free."""
-        if not self.basis:
-            return True
-        snf = smith_normal_form(IntMatrix.from_rows(list(self.basis)))
-        return all(f == 1 for f in snf.invariant_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +147,9 @@ def markov_basis(config: PointConfig):
     moves = []
     for g in ideal.generators:
         exps = sorted(g.terms, key=GREVLEX.key, reverse=True)
-        assert len(exps) == 2, "lattice ideal basis element is not a binomial"
+        if len(exps) != 2:
+            raise NotBinomialError("a lattice ideal basis element is not a binomial",
+                                   terms=len(exps))
         moves.append(tuple(a - b for a, b in zip(exps[0], exps[1])))
     return moves
 
@@ -214,28 +209,26 @@ def extend_character(rho: PartialCharacter):
     extraction is ever needed, so the coefficient field does not grow.
     """
     n = rho.nvars
-    if not rho.is_saturated():
-        raise NotSaturatedError("character lattice is not saturated")
     identity = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
     if not rho.basis:
         return PartialCharacter.on_rows(identity, [Cyclotomic.one()] * n, n)
     m = IntMatrix.from_rows(list(rho.basis))
     snf = smith_normal_form(m)
     r = len(snf.invariant_factors)
-    assert r == m.rows and all(f == 1 for f in snf.invariant_factors)
+    # saturated: Z^n modulo the lattice is torsion-free
+    if r != m.rows or any(f != 1 for f in snf.invariant_factors):
+        raise NotSaturatedError("character lattice is not saturated",
+                                invariant_factors=snf.invariant_factors)
     # adapted basis rows w_i: rows of V^{-1}; the first r span the lattice
     w = _unimodular_inverse(snf.V)
-    adapted_values = []
-    for i in range(n):
-        if i < r:
-            adapted_values.append(rho.value_of(w.row(i)))
-        else:
-            adapted_values.append(Cyclotomic.one())
+    adapted_values = [rho.value_of(w.row(i)) for i in range(r)] + [Cyclotomic.one()] * (n - r)
     # e_j = sum_i V[j][i] w_i
     values = [_power_product(adapted_values, snf.V.row(j)) for j in range(n)]
     full = PartialCharacter.on_rows(identity, values, n)
     for row, expected in zip(rho.basis, rho.values):
-        assert full.value_of(row) == expected
+        if full.value_of(row) != expected:
+            raise SmithCheckError("the extension disagrees with the character on its lattice",
+                                  shape=(m.rows, m.cols), row=row)
     return full
 
 
@@ -243,13 +236,12 @@ def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Integer inverse of a unimodular matrix via Hermite reduction of
     [m | I], which ends at [I | m^{-1}]."""
     n = m.rows
-    assert n == m.cols
     aug = [list(m.row(i)) + [1 if j == i else 0 for j in range(n)]
            for i in range(n)]
-    h = hnf_rows(aug)
-    assert all(h[i][i] == 1 for i in range(n))
-    inv_rows = [row[n:] for row in h]
-    return IntMatrix.from_rows(inv_rows)
+    h = hnf_rows(aug)  # n rows, as [m | I] has rank n
+    if m.cols != n or any(h[i][i] != 1 for i in range(n)):
+        raise SmithCheckError("a Smith transform is not unimodular", shape=(n, m.cols))
+    return IntMatrix.from_rows([row[n:] for row in h])
 
 
 def twist_automorphism(f: Polynomial, full_character: PartialCharacter) -> Polynomial:
@@ -272,26 +264,33 @@ def minimal_primes(config: PointConfig, workers=None):
     primes.  Each character is checked to be trivial on the full kernel,
     and the intersection of the primes to equal the (memoized) full-group
     ideal; either failure raises PrimesDoNotIntersectError.
-    Returns [(character, ideal)], characters enumerated in a fixed order.
+    Returns [(character, ideal)], characters enumerated in a fixed order,
+    computed once per configuration (memoized); a fresh list on every call.
     `workers` is accepted and has no effect: the work is pure Python, and
     threads ran it no faster.
     """
+    return list(_minimal_primes(config))
+
+
+@lru_cache(maxsize=16)
+def _minimal_primes(config: PointConfig):
     free_rows = free_kernel_rows(config)
     n = config.n
     if not free_rows:
-        triv = PartialCharacter.trivial_on([], n)
-        return [(triv, toric_ideal_free(config))]
+        return ((PartialCharacter.trivial_on([], n), toric_ideal_free(config)),)
     full_rows = full_kernel_rows(config)
     r = len(free_rows)
-    assert len(full_rows) == r, "full kernel must have finite index in the free kernel"
-    x_rows = []
-    for row in full_rows:
-        coeffs = hermite_coordinates(row, free_rows)  # free_rows are in Hermite form
-        assert coeffs is not None
-        x_rows.append(coeffs)
+    # coordinates of the full kernel on the free rows, which are in Hermite
+    # form: of full rank r exactly when the full kernel has finite index
+    x_rows = [hermite_coordinates(row, free_rows) for row in full_rows]
+    if len(x_rows) != r or None in x_rows:
+        raise LatticeMismatchError("full kernel is not of finite index in the free kernel",
+                                   free_rank=r, full_rows=len(x_rows))
     snf = smith_normal_form(IntMatrix.from_rows(x_rows))
     orders = snf.invariant_factors
-    assert len(orders) == r
+    if len(orders) != r:
+        raise LatticeMismatchError("full kernel is not of finite index in the free kernel",
+                                   free_rank=r, full_rank=len(orders))
     characters = []
     for c in product(*(range(o) for o in orders)):
         values = []
@@ -315,7 +314,7 @@ def minimal_primes(config: PointConfig, workers=None):
         raise PrimesDoNotIntersectError(
             "minimal primes do not intersect to the full-group ideal",
             torsion_orders=config.group.torsion_orders, primes=len(ideals))
-    return list(zip(characters, ideals))
+    return tuple(zip(characters, ideals))
 
 
 # ---------------------------------------------------------------------------

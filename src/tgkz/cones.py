@@ -333,7 +333,9 @@ class HypothesesReport:
         return self.spans and self.pointed and self.delta_divides_ell
 
 
+@lru_cache(maxsize=16)
 def check_hypotheses(config: PointConfig) -> HypothesesReport:
+    """The standing hypotheses, once per configuration (memoized)."""
     s = smith_normal_form(config.free_matrix())
     spans = (len(s.invariant_factors) == config.d
              and all(f == 1 for f in s.invariant_factors))

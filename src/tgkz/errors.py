@@ -62,10 +62,18 @@ class PrimesDoNotIntersectError(TgkzError):
 
 
 class SmithCheckError(TgkzError):
-    """U*M*V != D or a broken divisibility chain in a Smith decomposition
-    (exit 2).  Context: shape of M."""
+    """U*M*V != D or a broken divisibility chain in a Smith decomposition,
+    or a Smith transform that is not unimodular or does not extend a
+    character (exit 2).  Context: shape of M."""
 
     code = "SNF_CHECK_FAILED"
+
+
+class NotBinomialError(TgkzError):
+    """A reduced lattice-ideal basis element is not a binomial (exit 2).
+    Context: terms (their number)."""
+
+    code = "NOT_BINOMIAL"
 
 
 class NotHomogeneousError(TgkzError):

@@ -3,7 +3,11 @@
 Monomial orders, one Groebner core with a pair budget, reduced Groebner
 bases of ideals and of submodules of free modules (used by the presentation
 builder), saturation and intersection by variable adjunction/elimination,
-and the canonical round-trippable text format.
+and the canonical round-trippable text format.  The core is Buchberger's
+algorithm with the Gebauer-Moeller pair criteria B_k, M, F and the product
+criterion (Gebauer-Moeller, "On an installation of Buchberger's algorithm",
+JSC 6, 1988; Becker-Weispfenning, Groebner Bases, 1993, ch. 5); its pair
+budget counts the S-pairs it reduces after the criteria.
 
 Coefficients carry their own field: a Cyclotomic knows its order and lifts
 mixed orders to their lcm on every operation, so a Polynomial is just a
@@ -311,52 +315,63 @@ def _monic(f, lead):
 
 def _groebner(elems, order, pair_budget):
     """Reduced Groebner basis of nonzero term dicts, monic, sorted ascending
-    by leading term.  Pairs form only between leading terms with equal tags
-    and leave the heap smallest (order key of the lcm, (i, j)) first."""
+    by leading term.  Each element, input or remainder, joins through the
+    Gebauer-Moeller update (JSC 6, 1988; Becker-Weispfenning, ch. 5): its
+    leading term h drops the pending pairs whose lcm it divides strictly
+    (B_k); of its pairs with the live elements of its tag it keeps one per
+    minimal lcm (M, F) unless one of them is coprime (product criterion);
+    elements whose leading term h divides retire from the live set but stay
+    divisors.  Pairs leave the heap smallest (order key of the lcm, (i, j))
+    first, and the budget counts the pairs popped."""
     if pair_budget is None:
         pair_budget = default_pair_budget()
     key, ntags = order.key, order.ntags
-    leads = [max(f, key=key) for f in elems]
-    basis = [_monic(f, lead) for f, lead in zip(elems, leads)]
+    basis, leads, live, pending = [], [], [], []
 
-    def pairs_with(k):
-        """Heap entries of the pairs (i, k), i < k, whose leading tags match."""
-        lead, tag = leads[k], leads[k][:ntags]
-        return [(key(_lcm_exp(leads[i], lead)), (i, k)) for i in range(k)
-                if leads[i][:ntags] == tag]
+    def update(f):
+        nonlocal live, pending
+        h, k = max(f, key=key), len(basis)
+        basis.append(_monic(f, h))
+        leads.append(h)
+        kept = [(lkey, (i, j), lcm) for lkey, (i, j), lcm in pending
+                if not _divides(h, lcm)
+                or lcm in (_lcm_exp(leads[i], h), _lcm_exp(leads[j], h))]
+        if len(kept) < len(pending):
+            pending = kept
+            heapq.heapify(pending)
+        partners = {}  # lcm -> live partners of h, ascending
+        for i in live:
+            if leads[i][:ntags] == h[:ntags]:
+                partners.setdefault(_lcm_exp(leads[i], h), []).append(i)
+        for lcm, group in partners.items():
+            # a coprime lcm never occurs for tagged leads, whose tags add up
+            # to twice a one-hot vector
+            if not any(other != lcm and _divides(other, lcm) for other in partners) \
+                    and all(lcm != _add(leads[i], h) for i in group):
+                heapq.heappush(pending, (key(lcm), (group[0], k), lcm))
+        live = [i for i in live if not _divides(h, leads[i])] + [k]
 
-    pending = [pair for k in range(len(basis)) for pair in pairs_with(k)]
-    heapq.heapify(pending)
+    for f in elems:
+        update(f)
     processed = 0
     while pending:
-        _, (i, j) = heapq.heappop(pending)
+        _, (i, j), _ = heapq.heappop(pending)
         processed += 1
         if processed > pair_budget:
             raise BudgetExceededError(
                 f"Groebner pair budget exceeded ({pair_budget} pairs)",
                 pairs=processed, budget=pair_budget)
-        le_i, le_j = leads[i], leads[j]
-        # coprime leading monomials: S-poly reduces to zero; never true for
-        # two tagged leads, whose tags add up to twice a one-hot vector
-        if _lcm_exp(le_i, le_j) == _add(le_i, le_j):
-            continue
-        rem = _reduce(_s_pair(basis[i], basis[j], le_i, le_j), basis, leads, order)
+        rem = _reduce(_s_pair(basis[i], basis[j], leads[i], leads[j]), basis, leads, order)
         if rem:
-            lead = max(rem, key=key)
-            basis.append(_monic(rem, lead))
-            leads.append(lead)
-            for pair in pairs_with(len(basis) - 1):
-                heapq.heappush(pending, pair)
-    # minimalize: drop generators whose leading term another one divides;
-    # the sort is stable, so equal leading terms keep their basis order
-    ranked = sorted(zip(leads, basis), key=lambda lg: key(lg[0]))
-    kept = [(le_i, g) for i, (le_i, g) in enumerate(ranked)
-            if not any(_divides(le_j, le_i) and (le_j != le_i or j < i)
-                       for j, (le_j, _) in enumerate(ranked) if j != i)]
+            update(rem)
+    # minimalize: live leading terms are distinct, and each retired one is a
+    # multiple of a live one
+    kept = sorted((i for i in live if not any(j != i and _divides(leads[j], leads[i])
+                                              for j in live)), key=lambda i: key(leads[i]))
     # full tail reduction; leading terms are pairwise non-divisible so they
-    # stay, monic, and `kept` stays sorted ascending by them
-    kept_leads = [lead for lead, _ in kept]
-    out = [g for _, g in kept]
+    # stay, monic, and `out` stays sorted ascending by them
+    kept_leads = [leads[i] for i in kept]
+    out = [basis[i] for i in kept]
     for i in range(len(out)):
         out[i] = _reduce(out[i], out[:i] + out[i + 1:],
                          kept_leads[:i] + kept_leads[i + 1:], order)
@@ -675,7 +690,5 @@ def parse_polynomial(text, nvars, names=("d",)) -> Polynomial:
 def parse_scalar(text) -> Cyclotomic:
     """Parse a constant expression (rationals, zeta powers, sums, products)."""
     p = parse_polynomial(str(text), 0, names=())
-    if p.is_zero():
-        return Cyclotomic.zero()
-    assert set(p.terms) == {()}
-    return p.terms[()]
+    # with no variable names every term has the empty exponent ()
+    return p.terms.get((), Cyclotomic.zero())

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .binomials import face_twisted_ideal, markov_basis, toric_ideal_full
+from .binomials import markov_basis, toric_ideal_full
 from .cones import (AffinePiece, Arrangement, PointConfig, facets,
                     homogenizing_functional, membership_in_arrangement,
                     positive_grading)
@@ -223,21 +223,6 @@ def bbgkz_primitive_presentation(module: SemigroupModule, beta,
     return SystemPresentation(config, module.kind, beta, gens, relations,
                               (("binomial_degree_bound", bound),
                                ("stabilized_at", bound + 2)))
-
-
-def h0_face_presentation(config: PointConfig, face, rho, beta) -> SystemPresentation:
-    """Cyclic presentation by the face ideal plus the Euler relations."""
-    beta = coerce_beta(beta, config.d)
-    ideal = face_twisted_ideal(config, face, rho)
-    gens = (config.group.zero(),)
-    relations = [
-        _make_relation([(0, WeylElement.from_differential_polynomial(g))])
-        for g in ideal.generators]
-    ops = euler_operators(config)
-    for i in range(config.d):
-        relations.append(_make_relation([(0, ops[i] - beta[i])]))
-    return SystemPresentation(config, FACE, beta, gens, tuple(relations),
-                              (("face_columns", tuple(face.column_indices)),))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .cyclotomic import Cyclotomic
-from .poly import Polynomial, _coeff_text
+from .poly import _coeff_text
 
 
 class WeylElement:
@@ -52,12 +52,6 @@ class WeylElement:
         e = [0] * nvars
         e[i] = 1
         return WeylElement.monomial(nvars, [0] * nvars, e)
-
-    @staticmethod
-    def from_differential_polynomial(p: Polynomial):
-        """Embed a polynomial in the d-variables."""
-        zero = (0,) * p.nvars
-        return WeylElement(p.nvars, {(zero, e): c for e, c in p.terms.items()})
 
     # -- structure
 

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from tgkz.cones import PointConfig
+from tgkz.cones import PointConfig, check_hypotheses, is_pointed
 from tgkz.lattice import AbelianGroup
 
 
@@ -8,6 +10,27 @@ def make_config(orders, cols):
     """cols: list of (torsion tuple, free tuple)."""
     group = AbelianGroup(tuple(orders), len(cols[0][1]))
     return PointConfig(group, tuple(group.element(t, f) for t, f in cols))
+
+
+def random_battery(seed, count):
+    """Small pointed spanning configs: d <= 2, at most three columns of
+    height-one or short free parts, torsion (), 2, 3, 4, 2x2 or 6, and about
+    half of those with torsion carry one extra unit column (free part 0)."""
+    rng = random.Random(seed)
+    battery = []
+    while len(battery) < count:
+        orders = rng.choice([(), (2,), (3,), (4,), (2, 2), (6,)])
+        d = rng.randint(1, 2)
+        cols = [(tuple(rng.randrange(o) for o in orders),
+                 (rng.randint(1, 3),) if d == 1 else (1, rng.randint(0, 3)))
+                for _ in range(rng.randint(d, d + 1))]
+        if orders and rng.random() < 0.5:
+            unit = (rng.randrange(1, orders[0]),) + tuple(rng.randrange(o) for o in orders[1:])
+            cols.insert(rng.randrange(len(cols) + 1), (unit, (0,) * d))
+        config = make_config(list(orders), cols)
+        if is_pointed(config) and check_hypotheses(config).spans:
+            battery.append(config)
+    return battery
 
 
 @pytest.fixture

@@ -19,9 +19,11 @@ from tgkz.binomials import (
     twisted_ideal,
 )
 from tgkz.cyclotomic import Cyclotomic
-from tgkz.errors import (LatticeMismatchError, NotSaturatedError,
-                         PrimesDoNotIntersectError)
+from tgkz.errors import (LatticeMismatchError, NotBinomialError, NotSaturatedError,
+                         PrimesDoNotIntersectError, SmithCheckError)
+from tgkz.lattice import IntMatrix
 from tgkz.poly import (
+    IdealBasis,
     groebner_ideal,
     ideal_equal,
     intersect_many,
@@ -89,6 +91,25 @@ def test_extend_character_saturation_gate():
     rho = PartialCharacter.on_rows([(2,)], (Cyclotomic.rational(-1),), 1)
     with pytest.raises(NotSaturatedError):
         extend_character(rho)
+
+
+def test_invariant_checks_raise_typed_errors(monkeypatch, mod4_line):
+    trinomial = parse_polynomial("d1^2 - d2 + d1", 2)
+    monkeypatch.setattr(binomials, "toric_ideal_free",
+                        lambda config: IdealBasis(2, (trinomial,)))
+    with pytest.raises(NotBinomialError) as exc:
+        markov_basis(mod4_line)
+    assert exc.value.context == {"terms": 3}
+    monkeypatch.undo()
+    # a full kernel of lower rank than the free kernel has infinite index
+    monkeypatch.setattr(binomials, "full_kernel_rows", lambda config: [])
+    binomials._minimal_primes.cache_clear()
+    with pytest.raises(LatticeMismatchError) as exc:
+        minimal_primes(mod4_line)
+    assert exc.value.context == {"free_rank": 1, "full_rows": 0}
+    with pytest.raises(SmithCheckError) as exc:
+        binomials._unimodular_inverse(IntMatrix.from_rows([[2]]))
+    assert exc.value.context == {"shape": (1, 1)}
 
 
 def test_extend_character_full_lattice():
@@ -197,6 +218,7 @@ def test_characters_reuse_the_hermite_free_kernel(monkeypatch, mod4_line):
     real = binomials.hnf_with_transform
     monkeypatch.setattr(binomials, "hnf_with_transform",
                         lambda rows: calls.append(rows) or real(rows))
+    binomials._minimal_primes.cache_clear()  # compute anew under the spy
     primes = minimal_primes(mod4_line)
     assert [(rho.basis, rho.values, ideal.generators) for rho, ideal in primes] == expect
     assert calls == []  # four characters, none re-runs Hermite reduction
@@ -215,6 +237,7 @@ def test_characters_reuse_the_hermite_free_kernel(monkeypatch, mod4_line):
 def test_wrong_prime_raises_typed_error(monkeypatch, mod4_line, workers):
     monkeypatch.setattr(binomials, "twisted_ideal",
                         lambda config, rho, moves: toric_ideal_free(config))
+    binomials._minimal_primes.cache_clear()
     with pytest.raises(PrimesDoNotIntersectError) as exc:
         minimal_primes(mod4_line, workers=workers)
     assert exc.value.code == "PRIMES_DO_NOT_INTERSECT"
@@ -228,6 +251,7 @@ def test_nontrivial_character_raises_typed_error(monkeypatch, mod4_line):
         return on_rows(rows, [v * Cyclotomic.zeta(8) for v in values], nvars)
 
     monkeypatch.setattr(PartialCharacter, "on_rows", staticmethod(skewed))
+    binomials._minimal_primes.cache_clear()
     with pytest.raises(PrimesDoNotIntersectError) as exc:
         minimal_primes(mod4_line)
     assert "not trivial on the full kernel" in str(exc.value)

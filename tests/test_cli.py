@@ -170,11 +170,13 @@ def test_parse_error_exit_code(spec_file):
     assert res.returncode == 3
 
 
-# z6_plane `ideals` processes exactly 66 S-pairs, which pins the pair order
+# the largest Groebner run of z6_plane `ideals` reduces exactly 20 S-pairs
+# after the pair criteria (66 without them), which pins the pair order and
+# the criteria
 @pytest.mark.parametrize("spec,command,budget,rc", [
     ("mod4_line", "ideals", "1", 4),
-    ("z6_plane", "ideals", "65", 4),
-    ("z6_plane", "ideals", "66", 0),
+    ("z6_plane", "ideals", "19", 4),
+    ("z6_plane", "ideals", "20", 0),
     ("mod4_line", "ideals", "abc", 3),
     ("mod4_line", "ideals", "-1", 3),
 ])

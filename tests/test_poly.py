@@ -1,3 +1,4 @@
+import ast
 import heapq
 import itertools
 import random
@@ -8,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_config
+from conftest import make_config, random_battery
 from relation_oracle import pair_elements, span_reduce
-from tgkz import poly
+from tgkz import binomials, poly, systems
 from tgkz.binomials import (
     PartialCharacter,
     free_kernel_rows,
@@ -38,7 +39,7 @@ from tgkz.poly import (
 )
 from tgkz.problem import parse_spec
 from tgkz.semigroups import K, K_INTERIOR, SemigroupModule
-from tgkz.systems import _primitive_set_for, default_binomial_bound
+from tgkz.systems import _primitive_set_for, _relation_module, default_binomial_bound
 
 
 def P(text, nvars):
@@ -220,6 +221,25 @@ def _oracle_buchberger(gens, order):
     return monic, processed
 
 
+def _core_pairs(run, oracle_pairs):
+    """The pair count N of the criteria core on `run(budget)`: it succeeds
+    at N, raises with context pairs == N at N - 1, and N is at most the
+    criteria-free oracle's count.  Each popped pair forms one S-pair."""
+    formed = []
+    real = poly._s_pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_s_pair", lambda *args: formed.append(args) or real(*args))
+        run(oracle_pairs)
+    pairs = len(formed)
+    assert pairs <= oracle_pairs
+    run(pairs)
+    if pairs:
+        with pytest.raises(BudgetExceededError) as exc:
+            run(pairs - 1)
+        assert exc.value.context["pairs"] == pairs
+    return pairs
+
+
 def _recorded_buchberger_inputs(monkeypatch, compute):
     """Every (generators, order) that `compute` hands to buchberger."""
     calls = []
@@ -254,6 +274,7 @@ def test_monic_kernel_matches_division_oracle(monkeypatch, battery):
         twisted(plane_segment, Cyclotomic.zeta(6))
         twisted(z6, Cyclotomic.zeta(6, 5))
         intersect(zeta4, twisted(mod4_line, Cyclotomic.zeta(4, 3)))
+        binomials._minimal_primes.cache_clear()
         minimal_primes(z6)  # six twisted primes and their intersections
 
     calls = _recorded_buchberger_inputs(monkeypatch, compute)
@@ -268,10 +289,7 @@ def test_monic_kernel_matches_division_oracle(monkeypatch, battery):
         assert [polynomial_to_text(g) for g in got] == \
             [polynomial_to_text(g) for g in expect]
         assert all(g.terms[g.leading(order)[0]].is_one() for g in got)
-        if pairs:
-            with pytest.raises(BudgetExceededError) as exc:
-                poly.buchberger(gens, order, pair_budget=pairs - 1)
-            assert exc.value.context["pairs"] == pairs
+        _core_pairs(lambda budget: poly.buchberger(gens, order, budget), pairs)
 
 
 def test_s_polynomial_and_normal_form_match_oracle_on_monic_inputs():
@@ -302,6 +320,8 @@ def test_s_polynomial_and_normal_form_match_oracle_on_monic_inputs():
 
 def _oracle_mod_key(order, key_pair):
     comp, exp = key_pair
+    if isinstance(order, poly.PositionOverTerm):  # the smaller component first
+        return (-comp, GREVLEX.key(exp))
     return (order.key(exp), -comp)
 
 
@@ -403,18 +423,15 @@ def _cyclotomic_scaled(elems):
             for i, e in enumerate(elems)]
 
 
-def _assert_module_core_matches_oracle(elems, m):
-    order = poly.TermOverPosition(m)
-    expect, pairs = _oracle_module_groebner([_untag(e, m) for e in elems])
+def _assert_module_core_matches_oracle(elems, m, order=None):
+    order = order or poly.TermOverPosition(m)
+    oracle_order = order if isinstance(order, poly.PositionOverTerm) else GREVLEX
+    expect, pairs = _oracle_module_groebner([_untag(e, m) for e in elems], oracle_order)
     got = poly.module_groebner(elems, order, pair_budget=pairs)
     assert [_untag(g, m) for g in got] == expect
     assert {type(c) for g in got for c in g.values()} <= \
         {type(c) for e in elems for c in e.values()}
-    if pairs:
-        with pytest.raises(BudgetExceededError) as exc:
-            poly.module_groebner(elems, order, pair_budget=pairs - 1)
-        assert exc.value.context["pairs"] == pairs
-    return pairs
+    return _core_pairs(lambda budget: poly.module_groebner(elems, order, budget), pairs)
 
 
 @pytest.mark.parametrize("kind", [K, K_INTERIOR])
@@ -443,6 +460,66 @@ def test_module_core_matches_division_oracle_on_raw_pair_elements(bound):
         _assert_module_core_matches_oracle(elems, m)
         _assert_module_core_matches_oracle(_cyclotomic_scaled(elems), m)
     assert non_monic and cross_component
+
+
+def test_criteria_core_matches_criteria_free_oracles(monkeypatch, battery):
+    """Every Groebner run behind the lattice ideals, minimal primes and
+    relation modules of the battery and of seeded random configs, under
+    GREVLEX, BlockElim, TermOverPosition and PositionOverTerm: the criteria
+    core gives the oracle's basis and pops no more pairs."""
+    configs = battery + random_battery(20240, 40)
+    module_calls = []
+    real_module = systems.module_groebner
+
+    def record_module(elems, order, pair_budget=None):
+        module_calls.append((list(elems), order))
+        return real_module(elems, order, pair_budget)
+
+    def compute():
+        binomials._minimal_primes.cache_clear()
+        for config in configs:
+            lattice_ideal(free_kernel_rows(config), config.n)
+            lattice_ideal(full_kernel_rows(config), config.n)
+            minimal_primes(config)
+            for kind in (K, K_INTERIOR):
+                gens = _primitive_set_for(SemigroupModule(kind, config)).elements
+                _relation_module(config, gens)
+
+    monkeypatch.setattr(systems, "module_groebner", record_module)
+    calls = _recorded_buchberger_inputs(monkeypatch, compute)
+    assert {type(order) for _, order in calls} == {type(GREVLEX), BlockElim}
+    assert {type(order) for _, order in module_calls} == \
+        {poly.TermOverPosition, poly.PositionOverTerm}
+    for gens, order in calls:
+        expect, pairs = _oracle_buchberger(gens, order)
+        assert poly.buchberger(gens, order, pair_budget=pairs) == expect
+        _core_pairs(lambda budget: poly.buchberger(gens, order, budget), pairs)
+    for elems, order in module_calls:
+        _assert_module_core_matches_oracle(elems, order.ntags, order)
+
+
+@pytest.mark.parametrize("texts", [
+    # B_k: d3 joins last and divides the lcm d1*d2*d3 of the pending pair
+    # (0, 1) strictly, as lcm(d1*d3, d3) and lcm(d2*d3, d3) are smaller
+    ("d1*d3", "d2*d3", "d3"),
+    # M: of the new pairs of d1*d2, (0, 2) has lcm d1*d2*d3, which strictly
+    # divides the lcm d1*d2*d3*d4 of (1, 2)
+    ("d2*d3", "d2*d3*d4", "d1*d2"),
+])
+def test_chain_criteria_drop_pairs_with_shared_variables(texts):
+    gens = [P(text, 4) for text in texts]
+    expect, pairs = _oracle_buchberger(gens, GREVLEX)
+    # no two leading terms are coprime, so the product criterion drops none
+    assert pairs == 3
+    assert _core_pairs(lambda budget: poly.buchberger(gens, GREVLEX, budget), pairs) == 2
+    assert poly.buchberger(gens, GREVLEX) == expect
+
+
+@pytest.mark.parametrize("module", [poly, binomials])
+def test_no_assert_statements(module):
+    # python -O strips assert statements, so every check must raise instead
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
 
 
 def test_position_over_term_ranks_components_before_terms():
@@ -579,11 +656,14 @@ def test_negative_powers_raise_value_error(flags):
 
 PUBLIC_VALUE_ERRORS = (
     "from tgkz import fieldlin\n"
+    "from tgkz.binomials import PartialCharacter\n"
     "from tgkz.cones import placing_triangulation\n"
     "from tgkz.poly import parse_polynomial\n"
     "for call in (lambda: fieldlin.determinant([[1, 2, 3], [4, 5, 6]]),\n"
     "             lambda: parse_polynomial('d1*d2', 2).drop_last_vars(1),\n"
-    "             lambda: placing_triangulation([(1, 0), (0, 0)])):\n"
+    "             lambda: placing_triangulation([(1, 0), (0, 0)]),\n"
+    "             lambda: PartialCharacter.on_rows([(1, 0)], [0], 2),\n"
+    "             lambda: PartialCharacter.on_rows([(1, 0)], [1, 1], 2)):\n"
     "    try:\n        print(call())\n"
     "    except ValueError as exc:\n        print(exc)\n")
 
@@ -596,4 +676,6 @@ def test_public_api_checks_raise_value_error(flags):
     assert res.stdout.splitlines() == [
         "determinant of non-square matrix",
         "cannot drop variables that occur in d1*d2",
-        "zero vector has no ray"]
+        "zero vector has no ray",
+        "1 rows need as many nonzero values, got 1",
+        "1 rows need as many nonzero values, got 2"]

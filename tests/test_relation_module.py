@@ -2,14 +2,12 @@
 the bounded relation search kept in relation_oracle."""
 
 import json
-import random
 from pathlib import Path
 
 import pytest
 
-from conftest import make_config
+from conftest import random_battery
 from relation_oracle import bounded_basis, stable_basis
-from tgkz.cones import check_hypotheses, is_pointed
 from tgkz.errors import NotStabilizedError
 from tgkz.problem import parse_spec
 from tgkz.semigroups import K, K_INTERIOR, SemigroupModule
@@ -61,30 +59,9 @@ def test_exact_relations_match_oracle_on_explicit_module():
     _assert_exact_matches_oracle(spec.module, default_binomial_bound(spec.config))
 
 
-def _random_battery(seed, count):
-    """Small pointed spanning configs: d <= 2, at most three columns of
-    height-one or short free parts, torsion (), 2, 3, 4, 2x2 or 6, and about
-    half of those with torsion carry one extra unit column (free part 0)."""
-    rng = random.Random(seed)
-    battery = []
-    while len(battery) < count:
-        orders = rng.choice([(), (2,), (3,), (4,), (2, 2), (6,)])
-        d = rng.randint(1, 2)
-        cols = [(tuple(rng.randrange(o) for o in orders),
-                 (rng.randint(1, 3),) if d == 1 else (1, rng.randint(0, 3)))
-                for _ in range(rng.randint(d, d + 1))]
-        if orders and rng.random() < 0.5:
-            unit = (rng.randrange(1, orders[0]),) + tuple(rng.randrange(o) for o in orders[1:])
-            cols.insert(rng.randrange(len(cols) + 1), (unit, (0,) * d))
-        config = make_config(list(orders), cols)
-        if is_pointed(config) and check_hypotheses(config).spans:
-            battery.append(config)
-    return battery
-
-
 def test_exact_relations_match_oracle_on_random_battery():
     # a BudgetExceededError here would mean an input beyond the default budget
-    battery = _random_battery(20240, 40)
+    battery = random_battery(20240, 40)
     assert sum(len(c.nonunit_indices()) < c.n for c in battery) >= 10
     assert {c.group.torsion_orders for c in battery} == {(), (2,), (3,), (4,), (2, 2), (6,)}
     for config in battery:

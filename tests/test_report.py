@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from tgkz import binomials, cones
 from tgkz.errors import HypothesisError, SpecError
 from tgkz.problem import parse_spec
 from tgkz.report import render, run_command
@@ -32,6 +33,22 @@ def test_unknown_command_rejected():
     spec = parse_spec(MOD4)
     with pytest.raises(SpecError):
         run_command(spec, "frobnicate")
+
+
+def test_commands_compute_each_per_configuration_object_once(monkeypatch):
+    calls = []
+    for module, name in ((cones, "lattice_index"), (binomials, "twisted_ideal")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    cones.check_hypotheses.cache_clear()
+    binomials._minimal_primes.cache_clear()
+    spec = parse_spec(MOD4)
+    for command in ("report", "ideals", "primes", "dual"):
+        run_command(spec, command)
+    # one hypotheses check, and four characters twisted once each
+    assert sorted(calls) == ["lattice_index"] + ["twisted_ideal"] * 4
+    assert binomials.minimal_primes(spec.config) is not binomials.minimal_primes(spec.config)
 
 
 def test_check_block_reports_infinite_delta():
