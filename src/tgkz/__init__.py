@@ -53,7 +53,6 @@ from .errors import (
     LatticeMismatchError,
     NotPointedError,
     NotSaturatedError,
-    SliceTooSmallError,
     SpecError,
     TgkzError,
 )
@@ -98,7 +97,6 @@ from .systems import (
     VANISHES,
     SystemPresentation,
     bbgkz_primitive_presentation,
-    bbgkz_relations,
     default_binomial_bound,
     quasi_degrees,
     regularity_certificate,

@@ -223,22 +223,28 @@ class Face:
 
 
 def face_lattice(config: PointConfig):
+    """Every face of the pointed cone, sorted by (dim, columns).  A face is
+    an intersection of facets, so its column set is the full column set met
+    with facet column sets one at a time; the meets close in one pass over
+    the faces found, at most F per face."""
     if not is_pointed(config):
         raise NotPointedError("face lattice requires a pointed cone")
     taus = facets(config)
     free = config.free_columns()
-    seen = {}
-    for k in range(len(taus) + 1):
-        for chosen in combinations(range(len(taus)), k):
-            colset = tuple(j for j in range(config.n)
-                           if all(taus[i](free[j]) == 0 for i in chosen))
-            if colset in seen:
-                continue
-            normals = tuple(t for t in taus
-                            if all(t(free[j]) == 0 for j in colset))
-            dim = rank([free[j] for j in colset if any(x != 0 for x in free[j])])
-            seen[colset] = Face(colset, normals, dim)
-    return tuple(sorted(seen.values(), key=lambda f: (f.dim, f.column_indices)))
+    on = [frozenset(j for j in range(config.n) if t(free[j]) == 0) for t in taus]
+    colsets = [frozenset(range(config.n))]
+    seen = set(colsets)
+    for colset in colsets:  # grows while it is read
+        for meet in {colset & cols for cols in on} - seen:
+            seen.add(meet)
+            colsets.append(meet)
+    faces = []
+    for colset in colsets:
+        nonzero = [free[j] for j in colset if any(x != 0 for x in free[j])]
+        faces.append(Face(tuple(sorted(colset)),
+                          tuple(t for t, cols in zip(taus, on) if colset <= cols),
+                          rank(nonzero)))
+    return tuple(sorted(faces, key=lambda f: (f.dim, f.column_indices)))
 
 
 def face_by_columns(config: PointConfig, column_indices):

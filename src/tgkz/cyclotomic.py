@@ -27,12 +27,14 @@ def _poly_divmod_int(num, den):
     for k in range(len(num) - len(den), -1, -1):
         lead = num[k + len(den) - 1]
         q, r = divmod(lead, den[-1])
-        assert r == 0
+        if r:
+            raise ValueError("leading coefficient does not divide exactly")
         out[k] = q
         if q:
             for i, c in enumerate(den):
                 num[k + i] -= q * c
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise ValueError("polynomial division leaves a remainder")
     return out
 
 

@@ -35,10 +35,6 @@ class NotSaturatedError(TgkzError):
     code = "NOT_SATURATED"
 
 
-class SliceTooSmallError(TgkzError):
-    code = "SLICE_TOO_SMALL"
-
-
 class NotStabilizedError(TgkzError):
     """A binomial relation of the primitive presentation has one-sided
     degree above the bound, which is a ceiling (exit 2)."""

@@ -270,8 +270,7 @@ def hnf_with_transform(rows):
                     for k in range(nr):
                         t[i][k] -= q * t[r][k]
             r += 1
-    basis = tuple(tuple(row) for row in m[:r])
-    assert all(any(x != 0 for x in row) for row in basis)
+    basis = tuple(tuple(row) for row in m[:r])  # each has its nonzero pivot
     return basis, IntMatrix.from_rows(t) if t else IntMatrix(0, 0, ())
 
 

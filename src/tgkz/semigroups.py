@@ -10,16 +10,18 @@ triangulation.
 Cone tests use the integer cone kernel's facet rows (`cones.facet_rows`,
 primitive, once per config): v is in K when every dot product is >= 0, in
 the interior when every one is >= 1.  Box points come from the Smith form
-in integers and are streamed: each b + o is tested on the values of b plus
-those of o.
+in integers and are streamed: each candidate b + o packs its facet values
+into one integer, W bits per value with a guard bit on top, W fixed per box
+by a bound on the values and floors, so testing it against a floor is one
+add and one mask (SWAR).  Each primitive set is computed once per module.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from operator import add, ge, mul
+from itertools import chain, product
+from operator import add, lshift, mul
 
 from .cones import PointConfig, cone_triangulation, facet_rows, is_pointed
 from .errors import BoxScanIncompleteError, NotPointedError, SpecError
@@ -143,17 +145,28 @@ def member_semigroup(config: PointConfig, t) -> bool:
 # primitive generating sets
 
 
-def _box_points(simplex, scales, rows, floor):
+def _box_points(simplex, scales, rows, floor, reducers=()):
     """Lattice points b + o of {sum mu_j v_j : 0 <= mu_j < scales[j]} for
     linearly independent integer vectors v_j spanning Z^d rationally, yielded
-    one at a time as (b, o, values) when values = rows . (b + o) >= floor.
+    one at a time as (b, o) when the values rows . (b + o) are >= floor and
+    not >= any floor in `reducers`.
 
     b is one representative per residue class of Z^d modulo the sublattice
     the vectors span, in the fundamental box, and o = sum k_j v_j with
-    0 <= k_j < scales[j].  Values are linear, so each candidate is tested on
-    the values of b plus those of o, each taken once.  If U M V = D is the
-    Smith form of M = (v_1 ... v_d), the class of U^-1 r has coordinates
+    0 <= k_j < scales[j].  If U M V = D is the Smith form of
+    M = (v_1 ... v_d), the class of U^-1 r has coordinates
     mu = M^-1 U^-1 r = V D^-1 r and point M frac(mu), both times |det M|.
+
+    Values are tested packed into one integer, value i in the W-bit field
+    at bit i*W, with G the guard bit W-1 of every field.  A box point
+    sum c_j v_j (0 <= c_j < scales[j]) has
+    |tau_i| < sum_j scales[j] |tau_i(v_j)|; W leaves 2^(W-1) above the
+    largest such bound plus the largest |floor entry|, so
+    every field of pack(values) + G - pack(f) lies in [1, 2^W) with no
+    carry, and its guard bit is set exactly when that value is >= f_i.
+    Packing is linear, so pack(rows . x) is x dotted with the packed columns
+    of rows, taken once per base point b and once per offset o, and every
+    test is one add and one mask.
     """
     d = len(simplex)
     m_rows = list(zip(*simplex))
@@ -172,14 +185,30 @@ def _box_points(simplex, scales, rows, floor):
         raise BoxScanIncompleteError(
             "box representatives do not cover the residue classes",
             simplex=simplex, expected=vol, found=len(base))
-    offsets = [(o, _values(rows, o))
+    reach = max((sum(map(mul, scales, map(abs, _values(simplex, row))))
+                 for row in rows), default=0)
+    width = (reach + max(map(abs, chain(floor, *reducers)), default=0)).bit_length() + 1
+    shifts = range(0, width * len(rows), width)
+
+    def pack(values):
+        return sum(map(lshift, values, shifts))
+
+    packed = [pack(column) for column in zip(*rows)]  # pack(rows . x) = x . packed
+    guard = pack([1 << (width - 1)] * len(rows))
+    start = guard - pack(floor)
+    cuts = [pack(floor) - pack(f) for f in reducers]
+    offsets = [(o, sum(map(mul, o, packed)))
                for o in (_values(m_rows, k) for k in product(*map(range, scales)))]
     for b in base:
-        at_b = _values(rows, b)
+        at_b = start + sum(map(mul, b, packed))
         for o, at_o in offsets:
-            values = tuple(map(add, at_b, at_o))
-            if all(map(ge, values, floor)):
-                yield b, o, values
+            w = at_b + at_o
+            if w & guard == guard:
+                for cut in cuts:
+                    if (w + cut) & guard == guard:
+                        break
+                else:
+                    yield b, o
 
 
 def _primitive_degrees(module: SemigroupModule, scale):
@@ -194,22 +223,23 @@ def _primitive_degrees(module: SemigroupModule, scale):
     member = (low,) * len(rows)
     kept = set()
     for simplex in cone_triangulation(config):
-        for b, o, values in _box_points(simplex, [scale] * config.d, rows, member):
-            if not any(all(map(ge, values, f)) for f in floors):
-                kept.add(tuple(map(add, b, o)))
+        kept.update(tuple(map(add, b, o)) for b, o in
+                    _box_points(simplex, [scale] * config.d, rows, member, floors))
     return tuple(sorted(kept))
 
 
+@lru_cache(maxsize=16)
 def module_generators(module: SemigroupModule) -> PrimitiveSet:
     """Finite primitive generating set of the closure or interior module.
 
     Candidates are the lattice points of the half-open boxes over the placing
     triangulation's maximal simplices (interior modules widen the boxes by one
     extra copy of each ray, since a coefficient >= 2 is always reducible);
-    a secondary scan at doubled scale runs on every call and raises
+    a secondary scan at doubled scale runs on every computation and raises
     BoxScanIncompleteError if it finds a different set.  Full torsion fibers
     are attached afterwards: membership and reducibility only see the free
-    part, so every fiber behaves identically.
+    part, so every fiber behaves identically.  The immutable result is
+    memoized per module.
     """
     if module.kind == EXPLICIT:
         raise SpecError("explicit modules carry their own generators; "
@@ -259,16 +289,5 @@ def cone_points_up_to(config: PointConfig, height, bound):
     for simplex in cone_triangulation(config):
         scales = [math.floor(Fraction(bound) / height(v)) + 2 for v in simplex]
         out.update(tuple(map(add, b, o))
-                   for b, o, _ in _box_points(simplex, scales, rows, floor))
+                   for b, o in _box_points(simplex, scales, rows, floor))
     return sorted(out)
-
-
-def elements_with_height_at_most(module: SemigroupModule, height, bound):
-    """All module elements t with height(free part of t) <= bound, every
-    torsion fiber included; sorted."""
-    group = module.config.group
-    fibers = (group.element(f.torsion, v)
-              for v in cone_points_up_to(module.config, height, bound)
-              for f in group.torsion_elements())
-    return sorted((t for t in fibers if membership(t, module)),
-                  key=lambda e: e.sort_key())

@@ -1,11 +1,9 @@
 """D-module presentations attached to a semigroup module and a parameter.
 
-Two presentation shapes are produced: the full form on a finite height slice
-of the module (one generator per module element in the slice, one lowering
-relation per column) and the finite primitive form (one generator per
-primitive element, binomial gluing relations computed exactly as a
-canonical module Groebner basis, plus shifted Euler relations).
-Quasi-degree arrangements and the homology vanishing test live here too.
+The presentation is the finite primitive form: one generator per primitive
+element, binomial gluing relations computed exactly as a canonical module
+Groebner basis, plus shifted Euler relations.  Quasi-degree arrangements
+and the homology vanishing test live here too.
 
 The relation module writes the term d^u 1_c as the y-tagged exponent
 onehot_m(c) + u (poly.TermOverPosition) with a Fraction coefficient (the
@@ -22,12 +20,11 @@ from .cones import (AffinePiece, Arrangement, PointConfig, facets,
                     homogenizing_functional, membership_in_arrangement,
                     positive_grading)
 from .cyclotomic import Cyclotomic
-from .errors import NotHomogeneousError, NotStabilizedError, SliceTooSmallError, SpecError
+from .errors import NotHomogeneousError, NotStabilizedError, SpecError
 from .lattice import express_in_columns, rank
 from .poly import PositionOverTerm, TermOverPosition, module_groebner
 from .semigroups import (EXPLICIT, K, K_INTERIOR, SemigroupModule,
-                         cone_points_up_to, elements_with_height_at_most,
-                         module_generators, primitive_elements)
+                         cone_points_up_to, module_generators, primitive_elements)
 from .weyl import WeylElement, euler_operators
 
 K_MOD_KINTERIOR = "K_MOD_KINTERIOR"
@@ -93,42 +90,6 @@ def _euler_relations(config, beta, generators):
             coeff = beta[i] - Fraction(t.free[i])
             out.append(_make_relation([(gi, ops[i] - coeff)]))
     return out
-
-
-def bbgkz_relations(module: SemigroupModule, beta, degree_bound) -> SystemPresentation:
-    """Full presentation on the height slice of the module.
-
-    Generators: every module element whose free part has height at most the
-    bound.  Relations: the lowering relation d_j 1_u - 1_{u+a_j} whenever
-    both endpoints fit in the slice, and a shifted Euler relation per
-    generator and coordinate.  The slice must contain every primitive
-    element or the presentation could not generate the module.
-    """
-    config = module.config
-    n = config.n
-    beta = coerce_beta(beta, config.d)
-    height = positive_grading(config)
-    prim = _primitive_set_for(module)
-    top = max((height(v) for v in prim.degrees), default=Fraction(0))
-    if Fraction(degree_bound) < top:
-        raise SliceTooSmallError(
-            f"slice bound {degree_bound} is below the largest primitive height {top}",
-            bound=degree_bound)
-    gens = tuple(elements_with_height_at_most(module, height, degree_bound))
-    index = {g: i for i, g in enumerate(gens)}
-    binomials = []
-    for u, i in index.items():
-        for j in range(n):
-            v = u + config.columns[j]
-            if v in index:
-                rel = _make_relation([
-                    (i, WeylElement.d(j, n)),
-                    (index[v], WeylElement.constant(n, -1))])
-                binomials.append(rel)
-    binomials.sort(key=_relation_key)
-    relations = tuple(binomials) + tuple(_euler_relations(config, beta, gens))
-    return SystemPresentation(config, module.kind, beta, gens, relations,
-                              (("h_degree_bound", int(degree_bound)),))
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,6 @@ class WeylElement:
         return hash((self.nvars, frozenset(
             (k, v.demoted()) for k, v in self.terms.items())))
 
-    def commutator(self, other):
-        return self * other - other * self
-
     def sign_twist(self):
         """The image under x -> -x, d -> -d: each term picks up the parity
         of its total degree."""

@@ -3,15 +3,16 @@
 The placing triangulation expresses every placed vector in coordinates of
 the current basis (re-expressing all of them on each rank jump) and decides
 visibility by Fraction determinants of those coordinates; pointedness solves
-one Fraction linear program per column subset of size <= d+1.  Nothing is
-memoized.
+one Fraction linear program per column subset of size <= d+1; the face
+lattice tries every subset of the facets.  Nothing is memoized.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from tgkz import fieldlin
-from tgkz.lattice import IntMatrix
+from tgkz.cones import Face, facets
+from tgkz.lattice import IntMatrix, rank
 
 
 def placing_triangulation(vectors):
@@ -88,3 +89,21 @@ def is_pointed(config) -> bool:
             if lam is not None and all(x >= 0 for x in lam):
                 return False
     return True
+
+
+def face_lattice(config):
+    """Faces from the column sets of all 2^F subsets of the facets."""
+    taus = facets(config)
+    free = config.free_columns()
+    seen = {}
+    for k in range(len(taus) + 1):
+        for chosen in combinations(range(len(taus)), k):
+            colset = tuple(j for j in range(config.n)
+                           if all(taus[i](free[j]) == 0 for i in chosen))
+            if colset in seen:
+                continue
+            normals = tuple(t for t in taus
+                            if all(t(free[j]) == 0 for j in colset))
+            dim = rank([free[j] for j in colset if any(x != 0 for x in free[j])])
+            seen[colset] = Face(colset, normals, dim)
+    return tuple(sorted(seen.values(), key=lambda f: (f.dim, f.column_indices)))

@@ -45,8 +45,8 @@ import sys
 from tgkz import semigroups
 from tgkz.cli import main
 original = semigroups._box_points
-def lossy(simplex, scales, rows, floor):
-    found = sorted(original(simplex, scales, rows, floor))  # by point at unit scale
+def lossy(simplex, scales, *rest):
+    found = sorted(original(simplex, scales, *rest))  # by point at unit scale
     return found[1:] if max(scales) == 1 else found
 semigroups._box_points = lossy
 sys.exit(main(sys.argv[1:]))

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 import cone_oracle
-from conftest import make_config
+from conftest import make_config, random_battery
 from tgkz import cones
 from tgkz.cones import (
     Arrangement,
@@ -263,3 +263,16 @@ def test_face_lattice_closed_under_intersection(battery):
         for f, g in itertools.combinations_with_replacement(faces, 2):
             meet = tuple(sorted(set(f.column_indices) & set(g.column_indices)))
             assert meet in colsets
+
+
+def test_face_lattice_matches_subset_oracle(battery):
+    # a lattice decagon with two interior points: ten facets, 2^10 subsets
+    decagon = [(0, 0), (1, 0), (3, 1), (4, 3), (4, 4), (3, 5), (1, 5), (0, 4),
+               (-1, 2), (-1, 1), (1, 2), (2, 3)]
+    pyramid = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
+    configs = battery + random_battery(20240, 40) + [
+        make_config([], [((), (1,) + p) for p in decagon]),
+        make_config([2], [((i % 2,), (1,) + p) for i, p in enumerate(pyramid)])]
+    assert len(facets(configs[-2])) == 10
+    for config in configs:
+        assert face_lattice(config) == cone_oracle.face_lattice(config), config

@@ -281,3 +281,16 @@ def test_api_checks_raise_value_error_under_optimize():
         "Q(zeta_4) does not embed in Q(zeta_6)",
         "ideals in different rings: 1 and 2 variables",
         "intersection of no ideals"]
+
+
+def test_exact_division_checks_raise_value_error_under_optimize():
+    code = ("from tgkz.cyclotomic import _poly_divmod_int\n"
+            "for num, den in (([1, 0, 1], [1, 1]), ([0, 1], [1, 2]), ([-1, 0, 1], [1, 1])):\n"
+            "    try:\n        print(_poly_divmod_int(num, den))\n"
+            "    except ValueError as exc:\n        print(exc)\n")
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "polynomial division leaves a remainder",  # x^2 + 1 = (x - 1)(x + 1) + 2
+        "leading coefficient does not divide exactly",  # x by 2x + 1
+        "[-1, 1]"]  # x^2 - 1 = (x - 1)(x + 1)

@@ -1,6 +1,8 @@
 import ast
 import heapq
+import importlib
 import itertools
+import pkgutil
 import random
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import tgkz
 from conftest import make_config, random_battery
 from relation_oracle import pair_elements, span_reduce
 from tgkz import binomials, poly, systems
@@ -515,7 +518,11 @@ def test_chain_criteria_drop_pairs_with_shared_variables(texts):
     assert poly.buchberger(gens, GREVLEX) == expect
 
 
-@pytest.mark.parametrize("module", [poly, binomials])
+TGKZ_MODULES = [tgkz] + [importlib.import_module(f"tgkz.{info.name}")
+                         for info in pkgutil.iter_modules(tgkz.__path__)]
+
+
+@pytest.mark.parametrize("module", TGKZ_MODULES)
 def test_no_assert_statements(module):
     # python -O strips assert statements, so every check must raise instead
     tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))

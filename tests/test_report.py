@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tgkz import binomials, cones
+from tgkz import binomials, cones, semigroups
 from tgkz.errors import HypothesisError, SpecError
 from tgkz.problem import parse_spec
 from tgkz.report import render, run_command
@@ -41,13 +41,20 @@ def test_commands_compute_each_per_configuration_object_once(monkeypatch):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
                             calls.append(name) or real(*args))
+    scans = []
+    real_scan = semigroups._primitive_degrees
+    monkeypatch.setattr(semigroups, "_primitive_degrees", lambda module, scale:
+                        scans.append((module.kind, scale)) or real_scan(module, scale))
     cones.check_hypotheses.cache_clear()
     binomials._minimal_primes.cache_clear()
+    semigroups.module_generators.cache_clear()
     spec = parse_spec(MOD4)
     for command in ("report", "ideals", "primes", "dual"):
         run_command(spec, command)
     # one hypotheses check, and four characters twisted once each
     assert sorted(calls) == ["lattice_index"] + ["twisted_ideal"] * 4
+    # one primitive set per module: its base scan and its doubled-scale rescan
+    assert sorted(scans) == [("K", 1), ("K", 2), ("K_INTERIOR", 2), ("K_INTERIOR", 4)]
     assert binomials.minimal_primes(spec.config) is not binomials.minimal_primes(spec.config)
 
 

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import make_config
+from conftest import make_config, random_battery
 from tgkz import fieldlin, semigroups
 from tgkz.cones import cone_triangulation, facet_rows, facets, positive_grading
 from tgkz.errors import BoxScanIncompleteError, HypothesisError, SpecError
@@ -24,7 +24,6 @@ from tgkz.semigroups import (
     _box_points,
     _primitive_degrees,
     cone_points_up_to,
-    elements_with_height_at_most,
     member_semigroup,
     membership,
     module_generators,
@@ -102,6 +101,17 @@ def test_module_generators_rejects_explicit(split_line):
     mod = SemigroupModule(EXPLICIT, split_line, (split_line.group.zero(),))
     with pytest.raises(SpecError):
         module_generators(mod)
+
+
+def elements_with_height_at_most(module, height, bound):
+    """All module elements t with height(free part of t) <= bound, every
+    torsion fiber included; sorted (a brute-force enumerator)."""
+    group = module.config.group
+    fibers = (group.element(f.torsion, v)
+              for v in cone_points_up_to(module.config, height, bound)
+              for f in group.torsion_elements())
+    return sorted((t for t in fibers if membership(t, module)),
+                  key=lambda e: e.sort_key())
 
 
 def test_hilbert_basis_brute_force_d2():
@@ -217,7 +227,9 @@ def test_closure_primitive_count_is_torsion_times_projection():
 
 
 def _fraction_box_points(simplex, scale):
+    """Box points over the simplex at one scale, or one scale per vector."""
     d = len(simplex[0])
+    scales = [scale] * d if isinstance(scale, int) else scale
     m_rows = [[simplex[j][i] for j in range(d)] for i in range(d)]
     snf = smith_normal_form(IntMatrix.from_rows(m_rows))
     u_rows = [[Fraction(snf.U.entry(i, j)) for j in range(d)]
@@ -232,7 +244,7 @@ def _fraction_box_points(simplex, scale):
                                        for j in range(d)) for i in range(d)))
     return {tuple(b[i] + sum(k[j] * simplex[j][i] for j in range(d))
                   for i in range(d))
-            for k in itertools.product(range(scale), repeat=d) for b in base}
+            for k in itertools.product(*map(range, scales)) for b in base}
 
 
 def _fraction_in_module(v, kind, taus):
@@ -277,10 +289,10 @@ def _square_prism(orders):
 def _streamed(simplex, scale, rows, floor):
     """The streamed box scan as {point: values}, each point yielded once."""
     out = {}
-    for b, o, values in _box_points(simplex, [scale] * len(simplex), rows, floor):
+    for b, o in _box_points(simplex, [scale] * len(simplex), rows, floor):
         point = tuple(map(operator.add, b, o))
         assert point not in out
-        out[point] = values
+        out[point] = tuple(sum(map(operator.mul, row, point)) for row in rows)
     return out
 
 
@@ -308,16 +320,71 @@ def test_integer_kernel_matches_fraction_scan(battery):
             assert prim.elements and prim == _fraction_module_generators(mod)
 
 
+def _tuple_cone_points(config, height, bound):
+    """cone_points_up_to with each candidate's values compared as a tuple,
+    entry by entry, against the floor (the scan before packing)."""
+    den = math.lcm(*(Fraction(c).denominator for c in height.free_part))
+    rows = facet_rows(config) + (tuple(int(-den * c) for c in height.free_part),)
+    floor = (0,) * (len(rows) - 1) + (-math.floor(den * Fraction(bound)),)
+    out = set()
+    for simplex in cone_triangulation(config):
+        scales = [math.floor(Fraction(bound) / height(v)) + 2 for v in simplex]
+        for v in _fraction_box_points(simplex, scales):
+            values = (sum(map(operator.mul, row, v)) for row in rows)
+            if all(map(operator.ge, values, floor)):
+                out.add(v)
+    return sorted(out)
+
+
+def test_packed_kernel_matches_oracles_on_batteries():
+    configs = (random_battery(20240, 40) + _reduction_battery()
+               + [_square_prism([]), _square_prism([2])])
+    for cfg in configs:
+        for kind in (K, K_INTERIOR):
+            mod = SemigroupModule(kind, cfg)
+            for scale in (1, 2, 3, 4):
+                assert _primitive_degrees(mod, scale) == \
+                    _fraction_primitive_degrees(mod, scale), (cfg, kind, scale)
+        grading = positive_grading(cfg)
+        halves = Functional(tuple(Fraction(3, 2) * c for c in grading.free_part))
+        for height, bound in ((grading, 3), (halves, Fraction(7, 2))):
+            # the last row, -den * height, is negative on the whole box
+            assert cone_points_up_to(cfg, height, bound) == \
+                _tuple_cone_points(cfg, height, bound), (cfg, height)
+
+
+# The box 0 <= v < 8 on the line with values (v, -v): each value has
+# |value| < 8, so with the largest |floor entry| 7 the bound 8 + 7 = 15
+# fills 4 bits exactly and the fields are 5 bits wide.
+@pytest.mark.parametrize("floor,reducers,expected", [
+    ((5, -7), (), [5, 6, 7]),  # v = 5 and v = 7 sit exactly on a floor
+    ((5, -6), (), [5, 6]),  # v = 4 and v = 7 fall one below a floor
+    ((0, -7), ((7, -7), (-7, 0)), [1, 2, 3, 4, 5, 6]),  # |v - f| up to 14
+    ((-7, -7), ((7, 0),), list(range(8))),  # no v is both >= 7 and <= 0
+    ((-7, 7), (), []),
+])
+def test_packed_test_at_floor_and_width_boundaries(floor, reducers, expected):
+    def meets(v, f):
+        return all(map(operator.ge, (v, -v), f))
+
+    assert expected == [v for v in range(8) if meets(v, floor)
+                        and not any(meets(v, f) for f in reducers)]
+    found = [b[0] + o[0] for b, o in
+             _box_points(((1,),), [8], ((1,), (-1,)), floor, reducers)]
+    assert sorted(found) == expected
+
+
 def _drop_smallest_at_unit_scale(monkeypatch):
     original = semigroups._box_points
 
-    def lossy(simplex, scales, rows, floor):
-        found = sorted(original(simplex, scales, rows, floor))  # by point at unit scale
+    def lossy(simplex, scales, *rest):
+        found = sorted(original(simplex, scales, *rest))  # by point at unit scale
         return found[1:] if max(scales) == 1 else found
     monkeypatch.setattr(semigroups, "_box_points", lossy)
 
 
 def test_lost_box_point_raises_typed_error(split_line, monkeypatch):
+    module_generators.cache_clear()  # a cached set would skip the lossy scan
     _drop_smallest_at_unit_scale(monkeypatch)
     with pytest.raises(BoxScanIncompleteError) as info:
         module_generators(SemigroupModule(K, split_line))

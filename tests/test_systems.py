@@ -10,7 +10,7 @@ from relation_oracle import pair_elements, span_reduce
 from tgkz import fieldlin, systems
 from tgkz.cones import face_by_columns
 from tgkz.cyclotomic import Cyclotomic
-from tgkz.errors import NotHomogeneousError, NotStabilizedError, SliceTooSmallError
+from tgkz.errors import NotHomogeneousError, NotStabilizedError
 from tgkz.poly import TermOverPosition, module_groebner
 from tgkz.semigroups import K, K_INTERIOR, SemigroupModule
 from tgkz.systems import (
@@ -20,7 +20,6 @@ from tgkz.systems import (
     VANISHES,
     _primitive_set_for,
     bbgkz_primitive_presentation,
-    bbgkz_relations,
     default_binomial_bound,
     quasi_degrees,
     regularity_certificate,
@@ -31,27 +30,6 @@ from tgkz.weyl import WeylElement
 
 def rel_texts(pres):
     return [[(i, op.to_text()) for i, op in rel] for rel in pres.relations]
-
-
-def test_slice_presentation_split_line(split_line):
-    mod = SemigroupModule(K, split_line)
-    pres = bbgkz_relations(mod, (Fraction(1, 2),), 1)
-    assert [(g.torsion, g.free) for g in pres.generators] == \
-        [((0,), (0,)), ((1,), (0,)), ((0,), (1,)), ((1,), (1,))]
-    rels = rel_texts(pres)
-    assert [(0, "d1"), (3, "-1")] in rels
-    assert [(1, "d1"), (2, "-1")] in rels
-    eulers = [r for r in rels if len(r) == 1]
-    assert ([(0, "x1*d1 - 1/2")] in eulers and
-            [(1, "x1*d1 - 1/2")] in eulers and
-            [(2, "x1*d1 + 1/2")] in eulers and
-            [(3, "x1*d1 + 1/2")] in eulers)
-
-
-def test_slice_presentation_too_small(split_line):
-    mod = SemigroupModule(K_INTERIOR, split_line)
-    with pytest.raises(SliceTooSmallError):
-        bbgkz_relations(mod, (0,), 0)
 
 
 def test_primitive_presentation_line_pair():

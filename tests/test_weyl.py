@@ -23,13 +23,17 @@ def test_normal_order_d2x2():
     assert ((d * x) * (d * x)).to_text() == "x1^2*d1^2 + 3*x1*d1 + 1"
 
 
+def commutator(a, b):
+    return a * b - b * a
+
+
 def test_commutator_defining_relation():
     x = WeylElement.x(0, 2)
     d = WeylElement.d(0, 2)
     other = WeylElement.d(1, 2)
-    assert d.commutator(x).to_text() == "1"
-    assert other.commutator(x).is_zero()
-    assert x.commutator(x).is_zero()
+    assert commutator(d, x).to_text() == "1"
+    assert commutator(other, x).is_zero()
+    assert commutator(x, x).is_zero()
 
 
 def test_commutator_random_products():
@@ -46,8 +50,8 @@ def test_commutator_random_products():
 
     for _ in range(25):
         a, b, c = rand_elem(), rand_elem(), rand_elem()
-        lhs = a.commutator(b * c)
-        rhs = a.commutator(b) * c + b * a.commutator(c)
+        lhs = commutator(a, b * c)
+        rhs = commutator(a, b) * c + b * commutator(a, c)
         assert lhs == rhs
 
 
@@ -64,8 +68,8 @@ def test_euler_commutes_with_homogeneous_parts():
     (e,) = euler_operators(line)
     d1 = WeylElement.d(0, 2)
     d2 = WeylElement.d(1, 2)
-    assert e.commutator(d1) == d1 * Cyclotomic.rational(-1)
-    assert e.commutator(d2) == d2 * Cyclotomic.rational(-2)
+    assert commutator(e, d1) == d1 * Cyclotomic.rational(-1)
+    assert commutator(e, d2) == d2 * Cyclotomic.rational(-2)
 
 
 def test_sign_twist_involution_and_parity():
