@@ -10,11 +10,11 @@ Toric ideals and minimal primes are memoized per configuration value (small
 LRU caches); callers must not mutate the cached ideals.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
 
+from ._value import frozen
 from .cones import Face, PointConfig, face_by_columns
 from .cyclotomic import Cyclotomic
 from .errors import (LatticeMismatchError, NotBinomialError, NotSaturatedError,
@@ -33,7 +33,7 @@ def _power_product(values, exponents):
     return val
 
 
-@dataclass(frozen=True)
+@frozen
 class PartialCharacter:
     """A multiplicative map on a sublattice of Z^n, stored by its nonzero
     values on a Hermite-form lattice basis."""

@@ -9,19 +9,19 @@ Any triangulation gives the same volume, so canonicity is only needed for
 reproducibility of candidate boxes downstream.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from . import fieldlin
+from ._value import frozen
 from .cyclotomic import Cyclotomic
 from .errors import EmptyConeError, HypothesisError, NotPointedError
-from .lattice import (AbelianGroup, Functional, IntMatrix, hnf_rows, kernel_basis,
-                      lattice_index, rank, smith_normal_form)
+from .lattice import (INFINITE, AbelianGroup, Functional, IntMatrix, hnf_rows,
+                      kernel_basis, lattice_index, rank, smith_normal_form)
 
 
-@dataclass(frozen=True)
+@frozen
 class PointConfig:
     """The defining data: a group N and the tuple of columns cal(A)."""
 
@@ -212,7 +212,7 @@ def is_pointed(config: PointConfig) -> bool:
     return all(_dot(h, c) > 0 for c in cols)
 
 
-@dataclass(frozen=True)
+@frozen
 class Face:
     """A face of the cone, recorded by the columns lying on it (0-based,
     zero free-part columns belong to every face)."""
@@ -297,14 +297,14 @@ def positive_grading(config: PointConfig) -> Functional:
 # affine arrangements (quasi-degree supports)
 
 
-@dataclass(frozen=True)
+@frozen
 class AffinePiece:
     shift: tuple          # rational d-vector
     span_vectors: tuple   # integer d-vectors spanning the linear part
     column_indices: tuple  # columns contributing the span (0-based, display)
 
 
-@dataclass(frozen=True)
+@frozen
 class Arrangement:
     dim: int
     pieces: tuple
@@ -326,7 +326,7 @@ def membership_in_arrangement(beta, arrangement: Arrangement) -> bool:
 # standing hypotheses
 
 
-@dataclass(frozen=True)
+@frozen
 class HypothesesReport:
     spans: bool
     pointed: bool
@@ -337,6 +337,16 @@ class HypothesesReport:
     @property
     def ok(self):
         return self.spans and self.pointed and self.delta_divides_ell
+
+    def to_json(self):
+        return {
+            "spans": self.spans,
+            "pointed": self.pointed,
+            "delta_divides_ell": self.delta_divides_ell,
+            "delta": "INFINITE" if self.delta is INFINITE else self.delta,
+            "ell": self.ell,
+            "ok": self.ok,
+        }
 
 
 @lru_cache(maxsize=16)

@@ -7,11 +7,11 @@ The character split certifies that the closure module decomposes into
 torsion-order many untwisted copies, one per character of the torsion group.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from . import fieldlin
+from ._value import frozen
 from .cones import (PointConfig, check_hypotheses, epsilon_vector,
                     normalized_volume, positive_grading)
 from .cyclotomic import Cyclotomic
@@ -52,7 +52,7 @@ def sign_twist(obj):
     raise TypeError(f"cannot sign-twist {type(obj).__name__}")
 
 
-@dataclass(frozen=True)
+@frozen
 class DualityReport:
     beta: tuple
     epsilon: tuple
@@ -78,7 +78,7 @@ def dual_system(config: PointConfig, beta, binomial_degree_bound=None):
     report = check_hypotheses(config)
     if not report.ok:
         raise HypothesisError("duality requires the standing hypotheses",
-                              hypotheses=report)
+                              hypotheses=report.to_json())
     beta = coerce_beta(beta, config.d)
     shifted = dual_parameter(beta, config)
     module = SemigroupModule(K_INTERIOR, config)
@@ -98,7 +98,7 @@ def dual_system(config: PointConfig, beta, binomial_degree_bound=None):
 # character split
 
 
-@dataclass(frozen=True)
+@frozen
 class SplitCertificate:
     """Evaluation maps on the torsion markers and the exact evidence that
     they jointly separate every truncated graded piece."""
@@ -134,7 +134,7 @@ def character_split(config: PointConfig, truncation=DEFAULT_TRUNCATION) -> Split
     report = check_hypotheses(config)
     if not report.ok:
         raise HypothesisError("character split requires the standing hypotheses",
-                              hypotheses=report)
+                              hypotheses=report.to_json())
     orders = config.group.torsion_orders
     fibers = list(product(*(range(o) for o in orders)))
     exponents = fibers

@@ -5,10 +5,10 @@ returned as rows in Hermite normal form with positive pivots, so equal
 lattices always produce identical output.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._value import frozen
 from .errors import SmithCheckError
 
 
@@ -23,7 +23,7 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
-@dataclass(frozen=True)
+@frozen
 class IntMatrix:
     rows: int
     cols: int
@@ -96,7 +96,7 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
+@frozen
 class SmithDecomposition:
     U: IntMatrix
     D: IntMatrix
@@ -315,7 +315,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(hnf_rows(cols)) if cols else IntMatrix(0, m.cols, ())
 
 
-@dataclass(frozen=True)
+@frozen
 class AbelianGroup:
     """N = Z/l1 (+) ... (+) Z/lk (+) Z^d with the invariant-factor chain l1 | l2 | ... ."""
 
@@ -362,7 +362,7 @@ class AbelianGroup:
             yield GroupElement(self, t, zero_free)
 
 
-@dataclass(frozen=True)
+@frozen
 class GroupElement:
     group: AbelianGroup
     torsion: tuple
@@ -399,7 +399,7 @@ class GroupElement:
         return (self.free, self.torsion)
 
 
-@dataclass(frozen=True)
+@frozen
 class Functional:
     """Rational linear functional on the free part N-bar = Z^d."""
 

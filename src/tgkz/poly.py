@@ -24,11 +24,11 @@ onehot_m(c) + u, ordered by TermOverPosition(m) or PositionOverTerm(m).
 
 import heapq
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, le, sub
 
+from ._value import frozen
 from .cyclotomic import Cyclotomic
 from .errors import BudgetExceededError, SpecError
 
@@ -406,7 +406,7 @@ def buchberger(gens, order=GREVLEX, pair_budget=None):
     return [Polynomial._of(gens[0].nvars, t) for t in basis]
 
 
-@dataclass(frozen=True)
+@frozen
 class IdealBasis:
     """An ideal by its reduced grevlex Groebner basis (monic, sorted
     ascending by leading monomial), so equal ideals have equal bases."""
@@ -439,6 +439,15 @@ def eliminate(gens, elim_indices, pair_budget=None):
     return [g for g in basis if all(all(e[i] == 0 for i in elim) for e in g.terms)]
 
 
+def _eliminate_last(gens, n, pair_budget):
+    """The ideal of gens, in n + 1 variables, met with the ring of the first
+    n.  On monomials free of the last variable BlockElim([n]) compares as
+    grevlex does, so the part of its reduced basis free of that variable
+    already is the reduced grevlex basis, ascending."""
+    kept = eliminate(gens, [n], pair_budget)
+    return IdealBasis(n, tuple(g.drop_last_vars(1) for g in kept))
+
+
 def saturate(ideal: IdealBasis, var_indices, pair_budget=None) -> IdealBasis:
     """(I : (prod of the given variables)^infinity), reduced grevlex basis."""
     if not ideal.generators:
@@ -449,9 +458,7 @@ def saturate(ideal: IdealBasis, var_indices, pair_budget=None) -> IdealBasis:
     for j in var_indices:
         prod = prod * Polynomial.variable(j, n + 1)
     gens.append(prod - 1)
-    kept = eliminate(gens, [n], pair_budget)
-    back = [g.drop_last_vars(1) for g in kept]
-    return groebner_ideal(back, n, pair_budget)
+    return _eliminate_last(gens, n, pair_budget)
 
 
 def intersect(a: IdealBasis, b: IdealBasis, pair_budget=None) -> IdealBasis:
@@ -464,9 +471,7 @@ def intersect(a: IdealBasis, b: IdealBasis, pair_budget=None) -> IdealBasis:
     t = Polynomial.variable(n, n + 1)
     gens = [t * g.extend_vars(1) for g in a.generators]
     gens += [(Polynomial.constant(n + 1, 1) - t) * g.extend_vars(1) for g in b.generators]
-    kept = eliminate(gens, [n], pair_budget)
-    back = [g.drop_last_vars(1) for g in kept]
-    return groebner_ideal(back, n, pair_budget)
+    return _eliminate_last(gens, n, pair_budget)
 
 
 def intersect_many(ideals, pair_budget=None) -> IdealBasis:

@@ -9,8 +9,8 @@ supported exact scalars are UNSUPPORTED_CHARACTER_VALUE.
 
 import hashlib
 import json
-from dataclasses import dataclass
 
+from ._value import frozen
 from .cones import PointConfig
 from .cyclotomic import Cyclotomic
 from .errors import SpecError
@@ -27,7 +27,7 @@ DEFAULT_BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class ProblemSpec:
     group: AbelianGroup
     config: PointConfig

@@ -10,7 +10,6 @@ import json
 
 from . import binomials, cones, duality, semigroups, systems
 from .errors import HypothesisError, SpecError
-from .lattice import INFINITE
 from .poly import default_pair_budget, polynomial_to_text
 from .problem import ProblemSpec
 from .semigroups import EXPLICIT, K, K_INTERIOR
@@ -48,17 +47,6 @@ def arrangement_json(arr):
                     "span": [list(v) for v in p.span_vectors],
                     "columns": list(p.column_indices)}
                    for p in arr.pieces],
-    }
-
-
-def hypotheses_json(rep):
-    return {
-        "spans": rep.spans,
-        "pointed": rep.pointed,
-        "delta_divides_ell": rep.delta_divides_ell,
-        "delta": "INFINITE" if rep.delta is INFINITE else rep.delta,
-        "ell": rep.ell,
-        "ok": rep.ok,
     }
 
 
@@ -197,12 +185,12 @@ def run_command(spec: ProblemSpec, command, bound=None, workers=None):
     blocks = {}
     hyp = cones.check_hypotheses(spec.config)
     if command == "check":
-        blocks["hypotheses"] = hypotheses_json(hyp)
+        blocks["hypotheses"] = hyp.to_json()
     else:
         if not hyp.ok:
             raise HypothesisError(
                 "standing hypotheses fail; run 'check' for the diagnosis",
-                hypotheses=hypotheses_json(hyp))
+                hypotheses=hyp.to_json())
         truncation = spec.bounds["truncation"]
         if command in ("system", "dual", "report"):
             resolved = settings["bounds"]["binomial_degree"] = \
@@ -221,7 +209,7 @@ def run_command(spec: ProblemSpec, command, bound=None, workers=None):
         elif command == "dual":
             blocks["dual"] = dual_block(spec, resolved, truncation)
         elif command == "report":
-            blocks["hypotheses"] = hypotheses_json(hyp)
+            blocks["hypotheses"] = hyp.to_json()
             blocks["ideals"], extra = ideals_block(spec, workers)
             notes.extend(extra)
             blocks["module"] = module_block(spec)

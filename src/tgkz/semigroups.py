@@ -17,12 +17,12 @@ add and one mask (SWAR).  Each primitive set is computed once per module.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
 from operator import add, lshift, mul
 
+from ._value import frozen
 from .cones import PointConfig, cone_triangulation, facet_rows, is_pointed
 from .errors import BoxScanIncompleteError, NotPointedError, SpecError
 from .lattice import IntMatrix, smith_normal_form
@@ -34,7 +34,7 @@ _KINDS = (K, K_INTERIOR, EXPLICIT)
 _LOW = {K: 0, K_INTERIOR: 1}  # least facet value of a module element
 
 
-@dataclass(frozen=True)
+@frozen
 class SemigroupModule:
     kind: str
     config: PointConfig
@@ -58,7 +58,7 @@ class SemigroupModule:
             raise ValueError("generators only allowed for explicit modules")
 
 
-@dataclass(frozen=True)
+@frozen
 class PrimitiveSet:
     """Irreducible module generators and their free-part degrees (aligned)."""
 
@@ -145,28 +145,14 @@ def member_semigroup(config: PointConfig, t) -> bool:
 # primitive generating sets
 
 
-def _box_points(simplex, scales, rows, floor, reducers=()):
-    """Lattice points b + o of {sum mu_j v_j : 0 <= mu_j < scales[j]} for
-    linearly independent integer vectors v_j spanning Z^d rationally, yielded
-    one at a time as (b, o) when the values rows . (b + o) are >= floor and
-    not >= any floor in `reducers`.
+def _box_base(simplex):
+    """One representative b per residue class of Z^d modulo the sublattice
+    spanned by d linearly independent integer vectors v_j, in the
+    fundamental box {sum mu_j v_j : 0 <= mu_j < 1}.
 
-    b is one representative per residue class of Z^d modulo the sublattice
-    the vectors span, in the fundamental box, and o = sum k_j v_j with
-    0 <= k_j < scales[j].  If U M V = D is the Smith form of
-    M = (v_1 ... v_d), the class of U^-1 r has coordinates
-    mu = M^-1 U^-1 r = V D^-1 r and point M frac(mu), both times |det M|.
-
-    Values are tested packed into one integer, value i in the W-bit field
-    at bit i*W, with G the guard bit W-1 of every field.  A box point
-    sum c_j v_j (0 <= c_j < scales[j]) has
-    |tau_i| < sum_j scales[j] |tau_i(v_j)|; W leaves 2^(W-1) above the
-    largest such bound plus the largest |floor entry|, so
-    every field of pack(values) + G - pack(f) lies in [1, 2^W) with no
-    carry, and its guard bit is set exactly when that value is >= f_i.
-    Packing is linear, so pack(rows . x) is x dotted with the packed columns
-    of rows, taken once per base point b and once per offset o, and every
-    test is one add and one mask.
+    If U M V = D is the Smith form of M = (v_1 ... v_d), the class of
+    U^-1 r has coordinates mu = M^-1 U^-1 r = V D^-1 r and point M frac(mu),
+    both times |det M|.
     """
     d = len(simplex)
     m_rows = list(zip(*simplex))
@@ -185,6 +171,31 @@ def _box_points(simplex, scales, rows, floor, reducers=()):
         raise BoxScanIncompleteError(
             "box representatives do not cover the residue classes",
             simplex=simplex, expected=vol, found=len(base))
+    return base
+
+
+def _box_points(simplex, scales, rows, floor, reducers=(), base=None):
+    """Lattice points b + o of {sum mu_j v_j : 0 <= mu_j < scales[j]} for
+    the vectors v_j of `simplex`, yielded one at a time as (b, o) when the
+    values rows . (b + o) are >= floor and not >= any floor in `reducers`.
+
+    b runs over `base`, the simplex's _box_base (built here when None), and
+    o = sum k_j v_j with 0 <= k_j < scales[j].
+
+    Values are tested packed into one integer, value i in the W-bit field
+    at bit i*W, with G the guard bit W-1 of every field.  A box point
+    sum c_j v_j (0 <= c_j < scales[j]) has
+    |tau_i| < sum_j scales[j] |tau_i(v_j)|; W leaves 2^(W-1) above the
+    largest such bound plus the largest |floor entry|, so
+    every field of pack(values) + G - pack(f) lies in [1, 2^W) with no
+    carry, and its guard bit is set exactly when that value is >= f_i.
+    Packing is linear, so pack(rows . x) is x dotted with the packed columns
+    of rows, taken once per base point b and once per offset o, and every
+    test is one add and one mask.
+    """
+    if base is None:
+        base = _box_base(simplex)
+    m_rows = list(zip(*simplex))
     reach = max((sum(map(mul, scales, map(abs, _values(simplex, row))))
                  for row in rows), default=0)
     width = (reach + max(map(abs, chain(floor, *reducers)), default=0)).bit_length() + 1
@@ -211,21 +222,24 @@ def _box_points(simplex, scales, rows, floor, reducers=()):
                     yield b, o
 
 
-def _primitive_degrees(module: SemigroupModule, scale):
-    """Free degrees of the box candidates that lie in the module and stay
-    irreducible, sorted.  Facet values are linear, so v - c stays in the
-    module exactly when every tau(v) >= tau(c) + low, the floor of c."""
+def _primitive_degrees(module: SemigroupModule, scales):
+    """Per scale, the free degrees of the box candidates that lie in the
+    module and stay irreducible, sorted.  Facet values are linear, so v - c
+    stays in the module exactly when every tau(v) >= tau(c) + low, the floor
+    of c.  Each simplex's box base is built once for all scales."""
     config = module.config
     rows = facet_rows(config)
     low = _LOW[module.kind]
     floors = [tuple(x + low for x in _values(rows, c.free))
               for c in _distinct_nonunit_columns(config)]
     member = (low,) * len(rows)
-    kept = set()
+    kept = [set() for _ in scales]
     for simplex in cone_triangulation(config):
-        kept.update(tuple(map(add, b, o)) for b, o in
-                    _box_points(simplex, [scale] * config.d, rows, member, floors))
-    return tuple(sorted(kept))
+        base = _box_base(simplex)
+        for out, scale in zip(kept, scales):
+            out.update(tuple(map(add, b, o)) for b, o in _box_points(
+                simplex, [scale] * config.d, rows, member, floors, base))
+    return [tuple(sorted(out)) for out in kept]
 
 
 @lru_cache(maxsize=16)
@@ -248,8 +262,7 @@ def module_generators(module: SemigroupModule) -> PrimitiveSet:
     if not is_pointed(config):
         raise NotPointedError("primitive set requires a pointed cone")
     base_scale = 1 if module.kind == K else 2
-    degrees = _primitive_degrees(module, base_scale)
-    widened = _primitive_degrees(module, 2 * base_scale)
+    degrees, widened = _primitive_degrees(module, (base_scale, 2 * base_scale))
     if degrees != widened:
         raise BoxScanIncompleteError(
             "candidate box missed a primitive element",

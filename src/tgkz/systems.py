@@ -11,10 +11,10 @@ binomials are rational); WeylElement coerces to Cyclotomic when relations
 are built.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
+from ._value import frozen
 from .binomials import markov_basis, toric_ideal_full
 from .cones import (AffinePiece, Arrangement, PointConfig, facets,
                     homogenizing_functional, membership_in_arrangement,
@@ -31,7 +31,7 @@ K_MOD_KINTERIOR = "K_MOD_KINTERIOR"
 FACE = "FACE"
 
 
-@dataclass(frozen=True)
+@frozen
 class SystemPresentation:
     """Generators indexed by group degrees and left-module relations; each
     relation is a tuple of (generator index, normally ordered operator)."""

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -17,6 +18,8 @@ from tgkz.duality import (
     sign_twist,
 )
 from tgkz.errors import HypothesisError, RankMismatchError, SpecError, SplitSingularError
+from tgkz.problem import parse_spec
+from tgkz.report import run_command
 from tgkz.semigroups import EXPLICIT, K, K_INTERIOR, SemigroupModule
 from tgkz.systems import bbgkz_primitive_presentation
 from tgkz.weyl import euler_operators
@@ -139,6 +142,22 @@ def test_character_split_torsion_free(plane_segment):
 def test_character_split_requires_hypotheses(even_pair):
     with pytest.raises(HypothesisError):
         character_split(even_pair)
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda spec: dual_system(spec.config, spec.beta),
+    lambda spec: character_split(spec.config),
+    lambda spec: run_command(spec, "dual"),
+], ids=["dual_system", "character_split", "run_command"])
+def test_hypothesis_contexts_are_json_ready(refuse):
+    # the CLI prints an error's context as one JSON line
+    spec = parse_spec('{"columns": [{"torsion": [], "free": [1, 0]},'
+                      ' {"torsion": [], "free": [1, 2]}], "beta": [0, 0]}')
+    with pytest.raises(HypothesisError) as exc:
+        refuse(spec)
+    hypotheses = cones.check_hypotheses(spec.config).to_json()
+    assert json.loads(json.dumps(exc.value.context)) == {"hypotheses": hypotheses}
+    assert hypotheses["ok"] is False
 
 
 def test_rank_duality_identity(battery):

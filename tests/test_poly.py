@@ -119,6 +119,43 @@ def test_intersection_four_primes_over_zeta4():
     assert ideal_equal(inter, groebner_ideal([P("d1^8 - d2^4", 2)], nvars=2))
 
 
+def test_elimination_returns_t_free_part_of_block_basis(monkeypatch):
+    """saturate and intersect return the t-free part of the reduced
+    BlockElim basis as is; the oracle is the former second step, a grevlex
+    Groebner run on that part."""
+    seen = []
+    real = poly._eliminate_last
+
+    def record(gens, n, pair_budget):
+        got = real(gens, n, pair_budget)
+        seen.append((gens, n, got))
+        return got
+
+    monkeypatch.setattr(poly, "_eliminate_last", record)
+    callers = []
+    for module, name in ((binomials, "saturate"), (poly, "intersect")):
+        monkeypatch.setattr(module, name, lambda *args, fn=getattr(module, name), name=name:
+                            callers.append(name) or fn(*args))
+    root = Path(__file__).resolve().parent.parent / "bench" / "specs"
+    configs = random_battery(31, 12) + [
+        parse_spec((root / f"{name}.json").read_text(encoding="utf-8")).config
+        for name in ("mod4_line3", "z6_plane", "z2z2_line", "mod8_line", "mod6_line")]
+    for config in configs:
+        for cached in (binomials.toric_ideal_free, binomials.toric_ideal_full,
+                       binomials._minimal_primes):
+            cached.cache_clear()
+        binomials.toric_ideal_free(config)
+        minimal_primes(config)  # twisted ideals, saturated, then intersected
+    assert {"saturate", "intersect"} <= set(callers)
+    assert len(seen) == len(callers)
+    for gens, n, got in seen:
+        back = [g.drop_last_vars(1) for g in poly.eliminate(gens, [n])]
+        expect = groebner_ideal(back, n)
+        assert got == expect
+        assert [polynomial_to_text(g) for g in got.generators] == \
+            [polynomial_to_text(g) for g in expect.generators]
+
+
 def test_budget_raises():
     gens = [P("d1^2 - d2", 2), P("d1*d2 - d2", 2), P("d2^3 - d1", 2)]
     with pytest.raises(BudgetExceededError):

@@ -43,8 +43,9 @@ def test_commands_compute_each_per_configuration_object_once(monkeypatch):
                             calls.append(name) or real(*args))
     scans = []
     real_scan = semigroups._primitive_degrees
-    monkeypatch.setattr(semigroups, "_primitive_degrees", lambda module, scale:
-                        scans.append((module.kind, scale)) or real_scan(module, scale))
+    monkeypatch.setattr(semigroups, "_primitive_degrees", lambda module, scales:
+                        scans.extend((module.kind, s) for s in scales)
+                        or real_scan(module, scales))
     cones.check_hypotheses.cache_clear()
     binomials._minimal_primes.cache_clear()
     semigroups.module_generators.cache_clear()

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import operator
@@ -14,7 +13,7 @@ from conftest import make_config, random_battery
 from tgkz import fieldlin, semigroups
 from tgkz.cones import cone_triangulation, facet_rows, facets, positive_grading
 from tgkz.errors import BoxScanIncompleteError, HypothesisError, SpecError
-from tgkz.lattice import Functional, IntMatrix, smith_normal_form
+from tgkz.lattice import Functional, IntMatrix, SmithDecomposition, smith_normal_form
 from tgkz.semigroups import (
     EXPLICIT,
     K,
@@ -313,9 +312,8 @@ def test_integer_kernel_matches_fraction_scan(battery):
                         if all(tau(v) >= low for tau in taus)}, (cfg, simplex)
         for kind in (K, K_INTERIOR):
             mod = SemigroupModule(kind, cfg)
-            for scale in (1, 2, 3, 4):
-                assert _primitive_degrees(mod, scale) == \
-                    _fraction_primitive_degrees(mod, scale), (cfg, kind)
+            assert _primitive_degrees(mod, (1, 2, 3, 4)) == [
+                _fraction_primitive_degrees(mod, scale) for scale in (1, 2, 3, 4)], (cfg, kind)
             prim = module_generators(mod)
             assert prim.elements and prim == _fraction_module_generators(mod)
 
@@ -342,9 +340,8 @@ def test_packed_kernel_matches_oracles_on_batteries():
     for cfg in configs:
         for kind in (K, K_INTERIOR):
             mod = SemigroupModule(kind, cfg)
-            for scale in (1, 2, 3, 4):
-                assert _primitive_degrees(mod, scale) == \
-                    _fraction_primitive_degrees(mod, scale), (cfg, kind, scale)
+            assert _primitive_degrees(mod, (1, 2, 3, 4)) == [
+                _fraction_primitive_degrees(mod, scale) for scale in (1, 2, 3, 4)], (cfg, kind)
         grading = positive_grading(cfg)
         halves = Functional(tuple(Fraction(3, 2) * c for c in grading.free_part))
         for height, bound in ((grading, 3), (halves, Fraction(7, 2))):
@@ -395,13 +392,28 @@ def test_lost_box_point_raises_typed_error(split_line, monkeypatch):
 def test_box_representative_count_is_checked(monkeypatch):
     # a wrong Smith transform collapses the residue classes onto one point
     def broken(m):
-        return dataclasses.replace(smith_normal_form(m),
-                                   V=IntMatrix.from_rows([[0, 0], [0, 0]]))
+        snf = smith_normal_form(m)
+        return SmithDecomposition(snf.U, snf.D, IntMatrix.from_rows([[0, 0], [0, 0]]),
+                                  snf.invariant_factors)
     monkeypatch.setattr(semigroups, "smith_normal_form", broken)
     with pytest.raises(BoxScanIncompleteError) as info:
         list(_box_points(((1, 0), (1, 2)), [1, 1], (), ()))
     assert info.value.context["expected"] == 2
     assert info.value.context["found"] == 1
+
+
+def test_box_base_built_once_per_simplex_per_miss(monkeypatch):
+    # the base-scale scan and the doubled-scale rescan share each Smith form
+    calls = []
+    monkeypatch.setattr(semigroups, "smith_normal_form",
+                        lambda m: calls.append(m) or smith_normal_form(m))
+    for cfg in random_battery(7, 6) + [_square_prism([2])]:
+        simplices = len(cone_triangulation(cfg))
+        for kind in (K, K_INTERIOR):
+            module_generators.cache_clear()
+            calls.clear()
+            module_generators(SemigroupModule(kind, cfg))
+            assert len(calls) == simplices, (cfg, kind)
 
 
 def test_cone_points_match_brute_force(battery):
