@@ -23,7 +23,9 @@ def frozen(cls):
     """Give ``cls`` the methods of ``dataclass(frozen=True)`` for the
     fields annotated in its body, in order.  A class attribute of the same
     name is the field's default."""
-    names = tuple(cls.__dict__.get("__annotations__", {}))
+    # Not cls.__dict__["__annotations__"]: from Python 3.14 (PEP 649) class
+    # annotations are evaluated on first access and are not in the dict.
+    names = tuple(cls.__annotations__)
     env = {"__name__": cls.__module__, "_set": object.__setattr__}
     params = []
     for name in names:

@@ -174,13 +174,13 @@ def _box_base(simplex):
     return base
 
 
-def _box_points(simplex, scales, rows, floor, reducers=(), base=None):
+def _box_points(simplex, scales, rows, floor, base, reducers=()):
     """Lattice points b + o of {sum mu_j v_j : 0 <= mu_j < scales[j]} for
     the vectors v_j of `simplex`, yielded one at a time as (b, o) when the
     values rows . (b + o) are >= floor and not >= any floor in `reducers`.
 
-    b runs over `base`, the simplex's _box_base (built here when None), and
-    o = sum k_j v_j with 0 <= k_j < scales[j].
+    b runs over `base`, the simplex's _box_base, and o = sum k_j v_j with
+    0 <= k_j < scales[j].
 
     Values are tested packed into one integer, value i in the W-bit field
     at bit i*W, with G the guard bit W-1 of every field.  A box point
@@ -193,8 +193,6 @@ def _box_points(simplex, scales, rows, floor, reducers=(), base=None):
     of rows, taken once per base point b and once per offset o, and every
     test is one add and one mask.
     """
-    if base is None:
-        base = _box_base(simplex)
     m_rows = list(zip(*simplex))
     reach = max((sum(map(mul, scales, map(abs, _values(simplex, row))))
                  for row in rows), default=0)
@@ -238,7 +236,7 @@ def _primitive_degrees(module: SemigroupModule, scales):
         base = _box_base(simplex)
         for out, scale in zip(kept, scales):
             out.update(tuple(map(add, b, o)) for b, o in _box_points(
-                simplex, [scale] * config.d, rows, member, floors, base))
+                simplex, [scale] * config.d, rows, member, base, floors))
     return [tuple(sorted(out)) for out in kept]
 
 
@@ -302,5 +300,6 @@ def cone_points_up_to(config: PointConfig, height, bound):
     for simplex in cone_triangulation(config):
         scales = [math.floor(Fraction(bound) / height(v)) + 2 for v in simplex]
         out.update(tuple(map(add, b, o))
-                   for b, o in _box_points(simplex, scales, rows, floor))
+                   for b, o in _box_points(simplex, scales, rows, floor,
+                                           _box_base(simplex)))
     return sorted(out)

@@ -20,6 +20,7 @@ from tgkz.semigroups import (
     K_INTERIOR,
     PrimitiveSet,
     SemigroupModule,
+    _box_base,
     _box_points,
     _primitive_degrees,
     cone_points_up_to,
@@ -288,7 +289,8 @@ def _square_prism(orders):
 def _streamed(simplex, scale, rows, floor):
     """The streamed box scan as {point: values}, each point yielded once."""
     out = {}
-    for b, o in _box_points(simplex, [scale] * len(simplex), rows, floor):
+    for b, o in _box_points(simplex, [scale] * len(simplex), rows, floor,
+                            _box_base(simplex)):
         point = tuple(map(operator.add, b, o))
         assert point not in out
         out[point] = tuple(sum(map(operator.mul, row, point)) for row in rows)
@@ -366,8 +368,8 @@ def test_packed_test_at_floor_and_width_boundaries(floor, reducers, expected):
 
     assert expected == [v for v in range(8) if meets(v, floor)
                         and not any(meets(v, f) for f in reducers)]
-    found = [b[0] + o[0] for b, o in
-             _box_points(((1,),), [8], ((1,), (-1,)), floor, reducers)]
+    found = [b[0] + o[0] for b, o in _box_points(
+        ((1,),), [8], ((1,), (-1,)), floor, _box_base(((1,),)), reducers)]
     assert sorted(found) == expected
 
 
@@ -397,7 +399,7 @@ def test_box_representative_count_is_checked(monkeypatch):
                                   snf.invariant_factors)
     monkeypatch.setattr(semigroups, "smith_normal_form", broken)
     with pytest.raises(BoxScanIncompleteError) as info:
-        list(_box_points(((1, 0), (1, 2)), [1, 1], (), ()))
+        _box_base(((1, 0), (1, 2)))
     assert info.value.context["expected"] == 2
     assert info.value.context["found"] == 1
 

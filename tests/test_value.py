@@ -10,28 +10,38 @@ from tgkz import binomials, cones, duality, lattice, poly, problem, semigroups, 
 from tgkz._value import frozen
 
 ROOT = Path(__file__).resolve().parent.parent
-SPEC = problem.parse_spec((ROOT / "sample_specs" / "mod4_line.json").read_text(encoding="utf-8"))
 
 
-def _samples():
-    """One instance of every frozen value class, from the mod4_line spec."""
-    config = SPEC.config
+# The 18 frozen value classes, in the order the samples fixture builds them.
+CLASSES = [
+    "IntMatrix", "SmithDecomposition", "AbelianGroup", "GroupElement", "Functional",
+    "PointConfig", "Face", "AffinePiece", "Arrangement", "HypothesesReport",
+    "PartialCharacter", "IdealBasis", "SemigroupModule", "PrimitiveSet",
+    "SystemPresentation", "DualityReport", "SplitCertificate", "ProblemSpec",
+]
+
+
+@pytest.fixture(scope="module")
+def samples():
+    """One instance of every frozen value class, from the mod4_line spec,
+    by class name.  Built when a test first asks, not at collection."""
+    text = (ROOT / "sample_specs" / "mod4_line.json").read_text(encoding="utf-8")
+    spec = problem.parse_spec(text)
+    config = spec.config
     matrix = lattice.IntMatrix.from_rows([[2, 4], [6, 8]])
     arrangement = systems.quasi_degrees(config, semigroups.K)
-    presentation, report = duality.dual_system(config, SPEC.beta)
+    presentation, report = duality.dual_system(config, spec.beta)
     rows = binomials.free_kernel_rows(config)
-    return [
-        matrix, lattice.smith_normal_form(matrix), SPEC.group, config.columns[0],
+    objs = [
+        matrix, lattice.smith_normal_form(matrix), spec.group, config.columns[0],
         lattice.Functional.of([1, 2]), config, cones.face_lattice(config)[0],
         arrangement.pieces[0], arrangement, cones.check_hypotheses(config),
         binomials.PartialCharacter.on_rows(rows, [-1] * len(rows), config.n),
-        binomials.toric_ideal_free(config), SPEC.module,
-        semigroups.module_generators(SPEC.module), presentation, report,
-        duality.character_split(config), SPEC,
+        binomials.toric_ideal_free(config), spec.module,
+        semigroups.module_generators(spec.module), presentation, report,
+        duality.character_split(config), spec,
     ]
-
-
-SAMPLES = _samples()
+    return {type(obj).__name__: obj for obj in objs}
 
 
 def test_import_loads_no_dataclasses_inspect_or_typing():
@@ -42,11 +52,11 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     assert out.stdout.strip() == "[]"
 
 
-def test_samples_cover_every_value_class():
+def test_samples_cover_every_value_class(samples):
     sources = [module.__file__ for module in
                (lattice, cones, binomials, poly, semigroups, systems, duality, problem)]
     decorated = sum(Path(p).read_text(encoding="utf-8").count("\n@frozen\n") for p in sources)
-    assert len({type(obj) for obj in SAMPLES}) == len(SAMPLES) == decorated == 18
+    assert list(samples) == CLASSES and len(CLASSES) == decorated == 18
 
 
 def _hash_or_error(obj):
@@ -56,8 +66,9 @@ def _hash_or_error(obj):
         return type(exc)
 
 
-@pytest.mark.parametrize("obj", SAMPLES, ids=lambda obj: type(obj).__name__)
-def test_value_class_behaves_as_frozen_dataclass(obj):
+@pytest.mark.parametrize("name", CLASSES)
+def test_value_class_behaves_as_frozen_dataclass(samples, name):
+    obj = samples[name]
     cls = type(obj)
     names = list(cls.__annotations__)
     values = [getattr(obj, n) for n in names]
@@ -73,3 +84,21 @@ def test_value_class_behaves_as_frozen_dataclass(obj):
     oracle = dataclasses.make_dataclass(cls.__name__, names, frozen=True)
     assert repr(obj) == repr(oracle(*values)) == repr(twin(*values))
 
+
+
+def test_fields_read_from_lazily_evaluated_annotations():
+    # From Python 3.14 (PEP 649) a class's annotations are not in its
+    # __dict__ and appear only on access to __annotations__; a metaclass
+    # property gives the same shape on older versions.
+    class Lazy(type):
+        @property
+        def __annotations__(cls):
+            return {"a": int, "b": int}
+
+    class Pair(metaclass=Lazy):
+        b = 2
+
+    assert "__annotations__" not in Pair.__dict__
+    pair = frozen(Pair)(1)
+    assert (pair.a, pair.b) == (1, 2) and repr(pair) == f"{Pair.__qualname__}(a=1, b=2)"
+    assert pair == Pair(1, 2) != Pair(1, 3)
