@@ -1,21 +1,17 @@
 """Frozen value classes without the ``dataclasses`` import.
 
-``@frozen`` gives a class with annotated fields the methods
-``dataclass(frozen=True)`` would: ``__init__`` (defaults, then
-``__post_init__`` when the class has one), ``__eq__`` (same class only),
-``__hash__`` (hash of the field tuple), ``__repr__`` (``Name(a=..., b=...)``)
-and a ``__setattr__``/``__delattr__`` that raise ``AttributeError``.
+``@frozen`` gives a class with annotated fields what
+``dataclass(frozen=True)`` gives it: ``__init__`` (defaults, then
+``__post_init__``), ``__eq__`` (same class only), ``__hash__`` (of the field
+tuple), ``__repr__`` and a ``__setattr__``/``__delattr__`` that raise.
 
-Every CLI call is one process, and the library's jobs take less time than
-starting it, so import time counts.  On Python 3.11 (2 vCPUs), importing
-``dataclasses`` takes about 10 ms, most of it in ``inspect``, ``ast``,
-``dis`` and ``tokenize``, and decorating a class 0.7-1 ms more: one
-``exec`` per generated method, plus an ``inspect.signature`` call for a
-class without a docstring.  Here one ``exec`` builds all of a class's
-methods, about 0.3 ms per class, and the methods are the same
-straight-line code, so instances cost what they cost before.  With its 18
-value classes on this decorator, ``import tgkz`` went from about 48 ms to
-27 ms (``-X importtime``, median of 15 runs).
+Each CLI call is one process whose jobs take less time than starting it.
+On Python 3.11 (2 vCPUs), importing ``dataclasses`` takes about 10 ms (it
+pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``) and decorating a
+class 0.7-1 ms, one ``exec`` per method.  Here one ``exec`` per class takes
+about 0.3 ms and builds the same straight-line methods, so instances cost
+what they did.  ``import tgkz`` went from about 48 ms to 27 ms with its 18
+value classes on this decorator (``-X importtime``, median of 15 runs).
 """
 
 
@@ -26,14 +22,9 @@ def frozen(cls):
     # Not cls.__dict__["__annotations__"]: from Python 3.14 (PEP 649) class
     # annotations are evaluated on first access and are not in the dict.
     names = tuple(cls.__annotations__)
-    env = {"__name__": cls.__module__, "_set": object.__setattr__}
-    params = []
-    for name in names:
-        if name in cls.__dict__:
-            env["_d_" + name] = cls.__dict__[name]
-            params.append(f"{name}=_d_{name}")
-        else:
-            params.append(name)
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    env = {"__name__": cls.__module__, "_set": object.__setattr__, "_d": defaults}
+    params = ", ".join(f"{n}=_d[{n!r}]" if n in defaults else n for n in names)
     init = [f"_set(self, {n!r}, {n})" for n in names]
     if hasattr(cls, "__post_init__"):
         init.append("self.__post_init__()")
@@ -41,7 +32,7 @@ def frozen(cls):
     others = "".join(f"other.{n}," for n in names)
     reprs = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
     source = f"""
-def __init__(self, {', '.join(params)}):
+def __init__(self, {params}):
   {'; '.join(init) or 'pass'}
 def __eq__(self, other):
   if other.__class__ is self.__class__:
