@@ -1,8 +1,8 @@
 """Batch command line: read a problem spec, run one analysis, print JSON.
 
 Exit codes: 0 success, 2 hypothesis failure (or any other analysis error),
-3 unreadable/invalid spec or invalid TGKZ_PAIR_BUDGET, 4 Groebner pair
-budget exceeded.
+3 usage error, unreadable/invalid spec or invalid TGKZ_PAIR_BUDGET, 4 Groebner
+pair budget exceeded.
 """
 
 import argparse
@@ -19,8 +19,14 @@ EXIT_PARSE = 3
 EXIT_BUDGET = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is bad input, like a bad spec
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tgkz",
         description="Twisted toric ideals and hypergeometric systems over "
                     "an abelian group with torsion, in exact arithmetic.")
@@ -40,7 +46,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.bound is not None and args.bound < 0:
+        parser.error(f"argument --bound: must be non-negative, got {args.bound}")
     try:
         with open(args.spec, encoding="utf-8") as fh:
             text = fh.read()
@@ -51,18 +60,14 @@ def main(argv=None):
         spec = parse_spec(text)
         payload = run_command(spec, args.command, bound=args.bound,
                               workers=args.workers)
-    except SpecError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except BudgetExceededError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except TgkzError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        context = getattr(exc, "context", None)
-        if context:
-            print(json.dumps(context, sort_keys=True, default=str),
-                  file=sys.stderr)
+        if isinstance(exc, SpecError):
+            return EXIT_PARSE
+        if isinstance(exc, BudgetExceededError):
+            return EXIT_BUDGET
+        if exc.context:
+            print(json.dumps(exc.context, sort_keys=True, default=str), file=sys.stderr)
         return EXIT_HYPOTHESIS
     text = render(payload)
     if args.out:

@@ -19,7 +19,7 @@ The core works on term dicts {exponent tuple: coefficient} whose bases are
 monic from the moment an element enters them, so nothing divides by a
 leading coefficient.  Coefficients are Fraction or Cyclotomic and keep their
 type (Polynomial's are Cyclotomic).  The module term y_c * d^u is the tuple
-onehot_m(c) + u, ordered by TermOverPosition(m) or PositionOverTerm(m).
+onehot_m(c) + u, ordered by TermOverPosition(m, eliminate).
 """
 
 import heapq
@@ -82,24 +82,18 @@ GREVLEX = Grevlex()
 
 
 class TermOverPosition(MonomialOrder):
-    """Order on module terms onehot_m(c) + u: grevlex on the monomial u
-    first, then the smaller component c wins ties."""
+    """Order on module terms onehot_m(c) + u: a term in one of the first
+    `eliminate` components outranks all terms free of them, then grevlex on
+    u decides, then the smaller c.  So a reduced basis eliminates those
+    components (Becker-Weispfenning, Groebner Bases, 1993)."""
 
-    def __init__(self, m):
+    def __init__(self, m, eliminate=0):
         self.ntags = int(m)
+        self.eliminate = int(eliminate)
 
     def key(self, exp):
-        return (GREVLEX.key(exp[self.ntags:]), exp[:self.ntags])
-
-
-class PositionOverTerm(TermOverPosition):
-    """Order on the same module terms: the smaller component c wins, then
-    grevlex on u.  Every term of a component is larger than any term of a
-    later one, so a reduced basis whose element leads in a later component
-    has no term in the earlier ones: it eliminates them."""
-
-    def key(self, exp):
-        return (exp[:self.ntags], GREVLEX.key(exp[self.ntags:]))
+        k = self.eliminate
+        return (exp[:k], GREVLEX.key(exp[self.ntags:]), exp[k:self.ntags])
 
 
 def _divides(a, b):
@@ -496,7 +490,7 @@ def module_normal_form(elem, gens, order, leads):
 
 def module_groebner(elems, order, pair_budget=None):
     """Reduced Groebner basis of the submodule generated by elems under a
-    TermOverPosition or PositionOverTerm order, with buchberger's contract.
+    TermOverPosition order, with buchberger's contract.
     S-pairs form only between leading terms of one component."""
     return _groebner([e for e in elems if e], order, pair_budget)
 

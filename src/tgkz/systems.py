@@ -6,9 +6,9 @@ Groebner basis, plus shifted Euler relations.  Quasi-degree arrangements
 and the homology vanishing test live here too.
 
 The relation module writes the term d^u 1_c as the y-tagged exponent
-onehot_m(c) + u (poly.TermOverPosition) with a Fraction coefficient (the
-binomials are rational); WeylElement coerces to Cyclotomic when relations
-are built.
+onehot_m(c) + u with a Fraction coefficient (the binomials are rational),
+from one poly.TermOverPosition run that eliminates a component per class;
+WeylElement coerces to Cyclotomic when relations are built.
 """
 
 from fractions import Fraction
@@ -22,7 +22,7 @@ from .cones import (AffinePiece, Arrangement, PointConfig, facets,
 from .cyclotomic import Cyclotomic
 from .errors import NotHomogeneousError, NotStabilizedError, SpecError
 from .lattice import express_in_columns, rank
-from .poly import PositionOverTerm, TermOverPosition, module_groebner
+from .poly import TermOverPosition, module_groebner
 from .semigroups import (EXPLICIT, K, K_INTERIOR, SemigroupModule,
                          cone_points_up_to, module_generators, primitive_elements)
 from .weyl import WeylElement, euler_operators
@@ -116,8 +116,9 @@ def _relation_module(config, generators):
     v_j = w_j + D >= 0, y_j d^u - y_k d^v is a relation exactly when
     d^(u + v_j) - d^(v + v_k) lies in the (saturated) full-group toric ideal
     I: the class's relations are the kernel of y_j -> d^(v_j) into S / I.
-    One PositionOverTerm run on I e_C and d^(v_j) e_C - y_j, with a component
-    e_C per class ahead of the generators, leaves them free of every e_C.
+    One run on I e_C and d^(v_j) e_C - y_j, with a component e_C per class
+    ahead of the generators and all e_C eliminated, leaves the kernel as the
+    basis elements free of every e_C.
     """
     m, n = len(generators), config.n
     classes = []  # per class: [(generator index, w)], first member w = 0
@@ -138,10 +139,9 @@ def _relation_module(config, generators):
         shift = [max(0, *(-w[k] for _, w in cls)) for k in range(n)]
         elems += [{tag + tuple(map(add, w, shift)): Fraction(1),
                    tags[c + j] + (0,) * n: Fraction(-1)} for j, w in cls]
-    kernel = [{t[c:]: coeff for t, coeff in e.items()}
-              for e in module_groebner(elems, PositionOverTerm(c + m))
-              if not any(1 in t[:c] for t in e)]
-    return module_groebner(kernel, TermOverPosition(m))
+    return [{t[c:]: coeff for t, coeff in e.items()}
+            for e in module_groebner(elems, TermOverPosition(c + m, eliminate=c))
+            if not any(1 in t[:c] for t in e)]
 
 
 def bbgkz_primitive_presentation(module: SemigroupModule, beta,

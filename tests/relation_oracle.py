@@ -1,17 +1,25 @@
-"""The bounded relation search, kept as a test-only oracle for the exact
-relation module of systems.bbgkz_primitive_presentation.
+"""Two test-only oracles for the exact relation module of
+systems.bbgkz_primitive_presentation.
 
-It builds every module binomial y_g d^u - y_g' d^v whose two sides have
-total degree at most a bound and equal full-group degree, drops the ones
-already in the span of those kept before it, and takes the reduced module
-Groebner basis; the search counts as stable at bound b when bound b + 2
-gives the same basis.
+The bounded relation search builds every module binomial y_g d^u - y_g' d^v
+whose two sides have total degree at most a bound and equal full-group
+degree, drops the ones already in the span of those kept before it, and
+takes the reduced module Groebner basis; the search counts as stable at
+bound b when bound b + 2 gives the same basis.
+
+The two-run construction is the exact kernel as systems computed it before
+its eliminating order: a PositionOverTerm kernel run, then a
+TermOverPosition run on the kernel to make its basis canonical.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add
 
-from tgkz.poly import TermOverPosition, _monic, module_groebner, module_normal_form
+from tgkz.binomials import toric_ideal_full
+from tgkz.lattice import express_in_columns
+from tgkz.poly import (GREVLEX, TermOverPosition, _monic, module_groebner,
+                       module_normal_form)
 
 
 def monomials_up_to(n, bound):
@@ -71,3 +79,44 @@ def stable_basis(config, generators, bound):
     """The bounded basis at `bound`, or None when bound + 2 changes it."""
     basis = bounded_basis(config, generators, bound)
     return basis if basis == bounded_basis(config, generators, bound + 2) else None
+
+
+class PositionOverTerm(TermOverPosition):
+    """Order on module terms onehot_m(c) + u: the smaller component c wins,
+    then grevlex on u.  Every term of a component is larger than any term of
+    a later one, so a reduced basis whose element leads in a later component
+    has no term in the earlier ones: it eliminates them."""
+
+    def key(self, exp):
+        return (exp[:self.ntags], GREVLEX.key(exp[self.ntags:]))
+
+
+def two_run_relation_module(config, generators):
+    """The reduced TermOverPosition basis of the relations among the
+    generators: the kernel of y_j -> d^(v_j) into S / I per class of N / ZA
+    (see systems._relation_module) from one PositionOverTerm run with a
+    component e_C per class ahead of the generators, then canonical in a
+    second run."""
+    m, n = len(generators), config.n
+    classes = []  # per class: [(generator index, w)], first member w = 0
+    for j, g in enumerate(generators):
+        for cls in classes:
+            w = express_in_columns(config.columns, config.group, g - generators[cls[0][0]])
+            if w is not None:
+                cls.append((j, w))
+                break
+        else:
+            classes.append([(j, (0,) * n)])
+    c = len(classes)
+    tags = [(0,) * p + (1,) + (0,) * (c + m - 1 - p) for p in range(c + m)]
+    elems = []
+    for tag, cls in zip(tags, classes):
+        elems += [{tag + e: coeff.rational_value() for e, coeff in g.terms.items()}
+                  for g in toric_ideal_full(config).generators]
+        shift = [max(0, *(-w[k] for _, w in cls)) for k in range(n)]
+        elems += [{tag + tuple(map(add, w, shift)): Fraction(1),
+                   tags[c + j] + (0,) * n: Fraction(-1)} for j, w in cls]
+    kernel = [{t[c:]: coeff for t, coeff in e.items()}
+              for e in module_groebner(elems, PositionOverTerm(c + m))
+              if not any(1 in t[:c] for t in e)]
+    return module_groebner(kernel, TermOverPosition(m))

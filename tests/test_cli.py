@@ -170,6 +170,29 @@ def test_parse_error_exit_code(spec_file):
     assert res.returncode == 3
 
 
+@pytest.mark.parametrize("args", [
+    ("system", "--spec", str(SAMPLES / "mod4_line.json"), "--bound", "abc"),
+    # the spec's bounds.binomial_degree rejects a negative bound as well
+    ("system", "--spec", str(SAMPLES / "mod4_line.json"), "--bound", "-1"),
+    ("frobnicate", "--spec", str(SAMPLES / "mod4_line.json")),
+    ("rank", "--spec"),
+    ("rank", "--spec", str(SAMPLES / "mod4_line.json"), "--no-such-flag"),
+])
+def test_usage_errors_exit_3(args):
+    res = run_cli(*args)
+    assert res.returncode == 3, res.stderr
+    assert res.stdout == ""
+    assert res.stderr.startswith("usage: tgkz")
+
+
+@pytest.mark.parametrize("args", [(), ("rank",)])
+def test_missing_arguments_exit_3_and_help_exits_0(args):
+    assert run_cli(*args).returncode == 3
+    res = run_cli(*args, "-h")
+    assert res.returncode == 0
+    assert res.stdout.startswith("usage: tgkz")
+
+
 # the largest Groebner run of z6_plane `ideals` reduces exactly 20 S-pairs
 # after the pair criteria (66 without them), which pins the pair order and
 # the criteria

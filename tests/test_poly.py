@@ -13,7 +13,8 @@ import pytest
 
 import tgkz
 from conftest import make_config, random_battery
-from relation_oracle import pair_elements, span_reduce
+import relation_oracle
+from relation_oracle import pair_elements, span_reduce, two_run_relation_module
 from tgkz import binomials, poly, systems
 from tgkz.binomials import (
     PartialCharacter,
@@ -295,6 +296,21 @@ def _recorded_buchberger_inputs(monkeypatch, compute):
     return calls
 
 
+def _module_runs(monkeypatch, owner, compute):
+    """Every (elements, order) that `compute` hands to owner.module_groebner."""
+    runs = []
+    real = owner.module_groebner
+
+    def record(elems, order, pair_budget=None):
+        runs.append((list(elems), order))
+        return real(elems, order, pair_budget)
+
+    monkeypatch.setattr(owner, "module_groebner", record)
+    compute()
+    monkeypatch.setattr(owner, "module_groebner", real)
+    return runs
+
+
 def test_monic_kernel_matches_division_oracle(monkeypatch, battery):
     mod4_line, plane_segment = battery[1], battery[2]
     z6 = make_config([6], [((1,), (1, 0)), ((2,), (1, 1)), ((3,), (1, 2)),
@@ -353,16 +369,16 @@ def test_s_polynomial_and_normal_form_match_oracle_on_monic_inputs():
 # ---------------------------------------------------------------------------
 # The separate module engine that the tagged-term core replaced, kept as an
 # oracle: elements are dicts (component, exponent) -> coefficient, the order
-# is grevlex with the smaller component winning ties, and S-pairs and
-# reductions divide by leading coefficients.  It returns the processed-pair
-# count with the basis.
+# is that of a TermOverPosition, spelled out on (component, exponent) pairs,
+# and S-pairs and reductions divide by leading coefficients.  It returns the
+# processed-pair count with the basis.
 
 
 def _oracle_mod_key(order, key_pair):
+    # an eliminated component outranks the rest, the smaller one first; then
+    # grevlex, then the smaller component
     comp, exp = key_pair
-    if isinstance(order, poly.PositionOverTerm):  # the smaller component first
-        return (-comp, GREVLEX.key(exp))
-    return (order.key(exp), -comp)
+    return (-min(comp, order.eliminate), GREVLEX.key(exp), -comp)
 
 
 def _oracle_mod_lead(elem, order):
@@ -394,7 +410,7 @@ def _oracle_mod_normal_form(elem, gens, order, leads):
     return remainder
 
 
-def _oracle_module_groebner(elems, order=GREVLEX):
+def _oracle_module_groebner(elems, order):
     basis = [dict(e) for e in elems if e]
     leads = [_oracle_mod_lead(b, order) for b in basis]
 
@@ -465,8 +481,7 @@ def _cyclotomic_scaled(elems):
 
 def _assert_module_core_matches_oracle(elems, m, order=None):
     order = order or poly.TermOverPosition(m)
-    oracle_order = order if isinstance(order, poly.PositionOverTerm) else GREVLEX
-    expect, pairs = _oracle_module_groebner([_untag(e, m) for e in elems], oracle_order)
+    expect, pairs = _oracle_module_groebner([_untag(e, m) for e in elems], order)
     got = poly.module_groebner(elems, order, pair_budget=pairs)
     assert [_untag(g, m) for g in got] == expect
     assert {type(c) for g in got for c in g.values()} <= \
@@ -505,15 +520,9 @@ def test_module_core_matches_division_oracle_on_raw_pair_elements(bound):
 def test_criteria_core_matches_criteria_free_oracles(monkeypatch, battery):
     """Every Groebner run behind the lattice ideals, minimal primes and
     relation modules of the battery and of seeded random configs, under
-    GREVLEX, BlockElim, TermOverPosition and PositionOverTerm: the criteria
+    GREVLEX, BlockElim and the eliminating TermOverPosition: the criteria
     core gives the oracle's basis and pops no more pairs."""
     configs = battery + random_battery(20240, 40)
-    module_calls = []
-    real_module = systems.module_groebner
-
-    def record_module(elems, order, pair_budget=None):
-        module_calls.append((list(elems), order))
-        return real_module(elems, order, pair_budget)
 
     def compute():
         binomials._minimal_primes.cache_clear()
@@ -525,17 +534,38 @@ def test_criteria_core_matches_criteria_free_oracles(monkeypatch, battery):
                 gens = _primitive_set_for(SemigroupModule(kind, config)).elements
                 _relation_module(config, gens)
 
-    monkeypatch.setattr(systems, "module_groebner", record_module)
-    calls = _recorded_buchberger_inputs(monkeypatch, compute)
+    calls = []
+    module_calls = _module_runs(monkeypatch, systems, lambda: calls.extend(
+        _recorded_buchberger_inputs(monkeypatch, compute)))
     assert {type(order) for _, order in calls} == {type(GREVLEX), BlockElim}
-    assert {type(order) for _, order in module_calls} == \
-        {poly.TermOverPosition, poly.PositionOverTerm}
+    # one run per relation module, eliminating at least one class component
+    assert len(module_calls) == 2 * len(configs)
+    assert {type(order) for _, order in module_calls} == {poly.TermOverPosition}
+    assert all(order.eliminate for _, order in module_calls)
     for gens, order in calls:
         expect, pairs = _oracle_buchberger(gens, order)
         assert poly.buchberger(gens, order, pair_budget=pairs) == expect
         _core_pairs(lambda budget: poly.buchberger(gens, order, budget), pairs)
     for elems, order in module_calls:
         _assert_module_core_matches_oracle(elems, order.ntags, order)
+
+
+def test_one_run_relation_module_pops_fewer_pairs_than_two_runs(monkeypatch):
+    # z6_plane's K relation module: its one eliminating run pops 54 S-pairs,
+    # where the PositionOverTerm kernel run and the canonical rerun of the
+    # two-run oracle pop 74 + 18 = 92
+    root = Path(__file__).resolve().parent.parent
+    config = parse_spec((root / "sample_specs" / "z6_plane.json")
+                        .read_text(encoding="utf-8")).config
+    gens = _primitive_set_for(SemigroupModule(K, config)).elements
+    (elems, order), = _module_runs(monkeypatch, systems,
+                                   lambda: _relation_module(config, gens))
+    assert (order.ntags, order.eliminate) == (len(gens) + 2, 2)
+    assert _assert_module_core_matches_oracle(elems, order.ntags, order) == 54
+    two_runs = _module_runs(monkeypatch, relation_oracle,
+                            lambda: two_run_relation_module(config, gens))
+    assert [_core_pairs(lambda budget: poly.module_groebner(e, o, budget), 10 ** 4)
+            for e, o in two_runs] == [74, 18]
 
 
 @pytest.mark.parametrize("texts", [
@@ -566,18 +596,28 @@ def test_no_assert_statements(module):
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
 
 
-def test_position_over_term_ranks_components_before_terms():
-    pot = poly.PositionOverTerm(2)
-    # every term of component 0 outranks any term of component 1, and
-    # grevlex decides within a component
-    assert pot.key((1, 0, 0, 0)) > pot.key((0, 1, 5, 7))
-    assert pot.key((0, 1, 2, 0)) > pot.key((0, 1, 1, 1)) > pot.key((0, 1, 0, 1))
-    # the kernel of (e_1, e_2) -> (x, y) is the e_0-free part of the basis
-    x_e0, y_e0 = {(1, 0, 0, 1, 0): Fraction(1), (0, 1, 0, 0, 0): Fraction(-1)}, \
-        {(1, 0, 0, 0, 1): Fraction(1), (0, 0, 1, 0, 0): Fraction(-1)}
-    basis = poly.module_groebner([x_e0, y_e0], poly.PositionOverTerm(3))
-    assert [g for g in basis if not any(t[0] for t in g)] == \
-        [{(0, 1, 0, 0, 1): 1, (0, 0, 1, 1, 0): -1}]
+def test_eliminating_order_ranks_eliminated_components_first():
+    order = poly.TermOverPosition(4, eliminate=1)
+    # every term of component 0 outranks any term free of it; among those,
+    # grevlex decides first and the smaller component breaks ties
+    assert order.key((1, 0, 0, 0, 0, 0)) > order.key((0, 1, 0, 0, 5, 7))
+    assert order.key((0, 0, 0, 1, 2, 0)) > order.key((0, 1, 0, 0, 1, 1)) > \
+        order.key((0, 0, 1, 0, 1, 1))
+    assert poly.TermOverPosition(3).key((0, 1, 0, 2, 0)) > \
+        poly.TermOverPosition(3).key((1, 0, 0, 1, 1))
+    # the kernel of (e_1, e_2, e_3) -> (x, y, x*y) is the e_0-free part of
+    # the basis: it comes first, and it is the reduced TermOverPosition(3)
+    # basis of the kernel
+    one = Fraction(1)
+    elems = [{(1, 0, 0, 0, 1, 0): one, (0, 1, 0, 0, 0, 0): -one},
+             {(1, 0, 0, 0, 0, 1): one, (0, 0, 1, 0, 0, 0): -one},
+             {(1, 0, 0, 0, 1, 1): one, (0, 0, 0, 1, 0, 0): -one}]
+    basis = poly.module_groebner(elems, order)
+    kernel = [{t[1:]: c for t, c in g.items()} for g in basis if not any(t[0] for t in g)]
+    assert kernel == [{(1, 0, 0, 0, 1): 1, (0, 0, 1, 0, 0): -1},
+                      {(0, 1, 0, 1, 0): 1, (0, 0, 1, 0, 0): -1}]
+    assert [{t[1:]: c for t, c in g.items()} for g in basis[:2]] == kernel
+    assert poly.module_groebner(kernel, poly.TermOverPosition(3)) == kernel
 
 
 def test_module_pairs_skip_no_coprime_leads():
@@ -587,7 +627,8 @@ def test_module_pairs_skip_no_coprime_leads():
     g = {(1, 0, 0, 1): Fraction(1)}
     basis = poly.module_groebner([f, g], poly.TermOverPosition(2))
     assert basis == [{(0, 1, 0, 1): 1}, g, f]
-    expect, _ = _oracle_module_groebner([_untag(f, 2), _untag(g, 2)])
+    expect, _ = _oracle_module_groebner([_untag(f, 2), _untag(g, 2)],
+                                        poly.TermOverPosition(2))
     assert [_untag(b, 2) for b in basis] == expect
 
 

@@ -1,5 +1,6 @@
 """The exact binomial relation module of the primitive presentation against
-the bounded relation search kept in relation_oracle."""
+the bounded relation search and the two-run construction kept in
+relation_oracle."""
 
 import json
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_battery
-from relation_oracle import bounded_basis, stable_basis
+from relation_oracle import bounded_basis, stable_basis, two_run_relation_module
 from tgkz.errors import NotStabilizedError
 from tgkz.problem import parse_spec
 from tgkz.semigroups import K, K_INTERIOR, SemigroupModule
@@ -67,6 +68,16 @@ def test_exact_relations_match_oracle_on_random_battery():
     for config in battery:
         for kind in (K, K_INTERIOR):
             _assert_exact_matches_oracle(SemigroupModule(kind, config), 4)
+
+
+def test_one_run_matches_two_run_oracle(battery):
+    specs = [_spec(name, folder).config for name, folder in sorted(PRESENTATION_SPECS.items())]
+    configs = battery + random_battery(20240, 40) + specs + \
+        [_spec("z6_plane", "sample_specs").config]
+    for config in configs:
+        for kind in (K, K_INTERIOR):
+            gens = _primitive_set_for(SemigroupModule(kind, config)).elements
+            assert _relation_module(config, gens) == two_run_relation_module(config, gens)
 
 
 def _ceiling_passes(module, bound):
