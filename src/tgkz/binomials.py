@@ -4,7 +4,9 @@ The untwisted toric ideal comes from the kernel of the free projection of
 the columns; the full-group toric ideal from the kernel of the whole column
 map, torsion included.  Characters on a kernel sublattice twist binomial
 coefficients into roots of unity, which is how the minimal primes of the
-full-group ideal arise.
+full-group ideal arise.  A character chi on the saturated free kernel L
+extends to Z^n, and x^u -> chi(u)^-1 x^u carries I_L onto I_{L,chi} keeping
+leading terms (Eisenbud-Sturmfels, Duke Math. J. 84, 1996, section 2).
 
 Toric ideals and minimal primes are memoized per configuration value (small
 LRU caches); callers must not mutate the cached ideals.
@@ -27,10 +29,7 @@ from .poly import (GREVLEX, IdealBasis, Polynomial, groebner_ideal, ideal_equal,
 
 def _power_product(values, exponents):
     """prod values[i] ** exponents[i], multiplied in index order."""
-    val = Cyclotomic.one()
-    for v, c in zip(values, exponents):
-        val = val * (v ** c)
-    return val
+    return prod((v ** c for v, c in zip(values, exponents)), start=Cyclotomic.one())
 
 
 @frozen
@@ -118,8 +117,7 @@ def lattice_ideal(rows, nvars, values=None) -> IdealBasis:
     span: binomials with exponents the positive/negative parts of each row,
     coefficient twisted by the character value, then saturated so membership
     depends only on the lattice, not the chosen basis."""
-    if values is None:
-        values = [Cyclotomic.one()] * len(rows)
+    values = [1] * len(rows) if values is None else values
     gens = [_binomial(m, nvars, val) for m, val in zip(rows, values)]
     if not gens:
         return IdealBasis(nvars, ())
@@ -142,7 +140,7 @@ def toric_ideal_full(config: PointConfig) -> IdealBasis:
 
 def markov_basis(config: PointConfig):
     """Exponent moves connecting the fibers of the free column map: the
-    binomial exponents of the reduced basis of the free toric ideal."""
+    exponents of the reduced basis x^a - x^b of the free toric ideal, in order."""
     ideal = toric_ideal_free(config)
     moves = []
     for g in ideal.generators:
@@ -150,6 +148,9 @@ def markov_basis(config: PointConfig):
         if len(exps) != 2:
             raise NotBinomialError("a lattice ideal basis element is not a binomial",
                                    terms=len(exps))
+        bad = [c.to_text() for c, want in zip(map(g.terms.get, exps), (1, -1)) if c != want]
+        if bad:
+            raise NotBinomialError("a basis element is not x^a - x^b", coefficient=bad[0])
         moves.append(tuple(a - b for a, b in zip(exps[0], exps[1])))
     return moves
 
@@ -175,13 +176,16 @@ def power_ideal(config: PointConfig) -> IdealBasis:
 def twisted_ideal(config: PointConfig, rho: PartialCharacter, moves=None) -> IdealBasis:
     """Lattice ideal of the free kernel with coefficients twisted by rho;
     rho must live exactly on that kernel.  `moves`, when given, is
-    markov_basis(config), taken once by a caller twisting many characters."""
+    markov_basis(config), taken once by a caller twisting many characters.
+    rho extends to Z^n (the kernel is saturated); x^u -> rho(u)^-1 x^u maps
+    the free toric ideal onto this one and keeps leading terms (Eisenbud and
+    Sturmfels 1996, section 2), so its reduced basis is x^(m+) - rho(m) x^(m-)."""
     # both bases are Hermite forms, so they agree exactly when the lattices do
     if rho.basis != _free_kernel(config):
         raise LatticeMismatchError("character lattice differs from the free kernel")
     if moves is None:
         moves = markov_basis(config)
-    return lattice_ideal(moves, config.n, [rho.value_of(m) for m in moves])
+    return IdealBasis(config.n, tuple(_binomial(m, config.n, rho.value_of(m)) for m in moves))
 
 
 def face_twisted_ideal(config: PointConfig, face: Face, rho: PartialCharacter) -> IdealBasis:
@@ -266,8 +270,8 @@ def minimal_primes(config: PointConfig, workers=None):
     ideal; either failure raises PrimesDoNotIntersectError.
     Returns [(character, ideal)], characters enumerated in a fixed order,
     computed once per configuration (memoized); a fresh list on every call.
-    `workers` is accepted and has no effect: the work is pure Python, and
-    threads ran it no faster.
+    `workers` is accepted and has no effect: each prime is a twist of the
+    free basis, so no per-character Groebner work is left to spread.
     """
     return list(_minimal_primes(config))
 
@@ -293,13 +297,9 @@ def _minimal_primes(config: PointConfig):
                                    free_rank=r, full_rank=len(orders))
     characters = []
     for c in product(*(range(o) for o in orders)):
-        values = []
-        for k in range(r):
-            val = Cyclotomic.one()
-            for j in range(r):
-                if orders[j] > 1 and c[j] % orders[j]:
-                    val = val * Cyclotomic.zeta(orders[j], c[j] * snf.V.entry(k, j))
-            values.append(val)
+        values = [prod((Cyclotomic.zeta(orders[j], c[j] * snf.V.entry(k, j))
+                        for j in range(r) if c[j]), start=Cyclotomic.one())
+                  for k in range(r)]
         rho = PartialCharacter.on_rows(free_rows, values, n)
         if not all(rho.value_of(row).is_one() for row in full_rows):
             raise PrimesDoNotIntersectError(
@@ -309,7 +309,7 @@ def _minimal_primes(config: PointConfig):
 
     moves = markov_basis(config)  # once; every prime reuses it
     ideals = [twisted_ideal(config, rho, moves) for rho in characters]
-    meet = intersect_many(list(ideals))
+    meet = intersect_many(ideals)
     if not ideal_equal(meet, toric_ideal_full(config)):
         raise PrimesDoNotIntersectError(
             "minimal primes do not intersect to the full-group ideal",

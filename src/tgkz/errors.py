@@ -66,8 +66,8 @@ class SmithCheckError(TgkzError):
 
 
 class NotBinomialError(TgkzError):
-    """A reduced lattice-ideal basis element is not a binomial (exit 2).
-    Context: terms (their number)."""
+    """A reduced lattice-ideal basis element is not x^a - x^b (exit 2).
+    Context: terms (their number) or coefficient (the first that is off)."""
 
     code = "NOT_BINOMIAL"
 

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import pytest
 
-from conftest import make_config
-from tgkz import binomials, cones
+from conftest import make_config, random_battery
+from tgkz import binomials, cones, poly
 from tgkz.binomials import (
     PartialCharacter,
     classify_graded_binomial_prime,
@@ -30,6 +32,27 @@ from tgkz.poly import (
     parse_polynomial,
     polynomial_to_text,
 )
+from tgkz.problem import parse_spec
+from tgkz.report import ideal_texts
+
+BENCH_SPECS = Path(__file__).resolve().parent.parent / "bench" / "specs"
+# the lattice specs of the benchmark's `ideals` workload
+IDEALS_SPECS = ("mod4_line3", "z6_plane", "z2z2_line", "mod8_line", "mod6_line")
+
+
+def bench_config(name):
+    return parse_spec((BENCH_SPECS / f"{name}.json").read_text(encoding="utf-8")).config
+
+
+def buchberger_calls(monkeypatch, compute):
+    """How many times `compute` runs poly.buchberger, the one Groebner core
+    behind groebner_ideal, saturate and intersect."""
+    calls = []
+    real = poly.buchberger
+    monkeypatch.setattr(poly, "buchberger", lambda *args: calls.append(args) or real(*args))
+    compute()
+    monkeypatch.setattr(poly, "buchberger", real)
+    return len(calls)
 
 
 def texts(ideal):
@@ -59,6 +82,13 @@ def test_markov_basis_simple(mod4_line):
     assert markov_basis(mod4_line) == [(2, -1)]
 
 
+def oracle_twisted_ideal(config, rho):
+    """The twisted ideal built from scratch: one Buchberger run on the
+    twisted Markov binomials, then a saturation."""
+    moves = markov_basis(config)
+    return lattice_ideal(moves, config.n, [rho.value_of(m) for m in moves])
+
+
 def test_twisted_ideal_values(mod4_line):
     rows = free_kernel_rows(mod4_line)
     assert rows == [(2, -1)]
@@ -66,8 +96,46 @@ def test_twisted_ideal_values(mod4_line):
     rho = PartialCharacter.on_rows(rows, (i,), 2)
     tw = twisted_ideal(mod4_line, rho)
     assert texts(tw) == ["d1^2 - zeta(4)*d2"]
+    assert ideal_equal(tw, oracle_twisted_ideal(mod4_line, rho))
     minus = PartialCharacter.on_rows(rows, (Cyclotomic.rational(-1),), 2)
     assert texts(twisted_ideal(mod4_line, minus)) == ["d1^2 + d2"]
+    assert ideal_equal(twisted_ideal(mod4_line, minus), oracle_twisted_ideal(mod4_line, minus))
+
+
+def test_twisted_ideal_matches_buchberger_and_saturate_oracle(battery):
+    configs = battery + random_battery(20240, 60) + [bench_config(name) for name in IDEALS_SPECS]
+    checked = 0
+    for config in configs:
+        for rho, prime in minimal_primes(config):
+            expect = oracle_twisted_ideal(config, rho)
+            for got in (prime, twisted_ideal(config, rho)):
+                assert ideal_equal(got, expect)
+                assert ideal_texts(got) == ideal_texts(expect)
+            checked += 1
+    assert checked == 164  # characters over 68 configs
+
+
+def test_twisted_ideal_runs_no_groebner_basis(monkeypatch, battery):
+    mod4_line, plane_segment = battery[1], battery[2]
+    for config, value in ((mod4_line, Cyclotomic.zeta(4)), (plane_segment, Cyclotomic.zeta(6))):
+        rows = free_kernel_rows(config)
+        rho = PartialCharacter.on_rows(rows, [value] * len(rows), config.n)
+        moves = markov_basis(config)  # warms the memoized free toric ideal
+        assert buchberger_calls(monkeypatch, lambda: twisted_ideal(config, rho, moves)) == 0
+        assert buchberger_calls(monkeypatch, lambda: twisted_ideal(config, rho)) == 0
+
+
+def test_cold_minimal_primes_groebner_runs(monkeypatch):
+    # mod8_line has 8 characters.  Cold, its primes take 11 Groebner runs:
+    # Buchberger and saturation for each of the free and the full toric
+    # ideal, and the 7 intersections of the self-check.  Building every
+    # prime by Buchberger and saturation took 27: 16 more.
+    config = bench_config("mod8_line")
+    for cached in (binomials.toric_ideal_free, binomials.toric_ideal_full,
+                   binomials._minimal_primes):
+        cached.cache_clear()
+    assert buchberger_calls(monkeypatch, lambda: minimal_primes(config)) == 11
+    assert len(minimal_primes(config)) == 8
 
 
 def test_twisted_ideal_lattice_mismatch(mod4_line):
@@ -100,6 +168,13 @@ def test_invariant_checks_raise_typed_errors(monkeypatch, mod4_line):
     with pytest.raises(NotBinomialError) as exc:
         markov_basis(mod4_line)
     assert exc.value.context == {"terms": 3}
+    # two terms, but not x^a - x^b: a twist of it would not be the twisted ideal
+    for text, coefficient in (("d1^2 - 2*d2", "-2"), ("d1^2 + d2", "1")):
+        basis = IdealBasis(2, (parse_polynomial(text, 2),))
+        monkeypatch.setattr(binomials, "toric_ideal_free", lambda config: basis)
+        with pytest.raises(NotBinomialError) as exc:
+            markov_basis(mod4_line)
+        assert exc.value.context == {"coefficient": coefficient}
     monkeypatch.undo()
     # a full kernel of lower rank than the free kernel has infinite index
     monkeypatch.setattr(binomials, "full_kernel_rows", lambda config: [])

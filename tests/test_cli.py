@@ -61,6 +61,17 @@ binomials.twisted_ideal = lambda config, rho, moves: binomials.toric_ideal_free(
 sys.exit(main(sys.argv[1:]))
 """
 
+# the CLI with a free toric basis element that has two terms but is not x^a - x^b
+SCALED_BINOMIAL_CLI = """
+import sys
+from tgkz import binomials
+from tgkz.cli import main
+from tgkz.poly import IdealBasis, parse_polynomial
+basis = IdealBasis(2, (parse_polynomial("d1^2 - 2*d2", 2),))
+binomials.toric_ideal_free = lambda config: basis
+sys.exit(main(sys.argv[1:]))
+"""
+
 # the CLI with a module Groebner basis whose relation mixes two degrees
 INHOMOGENEOUS_CLI = """
 import sys
@@ -255,6 +266,17 @@ def test_broken_invariant_exits_2_without_asserts(script, command, code, context
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["ideals", "primes"])
+def test_scaled_markov_binomial_exits_2_without_asserts(command):
+    # twisting the free basis is sound only for elements x^a - x^b
+    res = subprocess.run([sys.executable, "-O", "-c", SCALED_BINOMIAL_CLI, command,
+                          "--spec", str(SAMPLES / "mod4_line.json")],
+                         capture_output=True, text=True)
+    assert res.returncode == 2, res.stderr
+    assert "NOT_BINOMIAL" in res.stderr and '"coefficient": "-2"' in res.stderr
+    assert res.stdout == ""
+
+
 def test_non_invertible_element_exits_2_without_asserts():
     res = subprocess.run([sys.executable, "-O", "-c", NOT_INVERTIBLE_CLI, "ideals",
                           "--spec", str(SAMPLES / "mod4_line.json")],
@@ -273,6 +295,20 @@ def test_geometry_reports_identical_under_optimize(spec_file, command):
     assert plain.returncode == optimized.returncode == 0
     assert plain.stdout == optimized.stdout
     assert plain.stdout == render(run_command(parse_spec(SMALL_PRISM), command))
+
+
+@pytest.mark.parametrize("command", ["ideals", "primes"])
+@pytest.mark.parametrize("text", [MOD4_LINE,
+                                  (SAMPLES / "z6_plane.json").read_text(encoding="utf-8")],
+                         ids=["mod4_line", "z6_plane"])
+def test_ideal_reports_identical_under_optimize(spec_file, text, command):
+    # the twisted primes rely on raised checks only, so -O prints the same
+    path = spec_file(text)
+    plain = run_cli(command, "--spec", path)
+    optimized = run_cli(command, "--spec", path, python_flags=("-O",))
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout
+    assert plain.stdout == render(run_command(parse_spec(text), command))
 
 
 def test_rank_command_payload(spec_file):

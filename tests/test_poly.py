@@ -326,12 +326,15 @@ def test_monic_kernel_matches_division_oracle(monkeypatch, battery):
             lattice_ideal(free_kernel_rows(config), config.n)
             lattice_ideal(full_kernel_rows(config), config.n)
             power_ideal(config)
-        zeta4 = twisted(mod4_line, Cyclotomic.zeta(4))
-        twisted(plane_segment, Cyclotomic.zeta(6))
-        twisted(z6, Cyclotomic.zeta(6, 5))
-        intersect(zeta4, twisted(mod4_line, Cyclotomic.zeta(4, 3)))
+        # a twisted ideal is a rescaled free basis with no Groebner run of
+        # its own, so Q(zeta_4) and Q(zeta_6) reach the core through the
+        # intersections of two twists
+        intersect(twisted(mod4_line, Cyclotomic.zeta(4)),
+                  twisted(mod4_line, Cyclotomic.zeta(4, 3)))
+        intersect(twisted(plane_segment, Cyclotomic.zeta(6)),
+                  twisted(plane_segment, Cyclotomic.zeta(6, 5)))
         binomials._minimal_primes.cache_clear()
-        minimal_primes(z6)  # six twisted primes and their intersections
+        minimal_primes(z6)  # three twisted primes and their intersections
 
     calls = _recorded_buchberger_inputs(monkeypatch, compute)
     orders = {type(order) for _, order in calls}
