@@ -24,7 +24,7 @@ from .errors import (LatticeMismatchError, NotBinomialError, NotSaturatedError,
 from .lattice import (IntMatrix, hermite_coordinates, hnf_rows, hnf_with_transform,
                       is_hermite, kernel_basis, kernel_lattice, smith_normal_form)
 from .poly import (GREVLEX, IdealBasis, Polynomial, groebner_ideal, ideal_equal,
-                   intersect_many, normal_form, saturate)
+                   ideal_member, normal_form, saturate)
 
 
 def _power_product(values, exponents):
@@ -265,9 +265,20 @@ def minimal_primes(config: PointConfig, workers=None):
     The free kernel modulo the full kernel is a finite abelian group; each of
     its characters lifts to a character on the free kernel trivial on the
     full kernel, and the resulting twisted ideals are exactly the minimal
-    primes.  Each character is checked to be trivial on the full kernel,
-    and the intersection of the primes to equal the (memoized) full-group
-    ideal; either failure raises PrimesDoNotIntersectError.
+    primes.  Each character is checked to be trivial on the full kernel, and
+    the primes P are certified without elimination: (a) each reduced basis
+    has the leading terms of the free basis, in order; (b) each P contains
+    every generator of the full-group ideal I, by normal form; (c) the P are
+    pairwise distinct; (d) there is one per character.  Any failure raises
+    PrimesDoNotIntersectError.  Why this proves that the P meet in I: in
+    characteristic 0, I is radical and its minimal primes are the twisted
+    ideals, one per character, all with the initial ideal of the free basis
+    (Eisenbud-Sturmfels, Duke Math. J. 84, 1996, Cor. 2.2).  By (a) each P
+    has their Hilbert function, and by (b) it contains I, so its only
+    top-dimensional component is one minimal prime Q; as P lies in Q with
+    the same Hilbert function, P = Q.  By (c) and (d) the P are all the
+    minimal primes, whose intersection is I.  Without (a), an ideal larger
+    than a prime would still pass (b) and (c).
     Returns [(character, ideal)], characters enumerated in a fixed order,
     computed once per configuration (memoized); a fresh list on every call.
     `workers` is accepted and has no effect: each prime is a twist of the
@@ -309,8 +320,12 @@ def _minimal_primes(config: PointConfig):
 
     moves = markov_basis(config)  # once; every prime reuses it
     ideals = [twisted_ideal(config, rho, moves) for rho in characters]
-    meet = intersect_many(ideals)
-    if not ideal_equal(meet, toric_ideal_full(config)):
+    leads = [g.leading(GREVLEX)[0] for g in toric_ideal_free(config).generators]
+    full = toric_ideal_full(config).generators
+    if (len(ideals) != prod(orders)
+            or any([g.leading(GREVLEX)[0] for g in p.generators] != leads for p in ideals)
+            or not all(ideal_member(f, p) for p in ideals for f in full)
+            or any(ideal_equal(p, q) for i, p in enumerate(ideals) for q in ideals[:i])):
         raise PrimesDoNotIntersectError(
             "minimal primes do not intersect to the full-group ideal",
             torsion_orders=config.group.torsion_orders, primes=len(ideals))

@@ -17,7 +17,6 @@ from math import gcd, lcm
 from operator import add, sub
 
 from .errors import NotInvertibleError
-from .lattice import IntMatrix
 
 
 def _poly_divmod_int(num, den):
@@ -185,18 +184,14 @@ class Cyclotomic:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         if self.is_rational():
             return _canonical(self.order, (self.den,) + self.num[1:], self.num[0])
-        # row j is num * zeta^j: the transposed matrix of multiplication by num,
-        # whose determinant is its norm; by Cramer's rule num * y = 1 has
-        # y_i = det(rows with row i replaced by 1) / norm
-        deg = len(self.num)
-        rows = [_reduce_mod_phi((0,) * j + self.num, self.order) for j in range(deg)]
-        norm = IntMatrix.from_rows(rows).det()
+        # num times the product of its other Galois conjugates is the norm,
+        # a rational integer, so 1/num = conj / norm
+        conj = _conjugate_product(self.num, self.order)
+        norm = (conj * _raw(self.order, self.num, 1)).num[0]
         if not norm:
             raise NotInvertibleError(f"no inverse in Q(zeta_{self.order}): zero norm",
                                      order=self.order, num=self.num)
-        one = (1,) + (0,) * (deg - 1)
-        y = [IntMatrix.from_rows(rows[:i] + [one] + rows[i + 1:]).det() for i in range(deg)]
-        return _canonical(self.order, tuple(self.den * v for v in y), norm)
+        return _canonical(self.order, tuple(self.den * c for c in conj.num), norm)
 
     def __truediv__(self, other):
         other = Cyclotomic.coerce(other)
@@ -289,6 +284,20 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic({self.to_text()})"
+
+
+def _conjugate_product(num, e):
+    """prod over a in 2..e-1 prime to e of x(zeta^a), for the integral
+    element x with coordinates num: each conjugate re-spreads num over the
+    powers zeta^(i*a) and reduces modulo Phi_e."""
+    out = Cyclotomic.one(e)
+    for a in range(2, e):
+        if gcd(a, e) == 1:
+            raised = [0] * e
+            for i, c in enumerate(num):
+                raised[i * a % e] += c
+            out = out * _raw(e, _reduce_mod_phi(raised, e), 1)
+    return out
 
 
 def _raw(order, num, den):

@@ -9,8 +9,8 @@ torsion-order many untwisted copies, one per character of the torsion group.
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
-from . import fieldlin
 from ._value import frozen
 from .cones import (PointConfig, check_hypotheses, epsilon_vector,
                     normalized_volume, positive_grading)
@@ -126,6 +126,23 @@ class SplitCertificate:
         }
 
 
+def character_table_determinant(orders) -> Cyclotomic:
+    """Determinant of the character table [prod_i zeta_(o_i)^(r_i f_i)]_(r, f)
+    with r, f running over product(range(o) for o in orders).
+
+    The table is the Kronecker product of the Vandermonde matrices
+    V(o) = [zeta_o^(r f)], so its determinant is prod_i V(o_i)^(N / o_i)
+    with N = prod(orders).  V(o) = prod_(j<k) zeta^j (zeta^(k-j) - 1),
+    grouped by the difference d = k - j, which o - d pairs share."""
+    total = prod(orders)
+    det = Cyclotomic.one()
+    for o in orders:
+        vandermonde = prod(((Cyclotomic.zeta(o, d) - 1) ** (o - d) for d in range(1, o)),
+                           start=Cyclotomic.zeta(o, sum(j * (o - 1 - j) for j in range(o))))
+        det = det * vandermonde ** (total // o)
+    return det
+
+
 def character_split(config: PointConfig, truncation=DEFAULT_TRUNCATION) -> SplitCertificate:
     """One evaluation map per torsion character; the joint map is a graded
     bijection on the height-truncated piece of the closure module because
@@ -136,27 +153,15 @@ def character_split(config: PointConfig, truncation=DEFAULT_TRUNCATION) -> Split
         raise HypothesisError("character split requires the standing hypotheses",
                               hypotheses=report.to_json())
     orders = config.group.torsion_orders
-    fibers = list(product(*(range(o) for o in orders)))
-    exponents = fibers
-    values = []
-    matrix = []
-    for r in exponents:
-        values.append(tuple(Cyclotomic.zeta(o, k) if o > 1 else Cyclotomic.one()
-                            for o, k in zip(orders, r)))
-        row = []
-        for f in fibers:
-            entry = Cyclotomic.one()
-            for o, rk, fk in zip(orders, r, f):
-                if (rk * fk) % o:
-                    entry = entry * Cyclotomic.zeta(o, rk * fk)
-            row.append(entry)
-        matrix.append(tuple(row))
-    det = fieldlin.determinant([list(row) for row in matrix])
-    det = Cyclotomic.coerce(det)
+    fibers = tuple(product(*(range(o) for o in orders)))
+    values = tuple(tuple(Cyclotomic.zeta(o, k) for o, k in zip(orders, r)) for r in fibers)
+    matrix = tuple(tuple(prod((Cyclotomic.zeta(o, rk * fk) for o, rk, fk in zip(orders, r, f)
+                               if rk * fk % o), start=Cyclotomic.one()) for f in fibers)
+                   for r in fibers)
+    det = character_table_determinant(orders)
     if det.is_zero():
         raise SplitSingularError("torsion characters failed to separate the fibers",
                                  torsion_orders=orders)
     height = positive_grading(config)
     pieces = cone_points_up_to(config, height, truncation)
-    return SplitCertificate(tuple(exponents), tuple(values), tuple(matrix),
-                            det, len(pieces), int(truncation))
+    return SplitCertificate(fibers, values, matrix, det, len(pieces), int(truncation))

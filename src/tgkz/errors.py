@@ -51,8 +51,9 @@ class BoxScanIncompleteError(TgkzError):
 
 class PrimesDoNotIntersectError(TgkzError):
     """A minimal-prime character is not trivial on the full kernel, or the
-    primes do not intersect to the full-group ideal (exit 2).  Context:
-    torsion_orders, primes (their number)."""
+    primes fail the certificate that they meet in the full-group ideal:
+    free-basis leading terms, containment, distinctness, one per character
+    (exit 2).  Context: torsion_orders, primes (their number)."""
 
     code = "PRIMES_DO_NOT_INTERSECT"
 
@@ -94,7 +95,7 @@ class SplitSingularError(TgkzError):
 
 
 class NotInvertibleError(TgkzError):
-    """A nonzero cyclotomic element has norm 0, so it has no inverse
+    """A nonzero cyclotomic element has Galois norm 0, so it has no inverse
     (exit 2).  Context: order, num."""
 
     code = "NOT_INVERTIBLE"

@@ -89,33 +89,3 @@ def in_span(vectors, target) -> bool:
     base = rank(vecs)
     return rank(vecs + [list(target)]) == base
 
-
-def determinant(rows):
-    """Exact determinant by Gaussian elimination (field coefficients)."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    if any(len(r) != n for r in m):
-        raise ValueError("determinant of non-square matrix")
-    det = None
-    sign = 1
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if not _is_zero(m[i][c]):
-                pivot = i
-                break
-        if pivot is None:
-            first = m[0][0]
-            return first - first  # a zero of the right coefficient type
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        det = m[c][c] if det is None else det * m[c][c]
-        inv = m[c][c]
-        for i in range(c + 1, n):
-            if not _is_zero(m[i][c]):
-                f = m[i][c] / inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det if sign == 1 else -det

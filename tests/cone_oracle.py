@@ -10,6 +10,7 @@ lattice tries every subset of the facets.  Nothing is memoized.
 from fractions import Fraction
 from itertools import combinations
 
+from fieldlin_oracle import determinant
 from tgkz import fieldlin
 from tgkz.cones import Face, facets
 from tgkz.lattice import IntMatrix, rank
@@ -55,8 +56,8 @@ def placing_triangulation(vectors):
             if cnt != 1:
                 continue
             rows = [list(coords[f]) for f in face]
-            s_side = fieldlin.determinant(rows + [list(coords[face_opp[face]])])
-            p_side = fieldlin.determinant(rows + [list(lam)])
+            s_side = determinant(rows + [list(coords[face_opp[face]])])
+            p_side = determinant(rows + [list(lam)])
             if s_side != 0 and p_side != 0 and (s_side > 0) != (p_side > 0):
                 fresh.append(tuple(sorted(face + (idx,))))
         simplices.extend(fresh)

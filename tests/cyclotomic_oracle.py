@@ -10,8 +10,9 @@ both to Q(zeta_lcm).  Demotion has no cache here.
 from fractions import Fraction
 from math import gcd
 
-from tgkz import fieldlin
+from tgkz import cyclotomic, fieldlin
 from tgkz.cyclotomic import cyclotomic_polynomial
+from tgkz.lattice import IntMatrix
 
 
 def _phi_degree(e):
@@ -283,3 +284,16 @@ def _demote(order, coeffs):
         if sol is not None:
             return Cyclotomic(e, sol)
     return Cyclotomic(order, coeffs)
+
+
+def cramer_inverse(x):
+    """1/x for a nonzero tgkz Cyclotomic x by Cramer's rule, the former
+    library path: row j of the transposed multiplication matrix is
+    num * zeta^j, its determinant is the norm of num, and num * y = 1 has
+    y_i = det(rows with row i replaced by 1) / norm."""
+    deg = len(x.num)
+    rows = [cyclotomic._reduce_mod_phi((0,) * j + x.num, x.order) for j in range(deg)]
+    norm = IntMatrix.from_rows(rows).det()
+    one = (1,) + (0,) * (deg - 1)
+    y = [IntMatrix.from_rows(rows[:i] + [one] + rows[i + 1:]).det() for i in range(deg)]
+    return cyclotomic.Cyclotomic(x.order, [Fraction(x.den * v, norm) for v in y])

@@ -26,6 +26,7 @@ from tgkz.errors import (LatticeMismatchError, NotBinomialError, NotSaturatedErr
 from tgkz.lattice import IntMatrix
 from tgkz.poly import (
     IdealBasis,
+    Polynomial,
     groebner_ideal,
     ideal_equal,
     intersect_many,
@@ -126,16 +127,73 @@ def test_twisted_ideal_runs_no_groebner_basis(monkeypatch, battery):
 
 
 def test_cold_minimal_primes_groebner_runs(monkeypatch):
-    # mod8_line has 8 characters.  Cold, its primes take 11 Groebner runs:
+    # mod8_line has 8 characters.  Cold, its primes take 4 Groebner runs:
     # Buchberger and saturation for each of the free and the full toric
-    # ideal, and the 7 intersections of the self-check.  Building every
-    # prime by Buchberger and saturation took 27: 16 more.
+    # ideal.  Certifying the primes by intersecting them took 7 more (11),
+    # and building every prime by Buchberger and saturation 16 more (27).
     config = bench_config("mod8_line")
     for cached in (binomials.toric_ideal_free, binomials.toric_ideal_full,
                    binomials._minimal_primes):
         cached.cache_clear()
-    assert buchberger_calls(monkeypatch, lambda: minimal_primes(config)) == 11
+    assert buchberger_calls(monkeypatch, lambda: minimal_primes(config)) == 4
     assert len(minimal_primes(config)) == 8
+
+
+def zp_config(p):
+    """Torsion Z/p with columns (1, (1,0)), (5, (1,1)), (0, (1,2))."""
+    return make_config([p], [((1,), (1, 0)), ((5,), (1, 1)), ((0,), (1, 2))])
+
+
+def _skewed(rho):
+    """-rho on every basis row: a character of the free kernel that, unless
+    it is another of the primes' characters, is not trivial on the full kernel."""
+    return PartialCharacter.on_rows(rho.basis, [-v for v in rho.values], rho.nvars)
+
+
+# faults in the primes that reach the certificate: each maps (config, rho,
+# moves, the true prime, the index of rho) to the ideal handed on instead
+PRIME_FAULTS = {
+    # the first prime plus the variable d1: still contains the full-group ideal
+    "widened": lambda config, rho, moves, prime, k: prime if k else groebner_ideal(
+        list(prime.generators) + [Polynomial.variable(0, config.n)], config.n),
+    "repeated": lambda config, rho, moves, prime, k: toric_ideal_free(config),
+    "off_character": lambda config, rho, moves, prime, k: prime if k else twisted_ideal(
+        config, _skewed(rho), moves),
+}
+
+
+@pytest.mark.parametrize("fault", [None, *PRIME_FAULTS])
+def test_prime_certificate_agrees_with_intersection_oracle(monkeypatch, battery, fault):
+    """The containment certificate accepts the primes exactly when they meet
+    in the full-group ideal, on the true primes and with each fault."""
+    configs = [config for config in battery + random_battery(20240, 30) + [
+        bench_config(name) for name in IDEALS_SPECS] + [zp_config(13)]
+        if free_kernel_rows(config)]  # an empty free kernel has no twists to check
+    handed = []
+
+    def twisted(config, rho, moves):
+        prime = twisted_ideal(config, rho, moves)
+        if fault is not None:
+            prime = PRIME_FAULTS[fault](config, rho, moves, prime, len(handed))
+        handed.append(prime)
+        return prime
+
+    monkeypatch.setattr(binomials, "twisted_ideal", twisted)
+    verdicts = []
+    for config in configs:
+        binomials._minimal_primes.cache_clear()
+        handed.clear()
+        try:
+            minimal_primes(config)
+            accepted = True
+        except PrimesDoNotIntersectError:
+            accepted = False
+        meet = intersect_many(handed)
+        assert accepted == ideal_equal(meet, toric_ideal_full(config)), (config, fault)
+        verdicts.append(accepted)
+    binomials._minimal_primes.cache_clear()
+    # a fault leaves the one prime of a torsion-free config true or rejects it
+    assert all(verdicts) if fault is None else not all(verdicts)
 
 
 def test_twisted_ideal_lattice_mismatch(mod4_line):

@@ -12,6 +12,7 @@ from tgkz.problem import parse_spec
 from tgkz.report import render, run_command
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_specs"
+BENCH_SPECS = SAMPLES.parent / "bench" / "specs"
 
 SPLIT_LINE = """{
   "torsion_orders": [2],
@@ -61,6 +62,24 @@ binomials.twisted_ideal = lambda config, rho, moves: binomials.toric_ideal_free(
 sys.exit(main(sys.argv[1:]))
 """
 
+# the CLI with the first minimal prime widened by the variable d1: the ideal
+# still contains the full-group ideal and differs from the other primes
+WIDENED_PRIME_CLI = """
+import sys
+from tgkz import binomials
+from tgkz.cli import main
+from tgkz.poly import Polynomial, groebner_ideal
+twisted = binomials.twisted_ideal
+def widened(config, rho, moves):
+    prime = twisted(config, rho, moves)
+    if not all(v.is_one() for v in rho.values):
+        return prime
+    d1 = Polynomial.variable(0, config.n)
+    return groebner_ideal(list(prime.generators) + [d1], config.n)
+binomials.twisted_ideal = widened
+sys.exit(main(sys.argv[1:]))
+"""
+
 # the CLI with a free toric basis element that has two terms but is not x^a - x^b
 SCALED_BINOMIAL_CLI = """
 import sys
@@ -99,21 +118,19 @@ sys.exit(main(sys.argv[1:]))
 # the CLI with a character split whose determinant comes out zero
 SINGULAR_SPLIT_CLI = """
 import sys
-from types import SimpleNamespace
-from tgkz import duality
-from tgkz.cli import main
-duality.fieldlin = SimpleNamespace(determinant=lambda rows: 0)
-sys.exit(main(sys.argv[1:]))
+from tgkz import cli, duality
+from tgkz.cyclotomic import Cyclotomic
+duality.character_table_determinant = lambda orders: Cyclotomic.zero()
+sys.exit(cli.main(sys.argv[1:]))
 """
 
-# the CLI with every multiplication matrix of a cyclotomic inverse singular
+# the CLI with every cyclotomic inverse seeing norm 0: the product of the
+# other Galois conjugates comes out zero
 NOT_INVERTIBLE_CLI = """
 import sys
-from types import SimpleNamespace
 from tgkz import cyclotomic
 from tgkz.cli import main
-singular = SimpleNamespace(det=lambda: 0)
-cyclotomic.IntMatrix = SimpleNamespace(from_rows=lambda rows: singular)
+cyclotomic._conjugate_product = lambda num, e: cyclotomic.Cyclotomic.zero(e)
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -267,6 +284,18 @@ def test_broken_invariant_exits_2_without_asserts(script, command, code, context
 
 
 @pytest.mark.parametrize("command", ["ideals", "primes"])
+def test_widened_prime_exits_2_without_asserts(command):
+    # only the leading-term check of the prime certificate rejects this
+    res = subprocess.run([sys.executable, "-O", "-c", WIDENED_PRIME_CLI, command,
+                          "--spec", str(SAMPLES / "mod4_line.json")],
+                         capture_output=True, text=True)
+    assert res.returncode == 2, res.stderr
+    assert "PRIMES_DO_NOT_INTERSECT" in res.stderr
+    assert '"primes": 4' in res.stderr and '"torsion_orders": [4]' in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["ideals", "primes"])
 def test_scaled_markov_binomial_exits_2_without_asserts(command):
     # twisting the free basis is sound only for elements x^a - x^b
     res = subprocess.run([sys.executable, "-O", "-c", SCALED_BINOMIAL_CLI, command,
@@ -278,8 +307,10 @@ def test_scaled_markov_binomial_exits_2_without_asserts(command):
 
 
 def test_non_invertible_element_exits_2_without_asserts():
+    # on mod4_line3 the character values take negative powers of zeta(4),
+    # and each is an inverse of an order-4 element
     res = subprocess.run([sys.executable, "-O", "-c", NOT_INVERTIBLE_CLI, "ideals",
-                          "--spec", str(SAMPLES / "mod4_line.json")],
+                          "--spec", str(BENCH_SPECS / "mod4_line3.json")],
                          capture_output=True, text=True)
     assert res.returncode == 2, res.stderr
     assert "NOT_INVERTIBLE" in res.stderr

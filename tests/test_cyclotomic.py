@@ -7,9 +7,11 @@ from math import gcd
 import pytest
 
 from cyclotomic_oracle import Cyclotomic as Oracle
-from cyclotomic_oracle import _reduce_mod_phi, _xgcd_poly
+from cyclotomic_oracle import _reduce_mod_phi, _xgcd_poly, cramer_inverse
+from fieldlin_oracle import determinant
 from tgkz import cyclotomic, fieldlin
 from tgkz.cyclotomic import Cyclotomic, cyclotomic_polynomial
+from tgkz.lattice import IntMatrix
 
 
 def test_rational_arithmetic():
@@ -67,7 +69,7 @@ def test_fieldlin_solve_and_rank_over_cyclotomics():
     i = Cyclotomic.zeta(4)
     one = Cyclotomic.one()
     rows = [[one, i], [i, one]]
-    assert fieldlin.determinant(rows) == one - i * i  # 1 - i^2 = 2
+    assert determinant(rows) == one - i * i  # 1 - i^2 = 2
     sol = fieldlin.solve_unique(rows, [one, one])
     # x + i y = 1, i x + y = 1 -> x = y = 1/(1+i)
     s = sol[0]
@@ -249,6 +251,31 @@ def test_arithmetic_matches_the_fraction_kernel():
         assert a.unit_rational_form() == oa.unit_rational_form()
         assert (a.is_zero(), a.is_rational(), a.is_one(), bool(a), a.rational_value()) == \
             (oa.is_zero(), oa.is_rational(), oa.is_one(), bool(oa), oa.rational_value())
+
+
+@pytest.mark.parametrize("e", [3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 18, 20, 24, 30, 31, 36,
+                               45, 60, 61, 97])
+def test_norm_inverse_matches_cramer_oracle(e):
+    """The Galois-norm inverse against Cramer's rule on the multiplication
+    matrix, on seeded random elements with small and large coordinates.
+    At order 97 the phi(e) + 1 determinants of the full rule take about
+    15 s on a 2-vCPU machine, so there only the norm, its first
+    determinant, is compared, and x * (1/x) = 1 fixes the rest."""
+    rng = random.Random(e)
+    deg = len(cyclotomic_polynomial(e)) - 1
+    for size in (40, 3, 1) if e < 40 else (1,):
+        x = Cyclotomic(e, [Fraction(rng.randint(-size, size), rng.randint(1, 4))
+                           for _ in range(deg)])
+        if x.is_zero():
+            continue
+        y = x.inverse()
+        assert (x * y).is_one()
+        if e < 97:
+            _assert_same(y, cramer_inverse(x))
+            continue
+        rows = [cyclotomic._reduce_mod_phi((0,) * j + x.num, e) for j in range(deg)]
+        conj = cyclotomic._conjugate_product(x.num, e)
+        assert (conj * Cyclotomic(e, x.num)).rational_value() == IntMatrix.from_rows(rows).det()
 
 
 def test_negative_rational_inverts_to_a_positive_denominator():

@@ -1,17 +1,19 @@
 import json
 import random
 from fractions import Fraction
-from types import SimpleNamespace
+from math import prod
 
 import pytest
 
 from conftest import make_config
+from fieldlin_oracle import determinant
 from tgkz.cones import cone_triangulation, epsilon_vector, normalized_volume
 from tgkz import cones, duality
 from tgkz.cyclotomic import Cyclotomic
 from tgkz.duality import (
     DEFAULT_TRUNCATION,
     character_split,
+    character_table_determinant,
     dual_parameter,
     dual_system,
     rank_formula,
@@ -92,7 +94,8 @@ def test_rank_mismatch_raises_typed_error(monkeypatch, split_line):
 
 
 def test_singular_split_raises_typed_error(monkeypatch, split_line):
-    monkeypatch.setattr(duality, "fieldlin", SimpleNamespace(determinant=lambda rows: 0))
+    monkeypatch.setattr(duality, "character_table_determinant",
+                        lambda orders: Cyclotomic.zero())
     with pytest.raises(SplitSingularError) as exc:
         character_split(split_line)
     assert exc.value.code == "SPLIT_SINGULAR"
@@ -131,6 +134,20 @@ def test_character_split_mod4(mod4_line):
     assert cert.determinant.to_text() == "-16*zeta(4)"
     assert len(cert.exponents) == 4
     assert cert.nonsingular
+
+
+@pytest.mark.parametrize("orders", [(2,), (3,), (4,), (5,), (6,), (8,), (12,), (2, 2), (2, 4),
+                                    (3, 3), (2, 6), (2, 2, 2), (4, 4), (3, 6)],
+                         ids=lambda orders: "x".join(map(str, orders)))
+def test_character_table_determinant_matches_elimination(orders):
+    """The Kronecker-Vandermonde product against Gaussian elimination on the
+    table as character_split builds it."""
+    config = make_config(list(orders), [((1,) * len(orders), (1,))])
+    table = [list(row) for row in character_split(config).matrix]
+    assert len(table) == prod(orders)
+    expect = Cyclotomic.coerce(determinant(table))
+    got = character_table_determinant(orders)
+    assert got == expect and got.to_text() == expect.to_text()
 
 
 def test_character_split_torsion_free(plane_segment):
