@@ -60,7 +60,6 @@ from .lattice import (
     AbelianGroup,
     Functional,
     GroupElement,
-    IntMatrix,
     kernel_lattice,
     lattice_index,
     smith_normal_form,

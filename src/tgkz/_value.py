@@ -11,7 +11,8 @@ pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``) and decorating a
 class 0.7-1 ms, one ``exec`` per method.  Here one ``exec`` per class takes
 about 0.3 ms and builds the same straight-line methods, so instances cost
 what they did.  ``import tgkz`` went from about 48 ms to 27 ms with its 18
-value classes on this decorator (``-X importtime``, median of 15 runs).
+value classes on this decorator (``-X importtime``, median of 15 runs); 17
+remain since integer matrices became tuples of rows.
 """
 
 

@@ -21,7 +21,7 @@ from .cones import Face, PointConfig, face_by_columns
 from .cyclotomic import Cyclotomic
 from .errors import (LatticeMismatchError, NotBinomialError, NotSaturatedError,
                      PrimesDoNotIntersectError, SmithCheckError)
-from .lattice import (IntMatrix, hermite_coordinates, hnf_rows, hnf_with_transform,
+from .lattice import (hermite_coordinates, hnf_rows, hnf_with_transform,
                       is_hermite, kernel_basis, kernel_lattice, smith_normal_form)
 from .poly import (GREVLEX, IdealBasis, Polynomial, groebner_ideal, ideal_equal,
                    ideal_member, normal_form, saturate)
@@ -55,7 +55,7 @@ class PartialCharacter:
             return PartialCharacter(tuple(rows), tuple(values), nvars)
         # T * rows = H, so row i of T holds the coordinates of H[i] on rows
         hermite, t = hnf_with_transform(rows)
-        rebased = tuple(_power_product(values, t.row(i)) for i in range(len(hermite)))
+        rebased = tuple(_power_product(values, row) for row in t[:len(hermite)])
         return PartialCharacter(hermite, rebased, nvars)
 
     @staticmethod
@@ -79,7 +79,7 @@ class PartialCharacter:
 
 @lru_cache(maxsize=16)
 def _free_kernel(config: PointConfig):
-    return tuple(tuple(r) for r in kernel_basis(config.free_matrix()).to_rows())
+    return kernel_basis(config.free_matrix())
 
 
 def free_kernel_rows(config: PointConfig):
@@ -89,8 +89,7 @@ def free_kernel_rows(config: PointConfig):
 
 
 def full_kernel_rows(config: PointConfig):
-    kl = kernel_lattice(config.columns, config.group)
-    return [tuple(r) for r in kl.to_rows()]
+    return list(kernel_lattice(config.columns, config.group))
 
 
 def _binomial(m, nvars, value=1):
@@ -101,10 +100,9 @@ def _binomial(m, nvars, value=1):
 
 def _face_kernel_rows(config: PointConfig, face_cols):
     """Kernel of the free parts of the given columns, embedded into Z^n."""
-    sub = IntMatrix.from_rows([[config.columns[j].free[i] for j in face_cols]
-                               for i in range(config.d)])
+    sub = [[config.columns[j].free[i] for j in face_cols] for i in range(config.d)]
     embedded = []
-    for row in kernel_basis(sub).to_rows():
+    for row in kernel_basis(sub):
         full = [0] * config.n
         for pos, j in enumerate(face_cols):
             full[j] = row[pos]
@@ -216,36 +214,35 @@ def extend_character(rho: PartialCharacter):
     identity = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
     if not rho.basis:
         return PartialCharacter.on_rows(identity, [Cyclotomic.one()] * n, n)
-    m = IntMatrix.from_rows(list(rho.basis))
-    snf = smith_normal_form(m)
+    snf = smith_normal_form(rho.basis)
     r = len(snf.invariant_factors)
     # saturated: Z^n modulo the lattice is torsion-free
-    if r != m.rows or any(f != 1 for f in snf.invariant_factors):
+    if r != len(rho.basis) or any(f != 1 for f in snf.invariant_factors):
         raise NotSaturatedError("character lattice is not saturated",
                                 invariant_factors=snf.invariant_factors)
     # adapted basis rows w_i: rows of V^{-1}; the first r span the lattice
     w = _unimodular_inverse(snf.V)
-    adapted_values = [rho.value_of(w.row(i)) for i in range(r)] + [Cyclotomic.one()] * (n - r)
+    adapted_values = [rho.value_of(row) for row in w[:r]] + [Cyclotomic.one()] * (n - r)
     # e_j = sum_i V[j][i] w_i
-    values = [_power_product(adapted_values, snf.V.row(j)) for j in range(n)]
+    values = [_power_product(adapted_values, snf.V[j]) for j in range(n)]
     full = PartialCharacter.on_rows(identity, values, n)
     for row, expected in zip(rho.basis, rho.values):
         if full.value_of(row) != expected:
             raise SmithCheckError("the extension disagrees with the character on its lattice",
-                                  shape=(m.rows, m.cols), row=row)
+                                  shape=(len(rho.basis), n), row=row)
     return full
 
 
-def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Integer inverse of a unimodular matrix via Hermite reduction of
-    [m | I], which ends at [I | m^{-1}]."""
-    n = m.rows
-    aug = [list(m.row(i)) + [1 if j == i else 0 for j in range(n)]
-           for i in range(n)]
+def _unimodular_inverse(m):
+    """Integer inverse of a unimodular matrix, given by rows, via Hermite
+    reduction of [m | I], which ends at [I | m^{-1}]."""
+    n = len(m)
+    aug = [list(row) + [1 if j == i else 0 for j in range(n)]
+           for i, row in enumerate(m)]
     h = hnf_rows(aug)  # n rows, as [m | I] has rank n
-    if m.cols != n or any(h[i][i] != 1 for i in range(n)):
-        raise SmithCheckError("a Smith transform is not unimodular", shape=(n, m.cols))
-    return IntMatrix.from_rows([row[n:] for row in h])
+    if len(m[0]) != n or any(h[i][i] != 1 for i in range(n)):
+        raise SmithCheckError("a Smith transform is not unimodular", shape=(n, len(m[0])))
+    return tuple(row[n:] for row in h)
 
 
 def twist_automorphism(f: Polynomial, full_character: PartialCharacter) -> Polynomial:
@@ -301,14 +298,14 @@ def _minimal_primes(config: PointConfig):
     if len(x_rows) != r or None in x_rows:
         raise LatticeMismatchError("full kernel is not of finite index in the free kernel",
                                    free_rank=r, full_rows=len(x_rows))
-    snf = smith_normal_form(IntMatrix.from_rows(x_rows))
+    snf = smith_normal_form(x_rows)
     orders = snf.invariant_factors
     if len(orders) != r:
         raise LatticeMismatchError("full kernel is not of finite index in the free kernel",
                                    free_rank=r, full_rank=len(orders))
     characters = []
     for c in product(*(range(o) for o in orders)):
-        values = [prod((Cyclotomic.zeta(orders[j], c[j] * snf.V.entry(k, j))
+        values = [prod((Cyclotomic.zeta(orders[j], c[j] * snf.V[k][j])
                         for j in range(r) if c[j]), start=Cyclotomic.one())
                   for k in range(r)]
         rho = PartialCharacter.on_rows(free_rows, values, n)

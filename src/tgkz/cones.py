@@ -12,13 +12,14 @@ reproducibility of candidate boxes downstream.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 from . import fieldlin
 from ._value import frozen
 from .cyclotomic import Cyclotomic
 from .errors import EmptyConeError, HypothesisError, NotPointedError
-from .lattice import (INFINITE, AbelianGroup, Functional, IntMatrix, hnf_rows,
-                      kernel_basis, lattice_index, rank, smith_normal_form)
+from .lattice import (INFINITE, AbelianGroup, Functional, det, hnf_rows, lattice_index, rank,
+                      smith_normal_form)
 
 
 @frozen
@@ -52,9 +53,8 @@ class PointConfig:
     def free_columns(self):
         return [c.free for c in self.columns]
 
-    def free_matrix(self) -> IntMatrix:
-        return IntMatrix.from_rows(
-            [[c.free[i] for c in self.columns] for i in range(self.d)])
+    def free_matrix(self):
+        return tuple(zip(*self.free_columns()))
 
     def nonzero_free_columns(self):
         """Distinct nonzero free parts, lexicographically sorted."""
@@ -75,7 +75,7 @@ def _pivot_columns(vectors):
 
 
 def _minor(rows, pivots):
-    return IntMatrix.from_rows([[r[p] for p in pivots] for r in rows]).det()
+    return det([[r[p] for p in pivots] for r in rows])
 
 
 def placing_triangulation(vectors):
@@ -139,8 +139,7 @@ def normalized_volume(config: PointConfig) -> int:
     simplices, rk = placing_triangulation(vectors)
     if rk < config.d + 1:
         return 0
-    return sum(abs(IntMatrix.from_rows([vectors[i] for i in s]).det())
-               for s in simplices)
+    return sum(abs(det([vectors[i] for i in s])) for s in simplices)
 
 
 # ---------------------------------------------------------------------------
@@ -150,28 +149,22 @@ def normalized_volume(config: PointConfig) -> int:
 def _facet_normals(vectors, d):
     """Primitive integer normals of the facets of the cone over the nonzero
     integer `vectors` in Q^d, lexicographically sorted: nonnegative on every
-    vector and vanishing on a rank d-1 subset of them."""
+    vector and vanishing on a rank d-1 subset of them.
+
+    The signed maximal minors tau_k = (-1)^k det(subset without coordinate
+    k) of d-1 vectors span their orthogonal line, and vanish exactly when
+    the subset has rank below d-1; for d = 1 the empty subset gives (1,).
+    """
     found = set()
-
-    def consider(tau):
-        if all(_dot(tau, c) >= 0 for c in vectors):
-            vanish = [c for c in vectors if _dot(tau, c) == 0]
-            if rank(vanish) == d - 1:
-                found.add(tau)
-
-    if d == 1:
-        consider((1,))
-        consider((-1,))
-    else:
-        for subset in combinations(vectors, d - 1):
-            if rank(subset) != d - 1:
-                continue
-            kern = kernel_basis(IntMatrix.from_rows(subset))
-            if kern.rows != 1:
-                continue
-            tau = tuple(kern.row(0))
-            consider(tau)
-            consider(tuple(-x for x in tau))
+    for subset in combinations(vectors, d - 1):
+        tau = [(-1) ** k * det([v[:k] + v[k + 1:] for v in subset]) for k in range(d)]
+        g = gcd(*tau)
+        if not g:
+            continue
+        for sign in (1, -1):
+            normal = tuple(sign * x // g for x in tau)
+            if all(_dot(normal, c) >= 0 for c in vectors):
+                found.add(normal)
     return tuple(sorted(found))
 
 

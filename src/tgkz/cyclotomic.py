@@ -235,6 +235,9 @@ class Cyclotomic:
         return a.num == b.num and a.den == b.den
 
     def __hash__(self):
+        # a rational element equals, so hashes as, its int or Fraction
+        if self.is_rational():
+            return hash(Fraction(self.num[0], self.den))
         d = self.demoted()
         return hash((d.order, d.coeffs))
 

@@ -115,10 +115,19 @@ class SplitCertificate:
         return not self.determinant.is_zero()
 
     def to_json(self):
+        texts = {}
+
+        def text(c):
+            # keyed by the stored form: hashing a Cyclotomic demotes it
+            key = (c.order, c.num, c.den)
+            if key not in texts:
+                texts[key] = c.to_text()
+            return texts[key]
+
         return {
-            "maps": [{"exponents": list(r), "values": [v.to_text() for v in vals]}
+            "maps": [{"exponents": list(r), "values": [text(v) for v in vals]}
                      for r, vals in zip(self.exponents, self.values)],
-            "matrix": [[c.to_text() for c in row] for row in self.matrix],
+            "matrix": [[text(c) for c in row] for row in self.matrix],
             "determinant": self.determinant.to_text(),
             "nonsingular": self.nonsingular,
             "pieces_checked": self.pieces_checked,
@@ -155,9 +164,12 @@ def character_split(config: PointConfig, truncation=DEFAULT_TRUNCATION) -> Split
     orders = config.group.torsion_orders
     fibers = tuple(product(*(range(o) for o in orders)))
     values = tuple(tuple(Cyclotomic.zeta(o, k) for o, k in zip(orders, r)) for r in fibers)
-    matrix = tuple(tuple(prod((Cyclotomic.zeta(o, rk * fk) for o, rk, fk in zip(orders, r, f)
-                               if rk * fk % o), start=Cyclotomic.one()) for f in fibers)
-                   for r in fibers)
+    # every order divides the last, e, so entry (r, f) is zeta_e^(sum r_i f_i e/o_i)
+    e = max(orders, default=1)
+    powers = [Cyclotomic.zeta(e, k) for k in range(e)]
+    steps = [e // o for o in orders]
+    matrix = tuple(tuple(powers[sum(rk * fk * s for rk, fk, s in zip(r, f, steps)) % e]
+                         for f in fibers) for r in fibers)
     det = character_table_determinant(orders)
     if det.is_zero():
         raise SplitSingularError("torsion characters failed to separate the fibers",

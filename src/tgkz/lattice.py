@@ -1,12 +1,13 @@
 """Exact integer linear algebra and finitely generated abelian groups.
 
-Matrices are immutable, arbitrary-precision, row-major.  Lattice bases are
+Matrices are tuples of integer rows, arbitrary precision.  Lattice bases are
 returned as rows in Hermite normal form with positive pivots, so equal
 lattices always produce identical output.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from ._value import frozen
 from .errors import SmithCheckError
@@ -23,84 +24,48 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
-@frozen
-class IntMatrix:
-    rows: int
-    cols: int
-    entries: tuple  # row-major, length rows*cols
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-
-    @staticmethod
-    def from_rows(rows):
-        rows = [tuple(int(x) for x in r) for r in rows]
-        if not rows:
-            return IntMatrix(0, 0, ())
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged rows")
-        return IntMatrix(len(rows), width, tuple(x for r in rows for x in r))
-
-    @staticmethod
-    def identity(n):
-        return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def entry(self, i, j):
-        return self.entries[i * self.cols + j]
-
-    def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def column(self, j):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        rows = []
-        for i in range(self.rows):
-            r = self.row(i)
-            rows.append([sum(r[k] * other.entry(k, j) for k in range(self.cols))
-                         for j in range(other.cols)])
-        return IntMatrix.from_rows(rows)
-
-    def det(self):
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
+def det(rows):
+    """Exact determinant of a square integer matrix, given by its rows, by
+    fraction-free (Bareiss) elimination."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant of non-square matrix")
+    if n == 0:
+        return 1
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def _unit_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _mul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in a)
 
 
 @frozen
 class SmithDecomposition:
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    U: tuple
+    D: tuple
+    V: tuple
     invariant_factors: tuple
 
 
@@ -133,13 +98,13 @@ def _add_col(a, v, dst, src, q):
         r[dst] += q * r[src]
 
 
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
+def smith_normal_form(m) -> SmithDecomposition:
     """U*M*V = D with U, V unimodular and positive diagonal factors in a
-    divisibility chain d1 | d2 | ... ."""
-    a = m.to_rows()
-    nr, nc = m.rows, m.cols
-    u = IntMatrix.identity(nr).to_rows()
-    v = IntMatrix.identity(nc).to_rows()
+    divisibility chain d1 | d2 | ... ; M is given by its rows, at least one."""
+    a = [list(r) for r in m]
+    nr, nc = len(a), len(a[0])
+    u = _unit_rows(nr)
+    v = _unit_rows(nc)
     k = 0
     while k < min(nr, nc):
         # smallest nonzero |entry| in the remaining block becomes the pivot
@@ -190,11 +155,9 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             for j in range(nr):
                 u[k][j] = -u[k][j]
         k += 1
-    um = IntMatrix.from_rows(u)
-    vm = IntMatrix.from_rows(v)
-    dm = IntMatrix.from_rows(a)
-    factors = tuple(dm.entry(i, i) for i in range(min(nr, nc)) if dm.entry(i, i) != 0)
-    if um.mul(m).mul(vm).entries != dm.entries or \
+    um, dm, vm = (tuple(map(tuple, x)) for x in (u, a, v))
+    factors = tuple(dm[i][i] for i in range(min(nr, nc)) if dm[i][i] != 0)
+    if _mul(_mul(um, m), vm) != dm or \
             any(g % f for f, g in zip(factors, factors[1:])):
         raise SmithCheckError("Smith normal form failed its self-check",
                               shape=(nr, nc))
@@ -231,7 +194,7 @@ def hnf_with_transform(rows):
     m = [list(int(x) for x in r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if m else 0
-    t = IntMatrix.identity(nr).to_rows()
+    t = _unit_rows(nr)
     r = 0
     for c in range(nc):
         if r == nr:
@@ -271,7 +234,7 @@ def hnf_with_transform(rows):
                         t[i][k] -= q * t[r][k]
             r += 1
     basis = tuple(tuple(row) for row in m[:r])  # each has its nonzero pivot
-    return basis, IntMatrix.from_rows(t) if t else IntMatrix(0, 0, ())
+    return basis, tuple(map(tuple, t))
 
 
 def _pivot_positions(hrows):
@@ -304,15 +267,13 @@ def _untransform(v, h, t):
     if y is None:
         return None
     # y * H = v and T * rows = H, so (y * T) * rows = v
-    return tuple(sum(y[i] * t.entry(i, j) for i in range(len(y))) for j in range(t.rows))
+    return tuple(sum(map(mul, y, col)) for col in zip(*t))
 
 
-def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Rows form the canonical basis of {u in Z^cols : M u = 0}."""
+def kernel_basis(m):
+    """Canonical basis rows of {u in Z^cols : M u = 0}, M given by rows."""
     s = smith_normal_form(m)
-    r = len(s.invariant_factors)
-    cols = [tuple(s.V.entry(i, j) for i in range(m.cols)) for j in range(r, m.cols)]
-    return IntMatrix.from_rows(hnf_rows(cols)) if cols else IntMatrix(0, m.cols, ())
+    return hnf_rows(tuple(zip(*s.V))[len(s.invariant_factors):])
 
 
 @frozen
@@ -346,10 +307,11 @@ class AbelianGroup:
         return out
 
     def element(self, torsion, free):
-        torsion = tuple(int(t) % o for t, o in zip(tuple(torsion), self.torsion_orders))
-        if len(torsion) != self.torsion_rank or len(tuple(free)) != self.free_rank:
+        torsion, free = tuple(torsion), tuple(free)
+        if len(torsion) != self.torsion_rank or len(free) != self.free_rank:
             raise ValueError("coordinate length mismatch")
-        return GroupElement(self, torsion, tuple(int(x) for x in free))
+        return GroupElement(self, tuple(int(t) % o for t, o in zip(torsion, self.torsion_orders)),
+                            tuple(int(x) for x in free))
 
     def zero(self):
         return self.element((0,) * self.torsion_rank, (0,) * self.free_rank)
@@ -428,56 +390,39 @@ class Functional:
 
 
 def full_coordinate_matrix(columns, group):
-    """(k+d) x n integer matrix of canonical full coordinates: torsion rows
+    """(k+d) x n integer rows of canonical full coordinates: torsion rows
     (representatives in [0, l_i)) stacked over free rows."""
-    k, d = group.torsion_rank, group.free_rank
-    rows = []
-    for i in range(k):
-        rows.append([c.torsion[i] for c in columns])
-    for i in range(d):
-        rows.append([c.free[i] for c in columns])
-    return IntMatrix.from_rows(rows) if rows else IntMatrix(0, len(columns), ())
+    return (tuple(tuple(c.torsion[i] for c in columns) for i in range(group.torsion_rank))
+            + tuple(tuple(c.free[i] for c in columns) for i in range(group.free_rank)))
 
 
 def _presentation_matrix(columns, group):
     """[M | L] where M holds full coordinates and L the torsion relations l_i e_i."""
-    k, d = group.torsion_rank, group.free_rank
-    m = full_coordinate_matrix(columns, group)
-    rows = []
-    for i in range(k + d):
-        row = list(m.row(i))
-        for j in range(k):
-            row.append(group.torsion_orders[j] if i == j else 0)
-        rows.append(row)
-    return IntMatrix.from_rows(rows)
+    orders = group.torsion_orders
+    return tuple(row + tuple(o if i == j else 0 for j, o in enumerate(orders))
+                 for i, row in enumerate(full_coordinate_matrix(columns, group)))
 
 
-def kernel_lattice_free(columns, group) -> IntMatrix:
+def kernel_lattice_free(columns, group):
     """Basis (rows, HNF) of {u in Z^n : sum u_j pi(a_j) = 0}."""
-    d = group.free_rank
-    rows = [[c.free[i] for c in columns] for i in range(d)]
-    a = IntMatrix.from_rows(rows) if rows else IntMatrix(0, len(columns), ())
-    return kernel_basis(a)
+    if group.free_rank == 0:
+        return tuple(map(tuple, _unit_rows(len(columns))))
+    return kernel_basis([[c.free[i] for c in columns] for i in range(group.free_rank)])
 
 
-def kernel_lattice(columns, group) -> IntMatrix:
+def kernel_lattice(columns, group):
     """Basis (rows, HNF) of {u in Z^n : sum u_j a_j = 0 in N}, torsion included."""
-    n = len(columns)
     if group.torsion_rank == 0:
         return kernel_lattice_free(columns, group)
-    combined = _presentation_matrix(columns, group)
-    kern = kernel_basis(combined)
-    projected = [kern.row(i)[:n] for i in range(kern.rows)]
-    basis = hnf_rows([r for r in projected if any(x != 0 for x in r)])
-    return IntMatrix.from_rows(basis) if basis else IntMatrix(0, n, ())
+    n = len(columns)
+    return hnf_rows([r[:n] for r in kernel_basis(_presentation_matrix(columns, group))])
 
 
 @lru_cache(maxsize=16)
 def _column_hermite(columns, group):
     """hnf_with_transform of the presentation matrix's columns, once per
     (columns, group) (memoized)."""
-    combined = _presentation_matrix(columns, group)
-    return hnf_with_transform([combined.column(j) for j in range(combined.cols)])
+    return hnf_with_transform(tuple(zip(*_presentation_matrix(columns, group))))
 
 
 def express_in_columns(columns, group, target):
@@ -492,8 +437,7 @@ def lattice_index(columns, group):
     total = group.torsion_rank + group.free_rank
     if total == 0:
         return 1
-    combined = _presentation_matrix(columns, group)
-    s = smith_normal_form(combined)
+    s = smith_normal_form(_presentation_matrix(columns, group))
     if len(s.invariant_factors) < total:
         return INFINITE
     out = 1

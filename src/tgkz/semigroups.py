@@ -25,7 +25,7 @@ from operator import add, lshift, mul
 from ._value import frozen
 from .cones import PointConfig, cone_triangulation, facet_rows, is_pointed
 from .errors import BoxScanIncompleteError, NotPointedError, SpecError
-from .lattice import IntMatrix, smith_normal_form
+from .lattice import smith_normal_form
 
 K = "K"
 K_INTERIOR = "K_INTERIOR"
@@ -156,12 +156,12 @@ def _box_base(simplex):
     """
     d = len(simplex)
     m_rows = list(zip(*simplex))
-    snf = smith_normal_form(IntMatrix.from_rows(m_rows))
+    snf = smith_normal_form(m_rows)
     dets = snf.invariant_factors
     if len(dets) != d or any(len(v) != d for v in simplex):
         raise ValueError("box vectors must be d linearly independent vectors")
     vol = math.prod(dets)
-    coords = [[snf.V.entry(j, i) * (vol // dets[i]) for i in range(d)]
+    coords = [[snf.V[j][i] * (vol // dets[i]) for i in range(d)]
               for j in range(d)]
     base = set()
     for residue in product(*map(range, dets)):

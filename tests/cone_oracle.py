@@ -2,18 +2,20 @@
 
 The placing triangulation expresses every placed vector in coordinates of
 the current basis (re-expressing all of them on each rank jump) and decides
-visibility by Fraction determinants of those coordinates; pointedness solves
+visibility by Fraction determinants of those coordinates; facet normals are
+Smith kernel rows of the rank d-1 column subsets; pointedness solves
 one Fraction linear program per column subset of size <= d+1; the face
 lattice tries every subset of the facets.  Nothing is memoized.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from fieldlin_oracle import determinant
 from tgkz import fieldlin
 from tgkz.cones import Face, facets
-from tgkz.lattice import IntMatrix, rank
+from tgkz.lattice import det, kernel_basis, rank
 
 
 def placing_triangulation(vectors):
@@ -73,8 +75,35 @@ def normalized_volume(config) -> int:
     simplices, rk = placing_triangulation(vectors)
     if rk < config.d + 1:
         return 0
-    return sum(abs(IntMatrix.from_rows([vectors[i] for i in s]).det())
+    return sum(abs(det([vectors[i] for i in s]))
                for s in simplices if len(s) == config.d + 1)
+
+
+def facet_normals(vectors, d):
+    """Primitive facet normals of the cone over `vectors` in Q^d, sorted:
+    the kernel row of every rank d-1 subset and its negative, kept when
+    nonnegative on every vector and vanishing on a rank d-1 subset."""
+    found = set()
+
+    def consider(tau):
+        if all(sum(map(mul, tau, c)) >= 0 for c in vectors):
+            vanish = [c for c in vectors if sum(map(mul, tau, c)) == 0]
+            if rank(vanish) == d - 1:
+                found.add(tau)
+
+    if d == 1:
+        consider((1,))
+        consider((-1,))
+    else:
+        for subset in combinations(vectors, d - 1):
+            if rank(subset) != d - 1:
+                continue
+            kern = kernel_basis(subset)
+            if len(kern) != 1:
+                continue
+            consider(kern[0])
+            consider(tuple(-x for x in kern[0]))
+    return tuple(sorted(found))
 
 
 def is_pointed(config) -> bool:

@@ -33,6 +33,15 @@ def random_battery(seed, count):
     return battery
 
 
+def square_prism(orders):
+    """Height-1 points of the unit square and of the corners of [0,4]^2;
+    with torsion, the columns alternate between the two classes mod 2."""
+    points = [(0, 0), (1, 0), (0, 1), (4, 0), (0, 4), (4, 4)]
+    torsion = [((i % 2,) if orders else ()) for i in range(len(points))]
+    return make_config(orders, [(t, (1,) + p)
+                                for t, p in zip(torsion, points)])
+
+
 @pytest.fixture
 def split_line():
     # Z/2 + Z with the single column (1 mod 2, 1)

@@ -12,7 +12,7 @@ from math import gcd
 
 from tgkz import cyclotomic, fieldlin
 from tgkz.cyclotomic import cyclotomic_polynomial
-from tgkz.lattice import IntMatrix
+from tgkz.lattice import det
 
 
 def _phi_degree(e):
@@ -221,6 +221,8 @@ class Cyclotomic:
         return a.coeffs == b.coeffs
 
     def __hash__(self):
+        if self.is_rational():
+            return hash(self.coeffs[0])
         d = self.demoted()
         return hash((d.order, d.coeffs))
 
@@ -293,7 +295,7 @@ def cramer_inverse(x):
     y_i = det(rows with row i replaced by 1) / norm."""
     deg = len(x.num)
     rows = [cyclotomic._reduce_mod_phi((0,) * j + x.num, x.order) for j in range(deg)]
-    norm = IntMatrix.from_rows(rows).det()
+    norm = det(rows)
     one = (1,) + (0,) * (deg - 1)
-    y = [IntMatrix.from_rows(rows[:i] + [one] + rows[i + 1:]).det() for i in range(deg)]
+    y = [det(rows[:i] + [one] + rows[i + 1:]) for i in range(deg)]
     return cyclotomic.Cyclotomic(x.order, [Fraction(x.den * v, norm) for v in y])

@@ -25,7 +25,7 @@ from tgkz.cones import check_hypotheses, face_by_columns, facets, is_pointed, \
     normalized_volume
 from tgkz.duality import character_split, dual_parameter, rank_formula, \
     sign_twist
-from tgkz.lattice import IntMatrix, smith_normal_form
+from tgkz.lattice import det, smith_normal_form
 from tgkz.poly import groebner_ideal, ideal_equal, intersect_many, \
     parse_polynomial, polynomial_to_text
 from tgkz.problem import parse_spec
@@ -102,14 +102,12 @@ def test_criterion_04_rank_battery_with_volume_oracles(
         assert rank_formula(cfg, K_INTERIOR) == expected
     # determinant oracles: sum of |det| over a hand triangulation of
     # conv({0} u columns), homogenized to height 1
-    assert normalized_volume(split_line) == abs(IntMatrix.from_rows(
-        [[1]]).det())
+    assert normalized_volume(split_line) == abs(det([[1]]))
     assert normalized_volume(mod4_line) == (
-        abs(IntMatrix.from_rows([[1, 0], [1, 1]]).det())
-        + abs(IntMatrix.from_rows([[1, 1], [1, 2]]).det()))
+        abs(det([[1, 0], [1, 1]])) + abs(det([[1, 1], [1, 2]])))
     assert normalized_volume(plane_segment) == (
-        abs(IntMatrix.from_rows([[1, 1, 0], [1, 1, 1], [1, 0, 0]]).det())
-        + abs(IntMatrix.from_rows([[1, 1, 1], [1, 1, 2], [1, 0, 0]]).det()))
+        abs(det([[1, 1, 0], [1, 1, 1], [1, 0, 0]]))
+        + abs(det([[1, 1, 1], [1, 1, 2], [1, 0, 0]])))
 
 
 def test_criterion_05_duality_shift_and_sign_twist(battery):
@@ -160,14 +158,15 @@ def test_criterion_08_exact_algebra_suites():
     for _ in range(500):
         r = rng.randint(1, 5)
         c = rng.randint(1, 5)
-        m = IntMatrix.from_rows(
-            [[rng.randint(-20, 20) for _ in range(c)] for _ in range(r)])
+        m = [[rng.randint(-20, 20) for _ in range(c)] for _ in range(r)]
         s = smith_normal_form(m)
         d = [[0] * c for _ in range(r)]
         for i, f in enumerate(s.invariant_factors):
             d[i][i] = f
-        assert s.U.mul(m).mul(s.V).to_rows() == d
-        assert abs(s.U.det()) == 1 and abs(s.V.det()) == 1
+        um = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in s.U]
+        assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*s.V)]
+                for row in um] == d
+        assert abs(det(s.U)) == 1 and abs(det(s.V)) == 1
         facs = s.invariant_factors
         assert all(facs[i + 1] % facs[i] == 0 for i in range(len(facs) - 1))
 

@@ -2,11 +2,12 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 import cone_oracle
-from conftest import make_config, random_battery
+from conftest import make_config, random_battery, square_prism
 from tgkz import cones
 from tgkz.cones import (
     Arrangement,
@@ -26,7 +27,8 @@ from tgkz.cones import (
     positive_grading,
 )
 from tgkz.errors import NotPointedError
-from tgkz.lattice import Functional, IntMatrix
+from tgkz.lattice import Functional, det
+from tgkz.problem import parse_spec
 
 
 def test_facets_of_plane_segment(plane_segment):
@@ -80,11 +82,11 @@ def test_volume_determinant_oracle_simplices():
         d = rng.randint(1, 3)
         cols = [tuple(rng.randint(0, 3) for _ in range(d))
                 for _ in range(d)]
-        det = abs(IntMatrix.from_rows(cols).det())
-        if not det:
+        vol = abs(det(cols))
+        if not vol:
             continue
         cfg = make_config([], [((), c) for c in cols])
-        assert normalized_volume(cfg) == det
+        assert normalized_volume(cfg) == vol
         checked += 1
 
 
@@ -186,6 +188,35 @@ def test_integer_cone_kernel_matches_fraction_oracle():
         seen["non_spanning"] += not check_hypotheses(cfg).spans
         seen["not_pointed"] += not is_pointed(cfg)
     assert min(seen.values()) > 30
+
+
+def test_facet_minors_match_rank_kernel_oracle(battery):
+    """Signed maximal minors give the facet set of the rank + Smith kernel
+    construction: on the battery, random_battery, the square prisms, the
+    prism and hex4 specs, and random vectors in Z^1..Z^4 with rank-deficient
+    subsets (repeated, parallel and opposite vectors) and non-pointed cones."""
+    specs = Path(__file__).resolve().parent.parent / "bench" / "specs"
+    configs = (battery + random_battery(4099, 25) + [square_prism([]), square_prism([2])]
+               + [parse_spec((specs / f"{name}.json").read_text(encoding="utf-8")).config
+                  for name in ("prism6_int", "prism8_int", "prism8_t2", "hex4")])
+    vector_sets = [(cfg.nonzero_free_columns(), cfg.d) for cfg in configs]
+    rng = random.Random(6007)
+    for _ in range(150):
+        d = rng.randint(1, 4)
+        vecs = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(1, d + 3))]
+        vecs += [tuple(k * x for x in rng.choice(vecs)) for k in rng.sample([2, -1, 1], 2)]
+        vector_sets.append(([v for v in vecs if any(v)], d))
+    for vecs, d in vector_sets:
+        assert cones._facet_normals(vecs, d) == cone_oracle.facet_normals(vecs, d), vecs
+    assert {len(cone_oracle.facet_normals(v, d)) for v, d in vector_sets} >= {0, 1, 2, 4}
+
+
+def test_facet_normals_use_no_hermite_or_smith_form(monkeypatch, battery):
+    for name in ("hnf_rows", "rank", "smith_normal_form"):
+        monkeypatch.setattr(cones, name, None)
+    for cfg in battery:
+        vecs = cfg.nonzero_free_columns()
+        assert cones._facet_normals(vecs, cfg.d) == cone_oracle.facet_normals(vecs, cfg.d)
 
 
 def test_cone_triangulation_covers(plane_segment):

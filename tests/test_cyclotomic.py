@@ -11,7 +11,7 @@ from cyclotomic_oracle import _reduce_mod_phi, _xgcd_poly, cramer_inverse
 from fieldlin_oracle import determinant
 from tgkz import cyclotomic, fieldlin
 from tgkz.cyclotomic import Cyclotomic, cyclotomic_polynomial
-from tgkz.lattice import IntMatrix
+from tgkz.lattice import det
 
 
 def test_rational_arithmetic():
@@ -275,7 +275,22 @@ def test_norm_inverse_matches_cramer_oracle(e):
             continue
         rows = [cyclotomic._reduce_mod_phi((0,) * j + x.num, e) for j in range(deg)]
         conj = cyclotomic._conjugate_product(x.num, e)
-        assert (conj * Cyclotomic(e, x.num)).rational_value() == IntMatrix.from_rows(rows).det()
+        assert (conj * Cyclotomic(e, x.num)).rational_value() == det(rows)
+
+
+def test_rational_elements_hash_as_the_numbers_they_equal():
+    for q in (0, 1, -3, Fraction(1, 2), Fraction(-7, 4)):
+        for order in (1, 4, 6, 12):
+            x = Cyclotomic.rational(q, order)
+            assert x == q and hash(x) == hash(q)
+            assert {q: "x"}.get(x) == "x" and {x: "x"}.get(q) == "x"
+    assert hash(Cyclotomic.one()) == hash(1) and {1: "one"}[Cyclotomic.one(8)] == "one"
+    # zeta_4^2 = -1 was promoted by arithmetic; zeta_6 + zeta_6^5 = 1
+    assert hash(Cyclotomic.zeta(4) ** 2) == hash(-1)
+    assert hash(Cyclotomic.zeta(6) + Cyclotomic.zeta(6, 5)) == hash(1)
+    # a non-rational element still hashes as its demoted form
+    lifted = Cyclotomic.zeta(4).lift(12)
+    assert lifted == Cyclotomic.zeta(4) and hash(lifted) == hash(Cyclotomic.zeta(4))
 
 
 def test_negative_rational_inverts_to_a_positive_denominator():

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
@@ -148,6 +149,21 @@ def test_character_table_determinant_matches_elimination(orders):
     expect = Cyclotomic.coerce(determinant(table))
     got = character_table_determinant(orders)
     assert got == expect and got.to_text() == expect.to_text()
+
+
+@pytest.mark.parametrize("orders", [(2,), (4,), (2, 2), (2, 4), (3, 6), (2, 2, 2)],
+                         ids=lambda orders: "x".join(map(str, orders)))
+def test_character_table_exponent_form_matches_entry_products(orders):
+    """Each entry, one power of zeta_e for the last order e, equals the
+    product of its factors zeta_(o_i)^(r_i f_i), and prints the same."""
+    config = make_config(list(orders), [((1,) * len(orders), (1,))])
+    cert = character_split(config)
+    fibers = list(product(*(range(o) for o in orders)))
+    assert list(cert.exponents) == fibers
+    expect = [[prod((Cyclotomic.zeta(o, rk * fk) for o, rk, fk in zip(orders, r, f)),
+                    start=Cyclotomic.one()) for f in fibers] for r in fibers]
+    assert [list(row) for row in cert.matrix] == expect
+    assert cert.to_json()["matrix"] == [[c.to_text() for c in row] for row in expect]
 
 
 def test_character_split_torsion_free(plane_segment):

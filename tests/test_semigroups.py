@@ -9,11 +9,11 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import make_config, random_battery
+from conftest import make_config, random_battery, square_prism
 from tgkz import fieldlin, semigroups
 from tgkz.cones import cone_triangulation, facet_rows, facets, positive_grading
 from tgkz.errors import BoxScanIncompleteError, HypothesisError, SpecError
-from tgkz.lattice import Functional, IntMatrix, SmithDecomposition, smith_normal_form
+from tgkz.lattice import Functional, SmithDecomposition, smith_normal_form
 from tgkz.semigroups import (
     EXPLICIT,
     K,
@@ -231,8 +231,8 @@ def _fraction_box_points(simplex, scale):
     d = len(simplex[0])
     scales = [scale] * d if isinstance(scale, int) else scale
     m_rows = [[simplex[j][i] for j in range(d)] for i in range(d)]
-    snf = smith_normal_form(IntMatrix.from_rows(m_rows))
-    u_rows = [[Fraction(snf.U.entry(i, j)) for j in range(d)]
+    snf = smith_normal_form(m_rows)
+    u_rows = [[Fraction(snf.U[i][j]) for j in range(d)]
               for i in range(d)]
     m_frac = [[Fraction(x) for x in row] for row in m_rows]
     base = set()
@@ -277,15 +277,6 @@ def _fraction_module_generators(module):
     return PrimitiveSet(tuple(elements), tuple(e.free for e in elements))
 
 
-def _square_prism(orders):
-    """Height-1 points of the unit square and of the corners of [0,4]^2;
-    with torsion, the columns alternate between the two classes mod 2."""
-    points = [(0, 0), (1, 0), (0, 1), (4, 0), (0, 4), (4, 4)]
-    torsion = [((i % 2,) if orders else ()) for i in range(len(points))]
-    return make_config(orders, [(t, (1,) + p)
-                                for t, p in zip(torsion, points)])
-
-
 def _streamed(simplex, scale, rows, floor):
     """The streamed box scan as {point: values}, each point yielded once."""
     out = {}
@@ -298,7 +289,7 @@ def _streamed(simplex, scale, rows, floor):
 
 
 def test_integer_kernel_matches_fraction_scan(battery):
-    configs = battery + [_square_prism([]), _square_prism([2])]
+    configs = battery + [square_prism([]), square_prism([2])]
     for cfg in configs:
         tri = cone_triangulation(cfg)
         taus = facets(cfg)
@@ -338,7 +329,7 @@ def _tuple_cone_points(config, height, bound):
 
 def test_packed_kernel_matches_oracles_on_batteries():
     configs = (random_battery(20240, 40) + _reduction_battery()
-               + [_square_prism([]), _square_prism([2])])
+               + [square_prism([]), square_prism([2])])
     for cfg in configs:
         for kind in (K, K_INTERIOR):
             mod = SemigroupModule(kind, cfg)
@@ -395,8 +386,7 @@ def test_box_representative_count_is_checked(monkeypatch):
     # a wrong Smith transform collapses the residue classes onto one point
     def broken(m):
         snf = smith_normal_form(m)
-        return SmithDecomposition(snf.U, snf.D, IntMatrix.from_rows([[0, 0], [0, 0]]),
-                                  snf.invariant_factors)
+        return SmithDecomposition(snf.U, snf.D, ((0, 0), (0, 0)), snf.invariant_factors)
     monkeypatch.setattr(semigroups, "smith_normal_form", broken)
     with pytest.raises(BoxScanIncompleteError) as info:
         _box_base(((1, 0), (1, 2)))
@@ -409,7 +399,7 @@ def test_box_base_built_once_per_simplex_per_miss(monkeypatch):
     calls = []
     monkeypatch.setattr(semigroups, "smith_normal_form",
                         lambda m: calls.append(m) or smith_normal_form(m))
-    for cfg in random_battery(7, 6) + [_square_prism([2])]:
+    for cfg in random_battery(7, 6) + [square_prism([2])]:
         simplices = len(cone_triangulation(cfg))
         for kind in (K, K_INTERIOR):
             module_generators.cache_clear()
@@ -419,7 +409,7 @@ def test_box_base_built_once_per_simplex_per_miss(monkeypatch):
 
 
 def test_cone_points_match_brute_force(battery):
-    configs = battery + [_square_prism([]), _square_prism([2])]
+    configs = battery + [square_prism([]), square_prism([2])]
     for cfg in configs:
         taus = facets(cfg)
         grading = positive_grading(cfg)
