@@ -280,10 +280,10 @@ def positive_grading(config: PointConfig) -> Functional:
     if not is_pointed(config):
         raise NotPointedError("positive grading requires a pointed cone")
     # the zero row keeps d entries when rank-deficient columns have no facet
-    fn = Functional.of(map(sum, zip((0,) * config.d, *facet_rows(config))))
-    if any(fn(c) < 1 for c in config.nonzero_free_columns()):
+    h = [sum(column) for column in zip((0,) * config.d, *facet_rows(config))]
+    if any(_dot(h, c) < 1 for c in config.nonzero_free_columns()):
         raise NotPointedError("no strictly positive integral grading found")
-    return fn
+    return Functional.of(h)
 
 
 # ---------------------------------------------------------------------------

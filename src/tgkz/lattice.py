@@ -377,14 +377,6 @@ class Functional:
             raise ValueError("dimension mismatch")
         return sum((c * Fraction(x) for c, x in zip(self.free_part, vec)), Fraction(0))
 
-    def is_integral(self):
-        return all(c.denominator == 1 for c in self.free_part)
-
-    def as_int_tuple(self):
-        if not self.is_integral():
-            raise ValueError(f"functional {self.free_part} is not integral")
-        return tuple(int(c) for c in self.free_part)
-
     def sort_key(self):
         return self.free_part
 

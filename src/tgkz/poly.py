@@ -307,7 +307,7 @@ def _monic(f, lead):
     return {e: c * inv for e, c in f.items()}
 
 
-def _groebner(elems, order, pair_budget):
+def _groebner(elems, order):
     """Reduced Groebner basis of nonzero term dicts, monic, sorted ascending
     by leading term.  Each element, input or remainder, joins through the
     Gebauer-Moeller update (JSC 6, 1988; Becker-Weispfenning, ch. 5): its
@@ -316,9 +316,8 @@ def _groebner(elems, order, pair_budget):
     minimal lcm (M, F) unless one of them is coprime (product criterion);
     elements whose leading term h divides retire from the live set but stay
     divisors.  Pairs leave the heap smallest (order key of the lcm, (i, j))
-    first, and the budget counts the pairs popped."""
-    if pair_budget is None:
-        pair_budget = default_pair_budget()
+    first, and the budget (default_pair_budget) counts the pairs popped."""
+    pair_budget = default_pair_budget()
     key, ntags = order.key, order.ntags
     basis, leads, live, pending = [], [], [], []
 
@@ -387,16 +386,15 @@ def s_polynomial(f, g, order):
                                            f.leading(order)[0], g.leading(order)[0]))
 
 
-def buchberger(gens, order=GREVLEX, pair_budget=None):
+def buchberger(gens, order=GREVLEX):
     """Reduced Groebner basis, monic, sorted ascending by leading monomial.
-    Raises BudgetExceededError after processing `pair_budget` S-pairs
-    (default from TGKZ_PAIR_BUDGET or 5000)."""
+    Raises BudgetExceededError after processing default_pair_budget()
+    S-pairs (TGKZ_PAIR_BUDGET or 5000)."""
     gens = [g for g in gens if not g.is_zero()]
     # every coefficient enters Q(zeta_e) for the lcm e of their orders, so
     # no step of the core lifts one again
     e = lcm(*(c.order for g in gens for c in g.terms.values()))
-    basis = _groebner([{x: c.lift(e) for x, c in g.terms.items()} for g in gens],
-                      order, pair_budget)
+    basis = _groebner([{x: c.lift(e) for x, c in g.terms.items()} for g in gens], order)
     return [Polynomial._of(gens[0].nvars, t) for t in basis]
 
 
@@ -409,13 +407,13 @@ class IdealBasis:
     generators: tuple
 
 
-def groebner_ideal(gens, nvars=None, pair_budget=None) -> IdealBasis:
+def groebner_ideal(gens, nvars=None) -> IdealBasis:
     gens = [g for g in gens if not g.is_zero()]
     if nvars is None:
         if not gens:
             raise ValueError("nvars required for the zero ideal")
         nvars = gens[0].nvars
-    return IdealBasis(nvars, tuple(buchberger(gens, GREVLEX, pair_budget)))
+    return IdealBasis(nvars, tuple(buchberger(gens, GREVLEX)))
 
 
 def ideal_member(f, ideal: IdealBasis) -> bool:
@@ -426,23 +424,23 @@ def ideal_equal(a: IdealBasis, b: IdealBasis) -> bool:
     return a.nvars == b.nvars and a.generators == b.generators
 
 
-def eliminate(gens, elim_indices, pair_budget=None):
+def eliminate(gens, elim_indices):
     """Generators of the elimination ideal (still in the big ring)."""
-    basis = buchberger(gens, BlockElim(elim_indices), pair_budget)
+    basis = buchberger(gens, BlockElim(elim_indices))
     elim = set(elim_indices)
     return [g for g in basis if all(all(e[i] == 0 for i in elim) for e in g.terms)]
 
 
-def _eliminate_last(gens, n, pair_budget):
+def _eliminate_last(gens, n):
     """The ideal of gens, in n + 1 variables, met with the ring of the first
     n.  On monomials free of the last variable BlockElim([n]) compares as
     grevlex does, so the part of its reduced basis free of that variable
     already is the reduced grevlex basis, ascending."""
-    kept = eliminate(gens, [n], pair_budget)
+    kept = eliminate(gens, [n])
     return IdealBasis(n, tuple(g.drop_last_vars(1) for g in kept))
 
 
-def saturate(ideal: IdealBasis, var_indices, pair_budget=None) -> IdealBasis:
+def saturate(ideal: IdealBasis, var_indices) -> IdealBasis:
     """(I : (prod of the given variables)^infinity), reduced grevlex basis."""
     if not ideal.generators:
         return IdealBasis(ideal.nvars, ())
@@ -452,10 +450,10 @@ def saturate(ideal: IdealBasis, var_indices, pair_budget=None) -> IdealBasis:
     for j in var_indices:
         prod = prod * Polynomial.variable(j, n + 1)
     gens.append(prod - 1)
-    return _eliminate_last(gens, n, pair_budget)
+    return _eliminate_last(gens, n)
 
 
-def intersect(a: IdealBasis, b: IdealBasis, pair_budget=None) -> IdealBasis:
+def intersect(a: IdealBasis, b: IdealBasis) -> IdealBasis:
     """I cap J via t*I + (1-t)*J and elimination of t."""
     if a.nvars != b.nvars:
         raise ValueError(f"ideals in different rings: {a.nvars} and {b.nvars} variables")
@@ -465,15 +463,15 @@ def intersect(a: IdealBasis, b: IdealBasis, pair_budget=None) -> IdealBasis:
     t = Polynomial.variable(n, n + 1)
     gens = [t * g.extend_vars(1) for g in a.generators]
     gens += [(Polynomial.constant(n + 1, 1) - t) * g.extend_vars(1) for g in b.generators]
-    return _eliminate_last(gens, n, pair_budget)
+    return _eliminate_last(gens, n)
 
 
-def intersect_many(ideals, pair_budget=None) -> IdealBasis:
+def intersect_many(ideals) -> IdealBasis:
     if not ideals:
         raise ValueError("intersection of no ideals")
     out = ideals[0]
     for nxt in ideals[1:]:
-        out = intersect(out, nxt, pair_budget)
+        out = intersect(out, nxt)
     return out
 
 
@@ -488,11 +486,11 @@ def module_normal_form(elem, gens, order, leads):
     return _reduce(elem, gens, leads, order)
 
 
-def module_groebner(elems, order, pair_budget=None):
+def module_groebner(elems, order):
     """Reduced Groebner basis of the submodule generated by elems under a
     TermOverPosition order, with buchberger's contract.
     S-pairs form only between leading terms of one component."""
-    return _groebner([e for e in elems if e], order, pair_budget)
+    return _groebner([e for e in elems if e], order)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import json
 from ._value import frozen
 from .cones import PointConfig
 from .cyclotomic import Cyclotomic
+from .duality import DEFAULT_TRUNCATION
 from .errors import SpecError
 from .lattice import AbelianGroup
 from .poly import parse_scalar
@@ -23,7 +24,7 @@ MODULE_NAMES = {"K": K, "K_interior": K_INTERIOR}
 DEFAULT_BOUNDS = {
     "h_degree": None,          # resolved per run: max primitive height
     "binomial_degree": None,   # resolved per run: default_binomial_bound
-    "truncation": 10,
+    "truncation": DEFAULT_TRUNCATION,
 }
 
 

@@ -12,7 +12,7 @@ from . import binomials, cones, duality, semigroups, systems
 from .errors import HypothesisError, SpecError
 from .poly import default_pair_budget, polynomial_to_text
 from .problem import ProblemSpec
-from .semigroups import EXPLICIT, K, K_INTERIOR
+from .semigroups import K, K_INTERIOR
 
 SCHEMA_VERSION = 1
 VOLUME_CONVENTION = "unit_simplex=1"
@@ -89,9 +89,7 @@ def primes_block(spec, workers=None):
 
 
 def module_block(spec):
-    mod = spec.module
-    prim = (semigroups.primitive_elements(mod) if mod.kind == EXPLICIT
-            else semigroups.module_generators(mod))
+    prim = systems._primitive_set_for(spec.module)
     return {
         "module": spec.module_name,
         "units": [element_json(u) for u in semigroups.units(spec.config)],

@@ -12,11 +12,12 @@ WeylElement coerces to Cyclotomic when relations are built.
 """
 
 from fractions import Fraction
-from operator import add
+from functools import lru_cache
+from operator import add, mul
 
 from ._value import frozen
 from .binomials import markov_basis, toric_ideal_full
-from .cones import (AffinePiece, Arrangement, PointConfig, facets,
+from .cones import (AffinePiece, Arrangement, PointConfig, facet_rows,
                     homogenizing_functional, membership_in_arrangement,
                     positive_grading)
 from .cyclotomic import Cyclotomic
@@ -24,7 +25,7 @@ from .errors import NotHomogeneousError, NotStabilizedError, SpecError
 from .lattice import express_in_columns, rank
 from .poly import TermOverPosition, module_groebner
 from .semigroups import (EXPLICIT, K, K_INTERIOR, SemigroupModule,
-                         cone_points_up_to, module_generators, primitive_elements)
+                         module_generators, primitive_elements)
 from .weyl import WeylElement, euler_operators
 
 K_MOD_KINTERIOR = "K_MOD_KINTERIOR"
@@ -106,10 +107,13 @@ def default_binomial_bound(config: PointConfig) -> int:
     return 2 + 2 * config.ell * top
 
 
+@lru_cache(maxsize=16)
 def _relation_module(config, generators):
     """Reduced module Groebner basis (TermOverPosition) of the binomial
     relations y_j d^u - y_k d^v (g_j + A u = g_k + A v) among the primitive
-    generators, computed exactly.
+    generators, computed exactly, once per (config, generators): it depends
+    on neither the parameter nor the degree bound.  Callers share the
+    memoized dicts and must not change them.
 
     Only generators of one class of N / ZA are related.  With A w_j = g_j -
     g_r for the class's first member g_r and one shift D making each
@@ -139,9 +143,9 @@ def _relation_module(config, generators):
         shift = [max(0, *(-w[k] for _, w in cls)) for k in range(n)]
         elems += [{tag + tuple(map(add, w, shift)): Fraction(1),
                    tags[c + j] + (0,) * n: Fraction(-1)} for j, w in cls]
-    return [{t[c:]: coeff for t, coeff in e.items()}
-            for e in module_groebner(elems, TermOverPosition(c + m, eliminate=c))
-            if not any(1 in t[:c] for t in e)]
+    return tuple({t[c:]: coeff for t, coeff in e.items()}
+                 for e in module_groebner(elems, TermOverPosition(c + m, eliminate=c))
+                 if not any(1 in t[:c] for t in e))
 
 
 def bbgkz_primitive_presentation(module: SemigroupModule, beta,
@@ -190,13 +194,26 @@ def bbgkz_primitive_presentation(module: SemigroupModule, beta,
 # quasi-degrees and the homology vanishing test
 
 
+def _column_span(config, indices):
+    """The distinct nonzero free parts of the given columns, sorted."""
+    return tuple(sorted({config.columns[j].free for j in indices
+                         if any(config.columns[j].free)}))
+
+
 def quasi_degrees(config: PointConfig, kind, face=None, shift=None) -> Arrangement:
     """Zariski closure of the graded degrees of the chosen module.
 
-    The closure and interior modules fill the whole space; the quotient
-    boundary module contributes, per facet, the spans of the facet columns
-    shifted by the degrees of the facet boundary generators (found by
-    bounded enumeration); a face module contributes one shifted span.
+    The closure and interior modules fill the whole space; a face module
+    contributes one shifted span.  The quotient boundary module contributes,
+    per facet tau, the facet columns' span shifted by each irreducible
+    boundary point p (tau(p) = 0), and that shift is always zero:
+    - positive_grading raises unless the cone is pointed and spanning (a
+      rank d-1 config has only the facets +-n, whose sum is 0, and a lower
+      rank one none), so each facet normal vanishes on a rank d-1 set of
+      columns, which spans the facet's hyperplane;
+    - every p with tau(p) = 0 lies in that span, so the shift is zero;
+    - p = 0 is an irreducible boundary point of a pointed cone, so each
+      facet gives exactly one piece (0, span), of rank d-1.
     """
     d = config.d
     zero = (Fraction(0),) * d
@@ -207,44 +224,18 @@ def quasi_degrees(config: PointConfig, kind, face=None, shift=None) -> Arrangeme
     if kind == FACE:
         if face is None:
             raise SpecError("a face module needs its face", code="UNSUPPORTED_MODULE")
-        span = tuple(sorted({config.columns[j].free for j in face.column_indices
-                             if any(x != 0 for x in config.columns[j].free)}))
+        span = _column_span(config, face.column_indices)
         shift = zero if shift is None else tuple(Fraction(s) for s in shift)
         piece = AffinePiece(shift, span, tuple(face.column_indices))
         return Arrangement(rank(span), (piece,))
     if kind != K_MOD_KINTERIOR:
         raise SpecError(f"unsupported module spec {kind!r}", code="UNSUPPORTED_MODULE")
-    height = positive_grading(config)
-    taus = facets(config)
-    pieces = {}
-    for tau in taus:
-        cols_on = tuple(j for j in range(config.n)
-                        if tau(config.columns[j].free) == 0)
-        span = tuple(sorted({config.columns[j].free for j in cols_on
-                             if any(x != 0 for x in config.columns[j].free)}))
-        span_rank = rank(span)
-        bound = sum((height(v) for v in span), Fraction(0)) + 1
-        boundary = [p for p in cone_points_up_to(config, height, bound)
-                    if tau(p) == 0]
-        on_boundary = set(boundary)
-        for p in boundary:
-            reducible = False
-            for v in span:
-                q = tuple(a - b for a, b in zip(p, v))
-                if q in on_boundary or (all(t(q) >= 0 for t in taus)
-                                        and tau(q) == 0):
-                    reducible = True
-                    break
-            if reducible:
-                continue
-            if rank(span + (p,)) == span_rank:
-                shift_t = zero
-            else:
-                shift_t = tuple(Fraction(x) for x in p)
-            pieces[(shift_t, span)] = AffinePiece(shift_t, span, cols_on)
-    ordered = tuple(pieces[k] for k in sorted(pieces))
-    top = max((rank(piece.span_vectors) for piece in ordered), default=0)
-    return Arrangement(top, ordered)
+    positive_grading(config)  # raises unless the cone is pointed and spanning
+    free = config.free_columns()
+    on = [tuple(j for j, col in enumerate(free) if sum(map(mul, tau, col)) == 0)
+          for tau in facet_rows(config)]
+    pieces = (AffinePiece(zero, _column_span(config, cols), cols) for cols in on)
+    return Arrangement(d - 1, tuple(sorted(pieces, key=lambda p: p.span_vectors)))
 
 
 VANISHES = "VANISHES"

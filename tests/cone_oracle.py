@@ -5,7 +5,9 @@ the current basis (re-expressing all of them on each rank jump) and decides
 visibility by Fraction determinants of those coordinates; facet normals are
 Smith kernel rows of the rank d-1 column subsets; pointedness solves
 one Fraction linear program per column subset of size <= d+1; the face
-lattice tries every subset of the facets.  Nothing is memoized.
+lattice tries every subset of the facets; the boundary quasi-degrees
+enumerate the irreducible facet points up to a height bound.  Nothing is
+memoized.
 """
 
 from fractions import Fraction
@@ -14,8 +16,9 @@ from operator import mul
 
 from fieldlin_oracle import determinant
 from tgkz import fieldlin
-from tgkz.cones import Face, facets
+from tgkz.cones import AffinePiece, Arrangement, Face, facets, positive_grading
 from tgkz.lattice import det, kernel_basis, rank
+from tgkz.semigroups import cone_points_up_to
 
 
 def placing_triangulation(vectors):
@@ -137,3 +140,43 @@ def face_lattice(config):
             dim = rank([free[j] for j in colset if any(x != 0 for x in free[j])])
             seen[colset] = Face(colset, normals, dim)
     return tuple(sorted(seen.values(), key=lambda f: (f.dim, f.column_indices)))
+
+
+def boundary_quasi_degrees(config):
+    """Quasi-degrees of K / K_interior: per facet tau, the span of the facet
+    columns shifted by each irreducible boundary point p (tau(p) = 0) of
+    height at most the span's height sum plus one, the shift being zero
+    when p lies in the span."""
+    d = config.d
+    zero = (Fraction(0),) * d
+    height = positive_grading(config)
+    taus = facets(config)
+    pieces = {}
+    for tau in taus:
+        cols_on = tuple(j for j in range(config.n)
+                        if tau(config.columns[j].free) == 0)
+        span = tuple(sorted({config.columns[j].free for j in cols_on
+                             if any(x != 0 for x in config.columns[j].free)}))
+        span_rank = rank(span)
+        bound = sum((height(v) for v in span), Fraction(0)) + 1
+        boundary = [p for p in cone_points_up_to(config, height, bound)
+                    if tau(p) == 0]
+        on_boundary = set(boundary)
+        for p in boundary:
+            reducible = False
+            for v in span:
+                q = tuple(a - b for a, b in zip(p, v))
+                if q in on_boundary or (all(t(q) >= 0 for t in taus)
+                                        and tau(q) == 0):
+                    reducible = True
+                    break
+            if reducible:
+                continue
+            if rank(span + (p,)) == span_rank:
+                shift_t = zero
+            else:
+                shift_t = tuple(Fraction(x) for x in p)
+            pieces[(shift_t, span)] = AffinePiece(shift_t, span, cols_on)
+    ordered = tuple(pieces[k] for k in sorted(pieces))
+    top = max((rank(piece.span_vectors) for piece in ordered), default=0)
+    return Arrangement(top, ordered)

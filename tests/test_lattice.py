@@ -220,13 +220,6 @@ def test_functional_on_elements_and_vectors():
     assert tau.free_part == (Fraction(1), Fraction(-2))
 
 
-def test_as_int_tuple_refuses_non_integral_functional():
-    # an if, not an assert: python -O must not truncate 3/2 to 1
-    assert Functional.of([3, -2]).as_int_tuple() == (3, -2)
-    with pytest.raises(ValueError, match="not integral"):
-        Functional.of([Fraction(3, 2), 1]).as_int_tuple()
-
-
 def test_sort_key_orders_free_then_torsion():
     g = AbelianGroup((2,), 1)
     a = g.element((1,), (0,))

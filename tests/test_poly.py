@@ -127,8 +127,8 @@ def test_elimination_returns_t_free_part_of_block_basis(monkeypatch):
     seen = []
     real = poly._eliminate_last
 
-    def record(gens, n, pair_budget):
-        got = real(gens, n, pair_budget)
+    def record(gens, n):
+        got = real(gens, n)
         seen.append((gens, n, got))
         return got
 
@@ -157,10 +157,11 @@ def test_elimination_returns_t_free_part_of_block_basis(monkeypatch):
             [polynomial_to_text(g) for g in expect.generators]
 
 
-def test_budget_raises():
+def test_budget_raises(monkeypatch):
     gens = [P("d1^2 - d2", 2), P("d1*d2 - d2", 2), P("d2^3 - d1", 2)]
+    monkeypatch.setenv("TGKZ_PAIR_BUDGET", "0")
     with pytest.raises(BudgetExceededError):
-        groebner_ideal(gens, nvars=2, pair_budget=0)
+        groebner_ideal(gens, nvars=2)
 
 
 def test_random_generator_combinations_are_members():
@@ -262,21 +263,29 @@ def _oracle_buchberger(gens, order):
     return monic, processed
 
 
+def _with_budget(budget, run):
+    """run() with TGKZ_PAIR_BUDGET set to `budget`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("TGKZ_PAIR_BUDGET", str(budget))
+        return run()
+
+
 def _core_pairs(run, oracle_pairs):
-    """The pair count N of the criteria core on `run(budget)`: it succeeds
-    at N, raises with context pairs == N at N - 1, and N is at most the
-    criteria-free oracle's count.  Each popped pair forms one S-pair."""
+    """The pair count N of the criteria core on `run()`: under the pair
+    budget N it succeeds, under N - 1 it raises with context pairs == N, and
+    N is at most the criteria-free oracle's count.  Each popped pair forms
+    one S-pair."""
     formed = []
     real = poly._s_pair
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(poly, "_s_pair", lambda *args: formed.append(args) or real(*args))
-        run(oracle_pairs)
+        _with_budget(oracle_pairs, run)
     pairs = len(formed)
     assert pairs <= oracle_pairs
-    run(pairs)
+    _with_budget(pairs, run)
     if pairs:
         with pytest.raises(BudgetExceededError) as exc:
-            run(pairs - 1)
+            _with_budget(pairs - 1, run)
         assert exc.value.context["pairs"] == pairs
     return pairs
 
@@ -286,9 +295,9 @@ def _recorded_buchberger_inputs(monkeypatch, compute):
     calls = []
     real = poly.buchberger
 
-    def record(gens, order=GREVLEX, pair_budget=None):
+    def record(gens, order=GREVLEX):
         calls.append((list(gens), order))
-        return real(gens, order, pair_budget)
+        return real(gens, order)
 
     monkeypatch.setattr(poly, "buchberger", record)
     compute()
@@ -301,9 +310,9 @@ def _module_runs(monkeypatch, owner, compute):
     runs = []
     real = owner.module_groebner
 
-    def record(elems, order, pair_budget=None):
+    def record(elems, order):
         runs.append((list(elems), order))
-        return real(elems, order, pair_budget)
+        return real(elems, order)
 
     monkeypatch.setattr(owner, "module_groebner", record)
     compute()
@@ -343,12 +352,12 @@ def test_monic_kernel_matches_division_oracle(monkeypatch, battery):
     assert {4, 6} <= fields
     for gens, order in calls:
         expect, pairs = _oracle_buchberger(gens, order)
-        got = poly.buchberger(gens, order, pair_budget=pairs)
+        got = _with_budget(pairs, lambda: poly.buchberger(gens, order))
         assert got == expect
         assert [polynomial_to_text(g) for g in got] == \
             [polynomial_to_text(g) for g in expect]
         assert all(g.terms[g.leading(order)[0]].is_one() for g in got)
-        _core_pairs(lambda budget: poly.buchberger(gens, order, budget), pairs)
+        _core_pairs(lambda: poly.buchberger(gens, order), pairs)
 
 
 def test_s_polynomial_and_normal_form_match_oracle_on_monic_inputs():
@@ -485,11 +494,11 @@ def _cyclotomic_scaled(elems):
 def _assert_module_core_matches_oracle(elems, m, order=None):
     order = order or poly.TermOverPosition(m)
     expect, pairs = _oracle_module_groebner([_untag(e, m) for e in elems], order)
-    got = poly.module_groebner(elems, order, pair_budget=pairs)
+    got = _with_budget(pairs, lambda: poly.module_groebner(elems, order))
     assert [_untag(g, m) for g in got] == expect
     assert {type(c) for g in got for c in g.values()} <= \
         {type(c) for e in elems for c in e.values()}
-    return _core_pairs(lambda budget: poly.module_groebner(elems, order, budget), pairs)
+    return _core_pairs(lambda: poly.module_groebner(elems, order), pairs)
 
 
 @pytest.mark.parametrize("kind", [K, K_INTERIOR])
@@ -529,6 +538,7 @@ def test_criteria_core_matches_criteria_free_oracles(monkeypatch, battery):
 
     def compute():
         binomials._minimal_primes.cache_clear()
+        systems._relation_module.cache_clear()
         for config in configs:
             lattice_ideal(free_kernel_rows(config), config.n)
             lattice_ideal(full_kernel_rows(config), config.n)
@@ -547,8 +557,8 @@ def test_criteria_core_matches_criteria_free_oracles(monkeypatch, battery):
     assert all(order.eliminate for _, order in module_calls)
     for gens, order in calls:
         expect, pairs = _oracle_buchberger(gens, order)
-        assert poly.buchberger(gens, order, pair_budget=pairs) == expect
-        _core_pairs(lambda budget: poly.buchberger(gens, order, budget), pairs)
+        assert _with_budget(pairs, lambda: poly.buchberger(gens, order)) == expect
+        _core_pairs(lambda: poly.buchberger(gens, order), pairs)
     for elems, order in module_calls:
         _assert_module_core_matches_oracle(elems, order.ntags, order)
 
@@ -561,13 +571,14 @@ def test_one_run_relation_module_pops_fewer_pairs_than_two_runs(monkeypatch):
     config = parse_spec((root / "sample_specs" / "z6_plane.json")
                         .read_text(encoding="utf-8")).config
     gens = _primitive_set_for(SemigroupModule(K, config)).elements
+    systems._relation_module.cache_clear()
     (elems, order), = _module_runs(monkeypatch, systems,
                                    lambda: _relation_module(config, gens))
     assert (order.ntags, order.eliminate) == (len(gens) + 2, 2)
     assert _assert_module_core_matches_oracle(elems, order.ntags, order) == 54
     two_runs = _module_runs(monkeypatch, relation_oracle,
                             lambda: two_run_relation_module(config, gens))
-    assert [_core_pairs(lambda budget: poly.module_groebner(e, o, budget), 10 ** 4)
+    assert [_core_pairs(lambda: poly.module_groebner(e, o), 10 ** 4)
             for e, o in two_runs] == [74, 18]
 
 
@@ -584,7 +595,7 @@ def test_chain_criteria_drop_pairs_with_shared_variables(texts):
     expect, pairs = _oracle_buchberger(gens, GREVLEX)
     # no two leading terms are coprime, so the product criterion drops none
     assert pairs == 3
-    assert _core_pairs(lambda budget: poly.buchberger(gens, GREVLEX, budget), pairs) == 2
+    assert _core_pairs(lambda: poly.buchberger(gens, GREVLEX), pairs) == 2
     assert poly.buchberger(gens, GREVLEX) == expect
 
 

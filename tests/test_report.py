@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tgkz import binomials, cones, semigroups
+from tgkz import binomials, cones, semigroups, systems
 from tgkz.errors import HypothesisError, SpecError
 from tgkz.problem import parse_spec
 from tgkz.report import render, run_command
@@ -46,9 +46,14 @@ def test_commands_compute_each_per_configuration_object_once(monkeypatch):
     monkeypatch.setattr(semigroups, "_primitive_degrees", lambda module, scales:
                         scans.extend((module.kind, s) for s in scales)
                         or real_scan(module, scales))
+    runs = []
+    real_groebner = systems.module_groebner
+    monkeypatch.setattr(systems, "module_groebner", lambda *args:
+                        runs.append(args) or real_groebner(*args))
     cones.check_hypotheses.cache_clear()
     binomials._minimal_primes.cache_clear()
     semigroups.module_generators.cache_clear()
+    systems._relation_module.cache_clear()
     spec = parse_spec(MOD4)
     for command in ("report", "ideals", "primes", "dual"):
         run_command(spec, command)
@@ -57,6 +62,15 @@ def test_commands_compute_each_per_configuration_object_once(monkeypatch):
     # one primitive set per module: its base scan and its doubled-scale rescan
     assert sorted(scans) == [("K", 1), ("K", 2), ("K_INTERIOR", 2), ("K_INTERIOR", 4)]
     assert binomials.minimal_primes(spec.config) is not binomials.minimal_primes(spec.config)
+    # one relation module per module: the closure module of the system
+    # block and the interior module of the two dual blocks
+    assert len(runs) == 2
+    # on an interior spec the system and dual blocks share one module
+    runs.clear()
+    interior = parse_spec(INTERIOR)
+    for command in ("report", "system", "dual"):
+        run_command(interior, command)
+    assert len(runs) == 1
 
 
 def test_check_block_reports_infinite_delta():

@@ -2,16 +2,20 @@ import itertools
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import make_config
+from cone_oracle import boundary_quasi_degrees
+from conftest import make_config, random_battery, square_prism
 from relation_oracle import pair_elements, span_reduce
-from tgkz import fieldlin, systems
+from tgkz import cones, fieldlin, semigroups, systems
 from tgkz.cones import face_by_columns
 from tgkz.cyclotomic import Cyclotomic
-from tgkz.errors import NotHomogeneousError, NotStabilizedError
+from tgkz.errors import NotHomogeneousError, NotPointedError, NotStabilizedError
+from tgkz.lattice import Functional
 from tgkz.poly import TermOverPosition, module_groebner
+from tgkz.problem import parse_spec
 from tgkz.semigroups import K, K_INTERIOR, SemigroupModule
 from tgkz.systems import (
     FACE,
@@ -145,6 +149,52 @@ def test_quasi_degrees_boundary_quotient(even_pair):
     assert all(s == (0, 0) for s in shifts)
     spans = sorted(p.span_vectors for p in arr.pieces)
     assert spans == [((1, 0),), ((1, 2),)]
+
+
+def _spec_configs():
+    root = Path(__file__).resolve().parent.parent
+    return [parse_spec(path.read_text(encoding="utf-8")).config
+            for folder in ("sample_specs", "bench/specs")
+            for path in sorted((root / folder).glob("*.json"))]
+
+
+def test_boundary_quasi_degrees_match_enumeration_oracle(even_pair):
+    configs = random_battery(1, 60) + random_battery(7, 40) + \
+        [square_prism(()), square_prism((2,)), even_pair] + _spec_configs()
+    for config in configs:
+        assert quasi_degrees(config, K_MOD_KINTERIOR) == boundary_quasi_degrees(config)
+
+
+def test_boundary_quasi_degrees_enumerate_no_points(monkeypatch):
+    configs = [square_prism((2,))] + _spec_configs()
+    calls = []
+    real_points, real_call = semigroups.cone_points_up_to, Functional.__call__
+    for module in [m for name, m in sys.modules.items() if name.startswith("tgkz")]:
+        if getattr(module, "cone_points_up_to", None) is real_points:
+            monkeypatch.setattr(module, "cone_points_up_to", lambda *args:
+                                calls.append("cone_points_up_to") or real_points(*args))
+    monkeypatch.setattr(Functional, "__call__", lambda *args:
+                        calls.append("Functional.__call__") or real_call(*args))
+    cones.facet_rows.cache_clear()
+    cones.is_pointed.cache_clear()
+    for config in configs:
+        assert quasi_degrees(config, K_MOD_KINTERIOR).dim == config.d - 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("cols, message", [
+    # a line through the origin, and three rays filling the plane
+    ([(1,), (-1,)], "positive grading requires a pointed cone"),
+    ([(1, 0), (0, 1), (-1, -1)], "positive grading requires a pointed cone"),
+    # rank d-1 (facets +-n sum to zero) and rank d-2 (no facets)
+    ([(1, 0), (2, 0)], "no strictly positive integral grading found"),
+    ([(1, 0, 0), (0, 1, 0)], "no strictly positive integral grading found"),
+])
+def test_boundary_quasi_degrees_refuse_non_pointed_or_non_spanning(cols, message):
+    config = make_config([], [((), c) for c in cols])
+    with pytest.raises(NotPointedError, match=message) as exc:
+        quasi_degrees(config, K_MOD_KINTERIOR)
+    assert exc.value.code == "NOT_POINTED"
 
 
 def test_quasi_degrees_vertex_face():
