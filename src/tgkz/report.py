@@ -227,4 +227,28 @@ def run_command(spec: ProblemSpec, command, bound=None, workers=None):
 
 
 def render(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(payload, sort_keys=True, indent=2)` + newline, without the
+    pure-Python encoder that `indent` selects: dict (str keys), list, tuple,
+    str, int, bool and None only, anything else raises TypeError."""
+    return _text(payload, "\n") + "\n"
+
+
+_LEAVES = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
+           bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _text(value, nl):
+    kind, inner = type(value), nl + "  "
+    if kind in _LEAVES:
+        return _LEAVES[kind](value)
+    if kind is dict:  # a key that is not a str raises TypeError when quoted
+        ends, parts = "{}", [f"{_LEAVES[str](key)}: {_text(value[key], inner)}"
+                             for key in sorted(value)]
+    elif kind is list or kind is tuple:
+        kinds = set(map(type, value))
+        leaf = _LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
+        ends, parts = "[]", (list(map(leaf, value)) if leaf  # joined in one step
+                             else [_text(item, inner) for item in value])
+    else:
+        raise TypeError(f"{kind.__name__} is not JSON serializable")
+    return f"{ends[0]}{inner}{(',' + inner).join(parts)}{nl}{ends[1]}" if parts else ends

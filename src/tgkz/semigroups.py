@@ -10,17 +10,18 @@ triangulation.
 Cone tests use the integer cone kernel's facet rows (`cones.facet_rows`,
 primitive, once per config): v is in K when every dot product is >= 0, in
 the interior when every one is >= 1.  Box points come from the Smith form
-in integers and are streamed: each candidate b + o packs its facet values
-into one integer, W bits per value with a guard bit on top, W fixed per box
-by a bound on the values and floors, so testing it against a floor is one
-add and one mask (SWAR).  Each primitive set is computed once per module.
+in integers and are tested all at once (SWAR): each facet row is one
+integer with a W-bit field per candidate b + o and a guard bit on top, W
+fixed per box by a bound on the values and floors, so one add and one AND
+per row test every candidate against a floor.  Each primitive set is
+computed once per module.
 """
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, product
-from operator import add, lshift, mul
+from operator import add, and_, lshift, mul
 
 from ._value import frozen
 from .cones import PointConfig, cone_triangulation, facet_rows, is_pointed
@@ -176,48 +177,63 @@ def _box_base(simplex):
 
 def _box_points(simplex, scales, rows, floor, base, reducers=()):
     """Lattice points b + o of {sum mu_j v_j : 0 <= mu_j < scales[j]} for
-    the vectors v_j of `simplex`, yielded one at a time as (b, o) when the
-    values rows . (b + o) are >= floor and not >= any floor in `reducers`.
+    the vectors v_j of `simplex`, yielded as (b, o) when the values
+    rows . (b + o) are >= floor and not >= any floor in `reducers`; b runs
+    over `base`, the simplex's _box_base, and o = sum k_j v_j, 0 <= k_j < s_j.
 
-    b runs over `base`, the simplex's _box_base, and o = sum k_j v_j with
-    0 <= k_j < scales[j].
-
-    Values are tested packed into one integer, value i in the W-bit field
-    at bit i*W, with G the guard bit W-1 of every field.  A box point
-    sum c_j v_j (0 <= c_j < scales[j]) has
-    |tau_i| < sum_j scales[j] |tau_i(v_j)|; W leaves 2^(W-1) above the
-    largest such bound plus the largest |floor entry|, so
-    every field of pack(values) + G - pack(f) lies in [1, 2^W) with no
-    carry, and its guard bit is set exactly when that value is >= f_i.
-    Packing is linear, so pack(rows . x) is x dotted with the packed columns
-    of rows, taken once per base point b and once per offset o, and every
-    test is one add and one mask.
+    A pass takes as many whole base points as fit in 2^16 candidates (at least
+    one) and makes row i one integer V_i whose W-bit field bidx + nb*(k_1 +
+    s_1*(k_2 + ...)) holds tau_i(b + o) - floor_i + 2^(W-1).  A box point has
+    |tau_i| < sum_j s_j |tau_i(v_j)|, and W leaves 2^(W-1) above that plus the
+    largest |floor entry|, so every field of V_i and of V_i + (floor_i - f_i) *
+    ONES lies in [1, 2^W): no carry crosses a field, and guard bit W-1 is set
+    exactly when tau_i >= f_i.  Hits are the guard bits of AND_i V_i less those
+    of AND_i (V_i + (floor_i - f_i) * ONES), f a reducer.  V_i is built in time
+    linear in its bits: base fields are joined as binary strings, then axis j
+    makes s_j blocks, block k adding k*tau_i(v_j).
     """
-    m_rows = list(zip(*simplex))
-    reach = max((sum(map(mul, scales, map(abs, _values(simplex, row))))
-                 for row in rows), default=0)
+    steps = [_values(simplex, row) for row in rows]  # tau_i(v_j)
+    reach = max((sum(map(mul, scales, map(abs, t))) for t in steps), default=0)
     width = (reach + max(map(abs, chain(floor, *reducers)), default=0)).bit_length() + 1
-    shifts = range(0, width * len(rows), width)
 
-    def pack(values):
-        return sum(map(lshift, values, shifts))
+    def pack(values):  # one W-bit field per row, row 0 lowest
+        return sum(map(lshift, values, range(0, width * len(values), width)))
 
-    packed = [pack(column) for column in zip(*rows)]  # pack(rows . x) = x . packed
-    guard = pack([1 << (width - 1)] * len(rows))
-    start = guard - pack(floor)
-    cuts = [pack(floor) - pack(f) for f in reducers]
-    offsets = [(o, sum(map(mul, o, packed)))
-               for o in (_values(m_rows, k) for k in product(*map(range, scales)))]
-    for b in base:
-        at_b = start + sum(map(mul, b, packed))
-        for o, at_o in offsets:
-            w = at_b + at_o
-            if w & guard == guard:
-                for cut in cuts:
-                    if (w + cut) & guard == guard:
-                        break
-                else:
-                    yield b, o
+    def spread(x, step, n, s):  # n fields -> s blocks, block k = x + k*step
+        out = x
+        for k in range(1, s):
+            x += step
+            out |= x << (k * n * width)
+        return out
+
+    packed = [pack(column) for column in zip(*rows)]  # pack(rows . b) = b . packed
+    start, fmt = pack([1 << (width - 1)] * len(rows)) - pack(floor), f"0{width * len(rows)}b"
+    offsets = [(0,) * len(simplex)]  # index k_1 + s_1*(k_2 + ...)
+    for v, s in zip(simplex, scales):
+        multiples = [tuple(k * x for x in v) for k in range(s)]
+        offsets = [tuple(map(add, o, kv)) for kv in multiples for o in offsets]
+    base, per_pass = list(base), max(1, (1 << 16) // len(offsets))  # bounds the integers
+    for part in (base[lo:lo + per_pass] for lo in range(0, len(base), per_pass)):
+        # each point's row fields as one string (row m-1 first), then per row
+        text = "".join([format(start + sum(map(mul, b, packed)), fmt)
+                        for b in reversed(part)]).encode()
+        fields = [bytearray(width * len(part)) for _ in rows]
+        for i, w in product(range(len(rows)), range(width)):
+            fields[i][w::width] = text[(len(rows) - 1 - i) * width + w::len(rows) * width]
+        fields = [int(x, 2) for x in fields]
+        ones, n = int(("0" * (width - 1) + "1") * len(part), 2), len(part)
+        for j, s in enumerate(scales):
+            if s > 1:
+                fields = [spread(x, t[j] * ones, n, s) for x, t in zip(fields, steps)]
+                ones, n = spread(ones, 0, n, s), n * s
+        members = reduce(and_, fields, ones << (width - 1))
+        for f in reducers:
+            members ^= reduce(and_, (x + (lo - hi) * ones for x, lo, hi
+                                     in zip(fields, floor, f)), members)
+        hit = (bits := bin(members)[:1:-1]).find("1")  # bits[p] is bit p
+        while hit >= 0:
+            yield part[hit // width % len(part)], offsets[hit // width // len(part)]
+            hit = bits.find("1", hit + 1)
 
 
 def _primitive_degrees(module: SemigroupModule, scales):
@@ -267,7 +283,7 @@ def module_generators(module: SemigroupModule) -> PrimitiveSet:
             module=module.kind, scale=base_scale,
             degrees=sorted(set(degrees) ^ set(widened)))
     elements = [config.group.element(f.torsion, v)
-                for v in degrees for f in config.group.torsion_elements()]
+                for f in config.group.torsion_elements() for v in degrees]
     elements.sort(key=lambda e: e.sort_key())
     return PrimitiveSet(tuple(elements), tuple(e.free for e in elements))
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from tgkz import binomials, cones, semigroups, systems
 from tgkz.errors import HypothesisError, SpecError
 from tgkz.problem import parse_spec
-from tgkz.report import render, run_command
+from tgkz.report import COMMANDS, render, run_command
 
 MOD4 = ('{"torsion_orders": [4], "columns": [{"torsion": [1], "free": [1]},'
         ' {"torsion": [1], "free": [2]}], "beta": [0]}')
@@ -161,3 +162,63 @@ def test_geometry_reports_match_benchmark_references(name, command):
     text = render(run_command(spec, command))
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == references[f"{name}:{command}"]
+
+
+# ---------------------------------------------------------------------------
+# the report writer against json.dumps, kept as its oracle
+
+
+def _oracle_render(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+DIFFERENTIAL_JOBS = (
+    PRESENTATION_JOBS
+    + tuple((BENCH / "specs", name, command) for name in IDEALS_SPECS
+            for command in ("ideals", "primes"))
+    + tuple((BENCH / "specs", name, command) for name in GEOMETRY_SPECS
+            for command in ("check", "module", "rank"))
+    + tuple((SAMPLES, path.stem, command) for path in sorted(SAMPLES.glob("*.json"))
+            for command in COMMANDS))
+
+
+@pytest.mark.parametrize("folder,name,command", DIFFERENTIAL_JOBS)
+def test_render_matches_json_dumps_on_every_job(folder, name, command):
+    spec = parse_spec((folder / f"{name}.json").read_text(encoding="utf-8"))
+    payload = run_command(spec, command)
+    assert render(payload) == _oracle_render(payload)
+
+
+ADVERSARIAL = [
+    {},
+    [],
+    {"a": {}, "b": [], "c": [[]], "d": [{}], "e": {"f": {"g": []}}},
+    [[], [[]], [{}], {}],
+    {"quote\"key": "a \"quoted\" \\backslash\\ value", "\\": "\\\\"},
+    {"ctl": "\x00\x01\x1f\x7f\t\n\r\b\f", "tab\tkey": ["\n", "\r\n"]},
+    {"non-ascii": "zeta(4) · ζ₆ — é ü   \U0001f600", "ключ": ["é", "ß"]},
+    {"bool": [True, False], "int": [1, 0], "mixed": [True, 1, False, 0, None]},
+    {"neg": [-1, -0, -(10 ** 40)], "big": 2 ** 200, "small": -(2 ** 63)},
+    [None, "null", "true", 1, "1", [None], {"": ""}],
+    {"z": 1, "a": 2, "m": {"y": [3, "x"], "b": (4, 5)}, "": [(), ("t",)]},
+    ("tuple", ("nested", [1, (2, 3)]), ()),
+    "a bare string",
+    -17,
+    None,
+    True,
+]
+
+
+@pytest.mark.parametrize("payload", ADVERSARIAL, ids=range(len(ADVERSARIAL)))
+def test_render_matches_json_dumps_on_adversarial_payloads(payload):
+    assert render(payload) == _oracle_render(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {1: "int key"}, {None: 1}, {("t",): 1}, {"ok": {2: "nested int key"}},
+    {"float": 1.5}, [float("nan")], {"set": {1, 2}}, [b"bytes"],
+    {"fraction": Fraction(1, 2)}, [object()],
+])
+def test_render_refuses_what_it_does_not_write(payload):
+    with pytest.raises(TypeError):
+        render(payload)

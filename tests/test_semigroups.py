@@ -9,6 +9,7 @@ from functools import lru_cache
 
 import pytest
 
+from box_oracle import box_points as oracle_box_points
 from conftest import make_config, random_battery, square_prism
 from tgkz import fieldlin, semigroups
 from tgkz.cones import cone_triangulation, facet_rows, facets, positive_grading
@@ -362,6 +363,115 @@ def test_packed_test_at_floor_and_width_boundaries(floor, reducers, expected):
     found = [b[0] + o[0] for b, o in _box_points(
         ((1,),), [8], ((1,), (-1,)), floor, _box_base(((1,),)), reducers)]
     assert sorted(found) == expected
+
+
+def _yields(scan, simplex, scales, rows, floor, base, reducers=()):
+    return sorted(scan(simplex, list(scales), rows, floor, base, reducers))
+
+
+def test_bit_parallel_scan_matches_packed_word_oracle():
+    """The all-candidates-at-once scan yields exactly the (b, o) pairs of the
+    one-candidate-at-a-time packed-word scan, on every simplex of the
+    batteries, at uniform and mixed per-axis scales, with no rows, with the
+    K floor (with and without the column reducers) and with the interior
+    floor plus the column reducers."""
+    configs = (random_battery(20240, 40) + random_battery(7, 40)
+               + [square_prism([]), square_prism([2])])
+    rng = random.Random(20)
+    cases = 0
+    for cfg in configs:
+        rows = facet_rows(cfg)
+        columns = [c.free for c in cfg.columns if not c.has_finite_order()]
+        for simplex in cone_triangulation(cfg):
+            base = _box_base(simplex)
+            mixed = [tuple(rng.randint(1, 5) for _ in simplex) for _ in range(2)]
+            for scales in [(s,) * len(simplex) for s in (1, 2, 3)] + mixed:
+                for low, reduce in ((None, False), (0, False), (0, True), (1, True)):
+                    if low is None:
+                        args = ((), (), base)
+                    else:
+                        floors = [tuple(x + low for x in semigroups._values(rows, c))
+                                  for c in columns] if reduce else []
+                        args = (rows, (low,) * len(rows), base, floors)
+                    got = _yields(_box_points, simplex, scales, *args)
+                    assert got == _yields(oracle_box_points, simplex, scales, *args), \
+                        (cfg, simplex, scales, low, reduce)
+                    cases += 1
+    assert cases == 2060  # 103 simplices x 5 scale vectors x 4 floor setups
+
+
+def test_extreme_fields_side_by_side_lose_no_candidate():
+    """A det-3 simplex at mixed scales (4, 2), with rows and floors chosen so
+    the field width is tight: W = 5 from reach 6 plus |floor entry| 9 = 15.
+    Box points keep |tau_i| <= reach - 1, so fields lie in [2, 2^W - 2];
+    the scan's integers reach both ends, each next to a field at the other
+    end of its own range (indices 11 and 12, the k_2 block boundary), and
+    no candidate may be lost or yielded twice."""
+    simplex = ((1, 0), (1, 3))
+    base = [(1, 2), (1, 1), (0, 0)]  # last point y = 0, first y = 2
+    assert set(base) == _box_base(simplex)
+    scales = (4, 2)
+    rows = ((0, -1), (0, 1), (1, 0))
+    floor = (-9, -9, 0)
+    reducers = [(9, -9, -9), (-3, 1, 2), (-9, 4, 1)]
+    width, half = 5, 16
+    candidates = [(b, (k1 + k2, 3 * k2)) for k2 in range(2) for k1 in range(4)
+                  for b in base]  # field order: base point, then k_1, then k_2
+
+    def fields(lows):
+        return [[sum(map(operator.mul, row, map(operator.add, b, o))) - lo + half
+                 for b, o in candidates] for row, lo in zip(rows, lows)]
+
+    tight = [fields(floor)] + [fields(f) for f in reducers]
+    values = [v for integer in tight for row in integer for v in row]
+    assert (min(values), max(values)) == (2, 2 ** width - 2)
+    low_row, high_row = tight[1][0], tight[0][1]  # -y - 9 and y + 9, plus 2^(W-1)
+    assert (low_row[11], low_row[12]) == (max(low_row), 2)
+    assert (high_row[11], high_row[12]) == (min(high_row), 2 ** width - 2)
+
+    def meets(point, f):
+        return all(sum(map(operator.mul, row, point)) >= x for row, x in zip(rows, f))
+
+    expected = sorted((b, o) for b, o in candidates
+                      if meets(tuple(map(operator.add, b, o)), floor)
+                      and not any(meets(tuple(map(operator.add, b, o)), f)
+                                  for f in reducers))
+    got = _yields(_box_points, simplex, scales, rows, floor, base, reducers)
+    assert 0 < len(got) < len(candidates)
+    assert got == expected
+    assert len(set(got)) == len(got)
+
+
+def test_scan_split_into_passes_matches_oracle():
+    # 300 base points x 16 x 16 offsets exceed one pass of 2^16 candidates
+    simplex = ((1, 0), (1, 300))
+    rows = ((0, 1), (300, -1))
+    base = _box_base(simplex)
+    for floor, reducers, count in (((0, 0), [], 300 * 16 * 16),
+                                   ((1, 1), [(2, 300), (300, 2)], 329)):
+        got = _yields(_box_points, simplex, (16, 16), rows, floor, base, reducers)
+        assert got == _yields(oracle_box_points, simplex, (16, 16), rows, floor,
+                              base, reducers)
+        assert len(got) == len(set(got)) == count
+
+
+def test_cold_module_generators_scans_each_simplex_at_both_scales(monkeypatch):
+    """The doubled-scale rescan is the safety net behind
+    BoxScanIncompleteError: a cold module_generators scans every simplex
+    exactly once at the base scale s and once at 2s."""
+    calls = []
+    real = semigroups._box_points
+    monkeypatch.setattr(semigroups, "_box_points", lambda simplex, scales, *rest:
+                        calls.append((simplex, tuple(scales)))
+                        or real(simplex, scales, *rest))
+    for cfg in random_battery(7, 6) + [square_prism([]), square_prism([2])]:
+        for kind, scale in ((K, 1), (K_INTERIOR, 2)):
+            module_generators.cache_clear()
+            calls.clear()
+            module_generators(SemigroupModule(kind, cfg))
+            assert sorted(calls) == sorted(
+                (simplex, (s,) * cfg.d) for simplex in cone_triangulation(cfg)
+                for s in (scale, 2 * scale)), (cfg, kind)
 
 
 def _drop_smallest_at_unit_scale(monkeypatch):
