@@ -255,7 +255,7 @@ def twist_automorphism(f: Polynomial, full_character: PartialCharacter) -> Polyn
 # minimal primes of the full-group toric ideal
 
 
-def minimal_primes(config: PointConfig, workers=None):
+def minimal_primes(config: PointConfig):
     """Twisted lattice ideals cutting out the components of the full-group
     toric ideal.
 
@@ -278,8 +278,6 @@ def minimal_primes(config: PointConfig, workers=None):
     than a prime would still pass (b) and (c).
     Returns [(character, ideal)], characters enumerated in a fixed order,
     computed once per configuration (memoized); a fresh list on every call.
-    `workers` is accepted and has no effect: each prime is a twist of the
-    free basis, so no per-character Groebner work is left to spread.
     """
     return list(_minimal_primes(config))
 

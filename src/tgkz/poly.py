@@ -18,8 +18,10 @@ is the ideal's reduced grevlex basis, so equal ideals have equal bases.
 The core works on term dicts {exponent tuple: coefficient} whose bases are
 monic from the moment an element enters them, so nothing divides by a
 leading coefficient.  Coefficients are Fraction or Cyclotomic and keep their
-type (Polynomial's are Cyclotomic).  The module term y_c * d^u is the tuple
-onehot_m(c) + u, ordered by TermOverPosition(m, eliminate).
+type (Polynomial's are Cyclotomic).  Module elements are dicts {(component,
+exponents): coeff}; the core stores y_p * d^u as (p + 1, -(p + 1)) + u and
+runs on it unchanged: a term divides another only within its component,
+shifts and lcms keep the component, and no lcm of two leads is their sum.
 """
 
 import heapq
@@ -82,18 +84,18 @@ GREVLEX = Grevlex()
 
 
 class TermOverPosition(MonomialOrder):
-    """Order on module terms onehot_m(c) + u: a term in one of the first
-    `eliminate` components outranks all terms free of them, then grevlex on
-    u decides, then the smaller c.  So a reduced basis eliminates those
-    components (Becker-Weispfenning, Groebner Bases, 1993)."""
+    """Order on module terms (p + 1, -(p + 1)) + u: the first `eliminate`
+    components outrank the rest, the smaller p first, then grevlex on u, then
+    the smaller p, so a reduced basis eliminates them (Becker-Weispfenning)."""
 
-    def __init__(self, m, eliminate=0):
-        self.ntags = int(m)
+    ntags = 2
+
+    def __init__(self, eliminate=0):
         self.eliminate = int(eliminate)
 
     def key(self, exp):
-        k = self.eliminate
-        return (exp[:k], GREVLEX.key(exp[self.ntags:]), exp[k:self.ntags])
+        p, k = exp[0] - 1, self.eliminate
+        return (k - p if p < k else 0, GREVLEX.key(exp[2:]), -p)
 
 
 def _divides(a, b):
@@ -337,8 +339,7 @@ def _groebner(elems, order):
             if leads[i][:ntags] == h[:ntags]:
                 partners.setdefault(_lcm_exp(leads[i], h), []).append(i)
         for lcm, group in partners.items():
-            # a coprime lcm never occurs for tagged leads, whose tags add up
-            # to twice a one-hot vector
+            # no module lcm is a sum: a sum doubles the nonzero component entries
             if not any(other != lcm and _divides(other, lcm) for other in partners) \
                     and all(lcm != _add(leads[i], h) for i in group):
                 heapq.heappush(pending, (key(lcm), (group[0], k), lcm))
@@ -476,21 +477,26 @@ def intersect_many(ideals) -> IdealBasis:
 
 
 # ---------------------------------------------------------------------------
-# free-module Groebner bases: dicts of y-tagged terms on the same core
+# free-module Groebner bases: dicts {(component, exponents): coeff} on the core
 
 
-def module_normal_form(elem, gens, order, leads):
+def _core_terms(elem):
+    return {(p + 1, -p - 1) + u: c for (p, u), c in elem.items()}
+
+
+def module_normal_form(elem, gens, leads, eliminate=0):
     """Remainder of a module element on full division by monic `gens`, whose
-    leading terms are `leads`; elements are dicts {onehot_m(c) + u: coeff}
-    and `order` is a TermOverPosition(m)."""
-    return _reduce(elem, gens, leads, order)
+    leading terms are `leads`, under TermOverPosition(eliminate)."""
+    rem = _reduce(_core_terms(elem), [_core_terms(g) for g in gens],
+                  [(p + 1, -p - 1) + u for p, u in leads], TermOverPosition(eliminate))
+    return {(t[0] - 1, t[2:]): c for t, c in rem.items()}
 
 
-def module_groebner(elems, order):
-    """Reduced Groebner basis of the submodule generated by elems under a
-    TermOverPosition order, with buchberger's contract.
-    S-pairs form only between leading terms of one component."""
-    return _groebner([e for e in elems if e], order)
+def module_groebner(elems, eliminate=0):
+    """Reduced Groebner basis of the submodule generated by elems under
+    TermOverPosition(eliminate), with buchberger's contract."""
+    basis = _groebner([_core_terms(e) for e in elems if e], TermOverPosition(eliminate))
+    return [{(t[0] - 1, t[2:]): c for t, c in g.items()} for g in basis]
 
 
 # ---------------------------------------------------------------------------

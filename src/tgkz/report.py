@@ -66,20 +66,20 @@ def _discrepancy_notes(config, full_ideal):
             "silently corrected"]
 
 
-def ideals_block(spec, workers=None):
+def ideals_block(spec):
     config = spec.config
     full = binomials.toric_ideal_full(config)
     block = {
         "free_toric": ideal_texts(binomials.toric_ideal_free(config)),
         "full_toric": ideal_texts(full),
         "power": ideal_texts(binomials.power_ideal(config)),
-        "minimal_primes": primes_block(spec, workers)["primes"],
+        "minimal_primes": primes_block(spec)["primes"],
     }
     return block, _discrepancy_notes(config, full)
 
 
-def primes_block(spec, workers=None):
-    pairs = binomials.minimal_primes(spec.config, workers=workers)
+def primes_block(spec):
+    pairs = binomials.minimal_primes(spec.config)
     return {
         "count": len(pairs),
         "primes": [{"character": character_json(rho),
@@ -194,10 +194,10 @@ def run_command(spec: ProblemSpec, command, bound=None, workers=None):
             resolved = settings["bounds"]["binomial_degree"] = \
                 _resolved_binomial_bound(spec, bound)
         if command == "ideals":
-            blocks["ideals"], extra = ideals_block(spec, workers)
+            blocks["ideals"], extra = ideals_block(spec)
             notes.extend(extra)
         elif command == "primes":
-            blocks["primes"] = primes_block(spec, workers)
+            blocks["primes"] = primes_block(spec)
         elif command == "module":
             blocks["module"] = module_block(spec)
         elif command == "system":
@@ -208,7 +208,7 @@ def run_command(spec: ProblemSpec, command, bound=None, workers=None):
             blocks["dual"] = dual_block(spec, resolved, truncation)
         elif command == "report":
             blocks["hypotheses"] = hyp.to_json()
-            blocks["ideals"], extra = ideals_block(spec, workers)
+            blocks["ideals"], extra = ideals_block(spec)
             notes.extend(extra)
             blocks["module"] = module_block(spec)
             blocks["system"] = system_block(spec, resolved)

@@ -5,10 +5,10 @@ element, binomial gluing relations computed exactly as a canonical module
 Groebner basis, plus shifted Euler relations.  Quasi-degree arrangements
 and the homology vanishing test live here too.
 
-The relation module writes the term d^u 1_c as the y-tagged exponent
-onehot_m(c) + u with a Fraction coefficient (the binomials are rational),
-from one poly.TermOverPosition run that eliminates a component per class;
-WeylElement coerces to Cyclotomic when relations are built.
+The relation module writes the term d^u 1_j as the key (j, u) with a
+Fraction coefficient (the binomials are rational), from one module_groebner
+run that eliminates a component per class; WeylElement coerces to
+Cyclotomic when relations are built.
 """
 
 from fractions import Fraction
@@ -23,7 +23,7 @@ from .cones import (AffinePiece, Arrangement, PointConfig, facet_rows,
 from .cyclotomic import Cyclotomic
 from .errors import NotHomogeneousError, NotStabilizedError, SpecError
 from .lattice import express_in_columns, rank
-from .poly import TermOverPosition, module_groebner
+from .poly import module_groebner
 from .semigroups import (EXPLICIT, K, K_INTERIOR, SemigroupModule,
                          module_generators, primitive_elements)
 from .weyl import WeylElement, euler_operators
@@ -109,11 +109,11 @@ def default_binomial_bound(config: PointConfig) -> int:
 
 @lru_cache(maxsize=16)
 def _relation_module(config, generators):
-    """Reduced module Groebner basis (TermOverPosition) of the binomial
+    """Reduced module Groebner basis (poly.TermOverPosition) of the binomial
     relations y_j d^u - y_k d^v (g_j + A u = g_k + A v) among the primitive
     generators, computed exactly, once per (config, generators): it depends
     on neither the parameter nor the degree bound.  Callers share the
-    memoized dicts and must not change them.
+    memoized dicts {(generator index, u): coeff} and must not change them.
 
     Only generators of one class of N / ZA are related.  With A w_j = g_j -
     g_r for the class's first member g_r and one shift D making each
@@ -124,7 +124,6 @@ def _relation_module(config, generators):
     ahead of the generators and all e_C eliminated, leaves the kernel as the
     basis elements free of every e_C.
     """
-    m, n = len(generators), config.n
     classes = []  # per class: [(generator index, w)], first member w = 0
     for j, g in enumerate(generators):
         for cls in classes:
@@ -133,19 +132,18 @@ def _relation_module(config, generators):
                 cls.append((j, w))
                 break
         else:
-            classes.append([(j, (0,) * n)])
+            classes.append([(j, (0,) * config.n)])
     c = len(classes)
-    tags = [(0,) * p + (1,) + (0,) * (c + m - 1 - p) for p in range(c + m)]
     elems = []
-    for tag, cls in zip(tags, classes):
-        elems += [{tag + e: coeff.rational_value() for e, coeff in g.terms.items()}
+    for p, cls in enumerate(classes):
+        elems += [{(p, e): coeff.rational_value() for e, coeff in g.terms.items()}
                   for g in toric_ideal_full(config).generators]
-        shift = [max(0, *(-w[k] for _, w in cls)) for k in range(n)]
-        elems += [{tag + tuple(map(add, w, shift)): Fraction(1),
-                   tags[c + j] + (0,) * n: Fraction(-1)} for j, w in cls]
-    return tuple({t[c:]: coeff for t, coeff in e.items()}
-                 for e in module_groebner(elems, TermOverPosition(c + m, eliminate=c))
-                 if not any(1 in t[:c] for t in e))
+        shift = [max(0, *(-w[k] for _, w in cls)) for k in range(config.n)]
+        elems += [{(p, tuple(map(add, w, shift))): Fraction(1),
+                   (c + j, (0,) * config.n): Fraction(-1)} for j, w in cls]
+    return tuple({(p - c, u): coeff for (p, u), coeff in e.items()}
+                 for e in module_groebner(elems, eliminate=c)
+                 if all(p >= c for p, _ in e))
 
 
 def bbgkz_primitive_presentation(module: SemigroupModule, beta,
@@ -165,16 +163,14 @@ def bbgkz_primitive_presentation(module: SemigroupModule, beta,
     bound = default_binomial_bound(config) if binomial_degree_bound is None \
         else int(binomial_degree_bound)
     basis = _relation_module(config, gens)
-    m = len(gens)
-    if any(sum(term[m:]) > bound for elem in basis for term in elem):
+    if any(sum(u) > bound for elem in basis for _, u in elem):
         raise NotStabilizedError(
             f"a binomial relation has one-sided degree above the bound {bound}",
             bound=bound)
     binomials = []
     for elem in basis:
         degs, by_comp = set(), {}
-        for term, c in elem.items():
-            gi, exp = term[:m].index(1), term[m:]
+        for (gi, exp), c in elem.items():
             deg = sum((e * col for e, col in zip(exp, config.columns)), gens[gi])
             degs.add((deg.torsion, deg.free))
             by_comp.setdefault(gi, {})[((0,) * n, exp)] = c

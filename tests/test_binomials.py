@@ -33,9 +33,10 @@ from tgkz.poly import (
     polynomial_to_text,
 )
 from tgkz.problem import parse_spec
-from tgkz.report import ideal_texts
+from tgkz.report import ideal_texts, run_command
 
 BENCH_SPECS = Path(__file__).resolve().parent.parent / "bench" / "specs"
+SAMPLES = BENCH_SPECS.parent.parent / "sample_specs"
 # the lattice specs of the benchmark's `ideals` workload
 IDEALS_SPECS = ("mod4_line3", "z6_plane", "z2z2_line", "mod8_line", "mod6_line")
 
@@ -266,12 +267,6 @@ def test_minimal_primes_mod4(mod4_line):
     assert ideal_equal(inter, toric_ideal_full(mod4_line))
 
 
-def test_minimal_primes_workers_agree(mod4_line):
-    seq = minimal_primes(mod4_line)
-    par = minimal_primes(mod4_line, workers=4)
-    assert [texts(i) for _, i in seq] == [texts(i) for _, i in par]
-
-
 def test_minimal_primes_torsion_free(plane_segment):
     primes = minimal_primes(plane_segment)
     assert len(primes) == 1
@@ -371,8 +366,13 @@ def test_wrong_prime_raises_typed_error(monkeypatch, mod4_line, workers):
                         lambda config, rho, moves: toric_ideal_free(config))
     binomials._minimal_primes.cache_clear()
     with pytest.raises(PrimesDoNotIntersectError) as exc:
-        minimal_primes(mod4_line, workers=workers)
+        minimal_primes(mod4_line)
     assert exc.value.code == "PRIMES_DO_NOT_INTERSECT"
+    assert exc.value.context == {"torsion_orders": (4,), "primes": 4}
+    # run_command still takes a worker count; the error reaches it unchanged
+    spec = parse_spec((SAMPLES / "mod4_line.json").read_text(encoding="utf-8"))
+    with pytest.raises(PrimesDoNotIntersectError) as exc:
+        run_command(spec, "primes", workers=workers)
     assert exc.value.context == {"torsion_orders": (4,), "primes": 4}
 
 

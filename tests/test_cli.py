@@ -98,9 +98,8 @@ from fractions import Fraction
 from tgkz import systems
 from tgkz.cli import main
 def basis(config, generators):
-    one = (1,) + (0,) * (len(generators) - 1)
     unit = (1,) + (0,) * (config.n - 1)
-    return [{one + (0,) * config.n: Fraction(1), one + unit: Fraction(-1)}]
+    return [{(0, (0,) * config.n): Fraction(1), (0, unit): Fraction(-1)}]
 systems._relation_module = basis
 sys.exit(main(sys.argv[1:]))
 """

@@ -306,13 +306,14 @@ def _recorded_buchberger_inputs(monkeypatch, compute):
 
 
 def _module_runs(monkeypatch, owner, compute):
-    """Every (elements, order) that `compute` hands to owner.module_groebner."""
+    """Every (elements, eliminate) that `compute` hands to
+    owner.module_groebner."""
     runs = []
     real = owner.module_groebner
 
-    def record(elems, order):
-        runs.append((list(elems), order))
-        return real(elems, order)
+    def record(elems, eliminate=0):
+        runs.append((list(elems), eliminate))
+        return real(elems, eliminate)
 
     monkeypatch.setattr(owner, "module_groebner", record)
     compute()
@@ -381,27 +382,27 @@ def test_s_polynomial_and_normal_form_match_oracle_on_monic_inputs():
 # ---------------------------------------------------------------------------
 # The separate module engine that the tagged-term core replaced, kept as an
 # oracle: elements are dicts (component, exponent) -> coefficient, the order
-# is that of a TermOverPosition, spelled out on (component, exponent) pairs,
-# and S-pairs and reductions divide by leading coefficients.  It returns the
-# processed-pair count with the basis.
+# is that of a TermOverPosition(eliminate), spelled out on (component,
+# exponent) pairs, and S-pairs and reductions divide by leading coefficients.
+# It returns the processed-pair count with the basis.
 
 
-def _oracle_mod_key(order, key_pair):
+def _oracle_mod_key(eliminate, key_pair):
     # an eliminated component outranks the rest, the smaller one first; then
     # grevlex, then the smaller component
     comp, exp = key_pair
-    return (-min(comp, order.eliminate), GREVLEX.key(exp), -comp)
+    return (-min(comp, eliminate), GREVLEX.key(exp), -comp)
 
 
-def _oracle_mod_lead(elem, order):
-    return max(elem, key=lambda ce: _oracle_mod_key(order, ce))
+def _oracle_mod_lead(elem, eliminate):
+    return max(elem, key=lambda ce: _oracle_mod_key(eliminate, ce))
 
 
-def _oracle_mod_normal_form(elem, gens, order, leads):
+def _oracle_mod_normal_form(elem, gens, eliminate, leads):
     remainder = {}
     work = dict(elem)
     while work:
-        key = _oracle_mod_lead(work, order)
+        key = _oracle_mod_lead(work, eliminate)
         coeff = work.pop(key)
         comp, exp = key
         for idx, (lcomp, lexp) in enumerate(leads):
@@ -422,13 +423,13 @@ def _oracle_mod_normal_form(elem, gens, order, leads):
     return remainder
 
 
-def _oracle_module_groebner(elems, order):
+def _oracle_module_groebner(elems, eliminate):
     basis = [dict(e) for e in elems if e]
-    leads = [_oracle_mod_lead(b, order) for b in basis]
+    leads = [_oracle_mod_lead(b, eliminate) for b in basis]
 
     def entry(i, j):
         (ci, ei), (_, ej) = leads[i], leads[j]
-        return _oracle_mod_key(order, (ci, poly._lcm_exp(ei, ej))), (i, j)
+        return _oracle_mod_key(eliminate, (ci, poly._lcm_exp(ei, ej))), (i, j)
 
     pending = [entry(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))
                if leads[i][0] == leads[j][0]]
@@ -446,29 +447,24 @@ def _oracle_module_groebner(elems, order):
                 key = (c, poly._add(e, shift))
                 spair[key] = spair.get(key, 0) + sign * co / basis[idx][leads[idx]]
         rem = _oracle_mod_normal_form({k: v for k, v in spair.items() if v},
-                                      basis, order, leads)
+                                      basis, eliminate, leads)
         if rem:
             basis.append(rem)
-            leads.append(_oracle_mod_lead(rem, order))
+            leads.append(_oracle_mod_lead(rem, eliminate))
             for i2 in range(len(basis) - 1):
                 if leads[i2][0] == leads[-1][0]:
                     heapq.heappush(pending, entry(i2, len(basis) - 1))
-    ranked = sorted(zip(leads, basis), key=lambda lg: _oracle_mod_key(order, lg[0]))
+    ranked = sorted(zip(leads, basis), key=lambda lg: _oracle_mod_key(eliminate, lg[0]))
     kept = [((gc, ge), g) for i, ((gc, ge), g) in enumerate(ranked)
             if not any(hc == gc and poly._divides(he, ge) and (he != ge or j < i)
                        for j, ((hc, he), _) in enumerate(ranked) if j != i)]
     kept_leads = [lead for lead, _ in kept]
     out = [g for _, g in kept]
     for i in range(len(out)):
-        out[i] = _oracle_mod_normal_form(out[i], out[:i] + out[i + 1:], order,
+        out[i] = _oracle_mod_normal_form(out[i], out[:i] + out[i + 1:], eliminate,
                                          kept_leads[:i] + kept_leads[i + 1:])
     return [{k: v / g[lead] for k, v in g.items()}
             for lead, g in zip(kept_leads, out)], processed
-
-
-def _untag(elem, m):
-    """(component, exponent) keys of a y-tagged module element."""
-    return {(t[:m].index(1), t[m:]): c for t, c in elem.items()}
 
 
 PRESENTATION_SPECS = {
@@ -491,14 +487,13 @@ def _cyclotomic_scaled(elems):
             for i, e in enumerate(elems)]
 
 
-def _assert_module_core_matches_oracle(elems, m, order=None):
-    order = order or poly.TermOverPosition(m)
-    expect, pairs = _oracle_module_groebner([_untag(e, m) for e in elems], order)
-    got = _with_budget(pairs, lambda: poly.module_groebner(elems, order))
-    assert [_untag(g, m) for g in got] == expect
+def _assert_module_core_matches_oracle(elems, eliminate=0):
+    expect, pairs = _oracle_module_groebner(elems, eliminate)
+    got = _with_budget(pairs, lambda: poly.module_groebner(elems, eliminate))
+    assert got == expect
     assert {type(c) for g in got for c in g.values()} <= \
         {type(c) for e in elems for c in e.values()}
-    return _core_pairs(lambda: poly.module_groebner(elems, order), pairs)
+    return _core_pairs(lambda: poly.module_groebner(elems, eliminate), pairs)
 
 
 @pytest.mark.parametrize("kind", [K, K_INTERIOR])
@@ -506,11 +501,9 @@ def _assert_module_core_matches_oracle(elems, m, order=None):
 def test_module_core_matches_division_oracle_on_span_reduced_inputs(name, kind):
     config = _presentation_config(name)
     gens = _primitive_set_for(SemigroupModule(kind, config)).elements
-    order = poly.TermOverPosition(len(gens))
-    elems = span_reduce(
-        pair_elements(config, gens, default_binomial_bound(config)), order)
-    _assert_module_core_matches_oracle(elems, len(gens))
-    _assert_module_core_matches_oracle(_cyclotomic_scaled(elems), len(gens))
+    elems = span_reduce(pair_elements(config, gens, default_binomial_bound(config)))
+    _assert_module_core_matches_oracle(elems)
+    _assert_module_core_matches_oracle(_cyclotomic_scaled(elems))
 
 
 @pytest.mark.parametrize("bound", [2, 3, 4])
@@ -519,13 +512,11 @@ def test_module_core_matches_division_oracle_on_raw_pair_elements(bound):
     for name in sorted(PRESENTATION_SPECS):
         config = _presentation_config(name)
         gens = _primitive_set_for(SemigroupModule(K, config)).elements
-        m = len(gens)
         elems = pair_elements(config, gens, bound)
-        order = poly.TermOverPosition(m)
-        non_monic += sum(e[max(e, key=order.key)] != 1 for e in elems)
-        cross_component += sum(len({t[:m] for t in e}) > 1 for e in elems)
-        _assert_module_core_matches_oracle(elems, m)
-        _assert_module_core_matches_oracle(_cyclotomic_scaled(elems), m)
+        non_monic += sum(e[_oracle_mod_lead(e, 0)] != 1 for e in elems)
+        cross_component += sum(len({comp for comp, _ in e}) > 1 for e in elems)
+        _assert_module_core_matches_oracle(elems)
+        _assert_module_core_matches_oracle(_cyclotomic_scaled(elems))
     assert non_monic and cross_component
 
 
@@ -553,33 +544,34 @@ def test_criteria_core_matches_criteria_free_oracles(monkeypatch, battery):
     assert {type(order) for _, order in calls} == {type(GREVLEX), BlockElim}
     # one run per relation module, eliminating at least one class component
     assert len(module_calls) == 2 * len(configs)
-    assert {type(order) for _, order in module_calls} == {poly.TermOverPosition}
-    assert all(order.eliminate for _, order in module_calls)
+    assert {type(eliminate) for _, eliminate in module_calls} == {int}
+    assert all(eliminate for _, eliminate in module_calls)
     for gens, order in calls:
         expect, pairs = _oracle_buchberger(gens, order)
         assert _with_budget(pairs, lambda: poly.buchberger(gens, order)) == expect
         _core_pairs(lambda: poly.buchberger(gens, order), pairs)
-    for elems, order in module_calls:
-        _assert_module_core_matches_oracle(elems, order.ntags, order)
+    for elems, eliminate in module_calls:
+        _assert_module_core_matches_oracle(elems, eliminate)
 
 
 def test_one_run_relation_module_pops_fewer_pairs_than_two_runs(monkeypatch):
     # z6_plane's K relation module: its one eliminating run pops 54 S-pairs,
-    # where the PositionOverTerm kernel run and the canonical rerun of the
+    # where the position-over-term kernel run and the canonical rerun of the
     # two-run oracle pop 74 + 18 = 92
     root = Path(__file__).resolve().parent.parent
     config = parse_spec((root / "sample_specs" / "z6_plane.json")
                         .read_text(encoding="utf-8")).config
     gens = _primitive_set_for(SemigroupModule(K, config)).elements
     systems._relation_module.cache_clear()
-    (elems, order), = _module_runs(monkeypatch, systems,
-                                   lambda: _relation_module(config, gens))
-    assert (order.ntags, order.eliminate) == (len(gens) + 2, 2)
-    assert _assert_module_core_matches_oracle(elems, order.ntags, order) == 54
+    (elems, eliminate), = _module_runs(monkeypatch, systems,
+                                       lambda: _relation_module(config, gens))
+    assert ({comp for e in elems for comp, _ in e}, eliminate) == \
+        (set(range(len(gens) + 2)), 2)
+    assert _assert_module_core_matches_oracle(elems, eliminate) == 54
     two_runs = _module_runs(monkeypatch, relation_oracle,
                             lambda: two_run_relation_module(config, gens))
-    assert [_core_pairs(lambda: poly.module_groebner(e, o), 10 ** 4)
-            for e, o in two_runs] == [74, 18]
+    assert [_core_pairs(lambda: poly.module_groebner(e, k), 10 ** 4)
+            for e, k in two_runs] == [74, 18]
 
 
 @pytest.mark.parametrize("texts", [
@@ -610,40 +602,65 @@ def test_no_assert_statements(module):
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
 
 
+def _stored(comp, exp):
+    """The module term y_comp * d^exp as the Groebner core stores it."""
+    (term,) = poly._core_terms({(comp, exp): 1})
+    return term
+
+
 def test_eliminating_order_ranks_eliminated_components_first():
-    order = poly.TermOverPosition(4, eliminate=1)
+    key = poly.TermOverPosition(eliminate=1).key
     # every term of component 0 outranks any term free of it; among those,
     # grevlex decides first and the smaller component breaks ties
-    assert order.key((1, 0, 0, 0, 0, 0)) > order.key((0, 1, 0, 0, 5, 7))
-    assert order.key((0, 0, 0, 1, 2, 0)) > order.key((0, 1, 0, 0, 1, 1)) > \
-        order.key((0, 0, 1, 0, 1, 1))
-    assert poly.TermOverPosition(3).key((0, 1, 0, 2, 0)) > \
-        poly.TermOverPosition(3).key((1, 0, 0, 1, 1))
+    assert key(_stored(0, (0, 0))) > key(_stored(1, (5, 7)))
+    assert key(_stored(3, (2, 0))) > key(_stored(1, (1, 1))) > key(_stored(2, (1, 1)))
+    assert poly.TermOverPosition().key(_stored(1, (2, 0))) > \
+        poly.TermOverPosition().key(_stored(0, (1, 1)))
     # the kernel of (e_1, e_2, e_3) -> (x, y, x*y) is the e_0-free part of
-    # the basis: it comes first, and it is the reduced TermOverPosition(3)
+    # the basis: it comes first, and it is the reduced TermOverPosition()
     # basis of the kernel
     one = Fraction(1)
-    elems = [{(1, 0, 0, 0, 1, 0): one, (0, 1, 0, 0, 0, 0): -one},
-             {(1, 0, 0, 0, 0, 1): one, (0, 0, 1, 0, 0, 0): -one},
-             {(1, 0, 0, 0, 1, 1): one, (0, 0, 0, 1, 0, 0): -one}]
-    basis = poly.module_groebner(elems, order)
-    kernel = [{t[1:]: c for t, c in g.items()} for g in basis if not any(t[0] for t in g)]
-    assert kernel == [{(1, 0, 0, 0, 1): 1, (0, 0, 1, 0, 0): -1},
-                      {(0, 1, 0, 1, 0): 1, (0, 0, 1, 0, 0): -1}]
-    assert [{t[1:]: c for t, c in g.items()} for g in basis[:2]] == kernel
-    assert poly.module_groebner(kernel, poly.TermOverPosition(3)) == kernel
+    elems = [{(0, (1, 0)): one, (1, (0, 0)): -one},
+             {(0, (0, 1)): one, (2, (0, 0)): -one},
+             {(0, (1, 1)): one, (3, (0, 0)): -one}]
+    basis = poly.module_groebner(elems, eliminate=1)
+    kernel = [{(comp - 1, exp): c for (comp, exp), c in g.items()}
+              for g in basis if all(comp for comp, _ in g)]
+    assert kernel == [{(0, (0, 1)): 1, (2, (0, 0)): -1},
+                      {(1, (1, 0)): 1, (2, (0, 0)): -1}]
+    assert [{(comp - 1, exp): c for (comp, exp), c in g.items()} for g in basis[:2]] == kernel
+    assert poly.module_groebner(kernel) == kernel
+
+
+def test_term_over_position_orders_terms_as_the_one_hot_key():
+    # the one-hot layout the core used before, kept as the oracle: y_p d^u
+    # was onehot_m(p) + u, keyed by (tags of the eliminated components,
+    # grevlex on u, the other tags)
+    def one_hot_key(m, k, comp, exp):
+        tags = (0,) * comp + (1,) + (0,) * (m - 1 - comp)
+        return tags[:k], GREVLEX.key(exp), tags[k:]
+
+    rng = random.Random(21)
+    for _ in range(40):
+        m, n = rng.randint(1, 6), rng.randint(0, 3)
+        terms = {(rng.randrange(m), tuple(rng.randint(0, 3) for _ in range(n)))
+                 for _ in range(12)}
+        for k in range(m + 1):
+            key = poly.TermOverPosition(eliminate=k).key
+            for a, b in itertools.product(terms, repeat=2):
+                assert (key(_stored(*a)) < key(_stored(*b))) == \
+                    (one_hot_key(m, k, *a) < one_hot_key(m, k, *b)), (m, k, a, b)
 
 
 def test_module_pairs_skip_no_coprime_leads():
     # f = x*1_0 + 1_1 and g = y*1_0: coprime leading monomials in one
     # component, yet y*f - x*g = y*1_1 is a new basis element
-    f = {(1, 0, 1, 0): Fraction(1), (0, 1, 0, 0): Fraction(1)}
-    g = {(1, 0, 0, 1): Fraction(1)}
-    basis = poly.module_groebner([f, g], poly.TermOverPosition(2))
-    assert basis == [{(0, 1, 0, 1): 1}, g, f]
-    expect, _ = _oracle_module_groebner([_untag(f, 2), _untag(g, 2)],
-                                        poly.TermOverPosition(2))
-    assert [_untag(b, 2) for b in basis] == expect
+    f = {(0, (1, 0)): Fraction(1), (1, (0, 0)): Fraction(1)}
+    g = {(0, (0, 1)): Fraction(1)}
+    basis = poly.module_groebner([f, g])
+    assert basis == [{(1, (0, 1)): 1}, g, f]
+    expect, _ = _oracle_module_groebner([f, g], 0)
+    assert basis == expect
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The exact binomial relation module of the primitive presentation against
 the bounded relation search and the two-run construction kept in
-relation_oracle."""
+relation_oracle, and against the standard-monomial degrees of degree_oracle,
+which shares no code with the Groebner core."""
 
 import json
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_battery
+from degree_oracle import height_of, standard_degree_failure
 from relation_oracle import bounded_basis, stable_basis, two_run_relation_module
 from tgkz.errors import NotStabilizedError
 from tgkz.problem import parse_spec
@@ -21,6 +23,13 @@ PRESENTATION_SPECS = {
     "split_line": "sample_specs", "mod6_line": "bench/specs", "z3_plane": "bench/specs",
     "cube3": "bench/specs", "mod2_plane": "bench/specs", "mod3_line": "bench/specs",
 }
+
+
+# every sample and bench spec but prism8_t2, whose relation module exceeds
+# the default pair budget
+DEGREE_SPECS = {path.stem: path for folder in ("sample_specs", "bench/specs")
+                for path in sorted((ROOT / folder).glob("*.json"))
+                if path.stem != "prism8_t2"}
 
 
 def _spec(name, folder):
@@ -100,3 +109,41 @@ def test_ceiling_outcome_matches_oracle_at_small_bounds(name):
         assert outcomes == [bases[b] == bases[b + 2] for b in range(9)], kind
         if name == "mod4_line":
             assert outcomes == [False, False] + [True] * 7
+
+
+def _degree_bound(config):
+    # four steps of the highest column, two in dimension 3 where the slices
+    # grow fastest
+    height = height_of(config)
+    steps = 2 if config.d >= 3 else 4
+    return steps * max(height(a) for a in config.nonzero_free_columns())
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_SPECS))
+def test_standard_monomials_have_the_module_degrees(name):
+    config = parse_spec(DEGREE_SPECS[name].read_text(encoding="utf-8")).config
+    bound = _degree_bound(config)
+    for kind in (K, K_INTERIOR):
+        gens = _primitive_set_for(SemigroupModule(kind, config)).elements
+        basis = _relation_module(config, gens)
+        assert standard_degree_failure(config, kind, gens, basis, bound) is None, kind
+
+
+@pytest.mark.parametrize("drop", range(3))
+@pytest.mark.parametrize("kind", [K, K_INTERIOR])
+@pytest.mark.parametrize("name", ["mod4_line", "z6_plane"])
+def test_degree_oracle_fails_without_a_lowest_relation(name, kind, drop):
+    config = _spec(name, "sample_specs").config
+    gens = _primitive_set_for(SemigroupModule(kind, config)).elements
+    basis = _relation_module(config, gens)
+    height = height_of(config)
+
+    def degree_height(elem):
+        j, u = next(iter(elem))
+        return height(gens[j].free) + sum(e * height(a.free) for e, a in zip(u, config.columns))
+
+    lowest = sorted(basis, key=degree_height)[drop]
+    mutant = [elem for elem in basis if elem is not lowest]
+    bound = _degree_bound(config)
+    assert degree_height(lowest) <= bound
+    assert standard_degree_failure(config, kind, gens, mutant, bound) is not None

@@ -49,8 +49,8 @@ def test_commands_compute_each_per_configuration_object_once(monkeypatch):
                         or real_scan(module, scales))
     runs = []
     real_groebner = systems.module_groebner
-    monkeypatch.setattr(systems, "module_groebner", lambda *args:
-                        runs.append(args) or real_groebner(*args))
+    monkeypatch.setattr(systems, "module_groebner", lambda *args, **kwargs:
+                        runs.append(args) or real_groebner(*args, **kwargs))
     cones.check_hypotheses.cache_clear()
     binomials._minimal_primes.cache_clear()
     semigroups.module_generators.cache_clear()
