@@ -204,14 +204,7 @@ class Cyclotomic:
         k = int(k)
         if k < 0:
             return self.inverse() ** (-k)
-        out = Cyclotomic.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return square_and_multiply(self, k, Cyclotomic.one(self.order))
 
     def is_zero(self):
         return not any(self.num)
@@ -280,13 +273,31 @@ class Cyclotomic:
             else:
                 term = f"{c}*{zet}"
             parts.append(term)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return signed_sum(parts)
 
     def __repr__(self):
         return f"Cyclotomic({self.to_text()})"
+
+
+def square_and_multiply(base, k, one):
+    """base^k for an integer k >= 0 in about 2 log2(k) products; `one` is
+    the unit of base's ring."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
+
+
+def signed_sum(chunks):
+    """Join signed term texts as "a + b - c": a leading "-" becomes " - "."""
+    out = chunks[0]
+    for ch in chunks[1:]:
+        out += " - " + ch[1:] if ch.startswith("-") else " + " + ch
+    return out
 
 
 def _conjugate_product(num, e):

@@ -11,9 +11,12 @@ budget counts the S-pairs it reduces after the criteria.
 
 Coefficients carry their own field: a Cyclotomic knows its order and lifts
 mixed orders to their lcm on every operation, so a Polynomial is just a
-variable count and its terms.  buchberger lifts its input once to the lcm of
-the coefficient orders, so no step of the core lifts again.  An IdealBasis
-is the ideal's reduced grevlex basis, so equal ideals have equal bases.
+variable count and its terms.  Its arithmetic builds results of type(self):
+weyl.WeylElement, a Polynomial on x and d with its own product, shares the
+sums, powers, equality and hashing, and never mixes with a Polynomial.
+buchberger lifts its input once to the lcm of the coefficient orders, so no
+step of the core lifts again.  An IdealBasis is the ideal's reduced grevlex
+basis, so equal ideals have equal bases.
 
 The core works on term dicts {exponent tuple: coefficient} whose bases are
 monic from the moment an element enters them, so nothing divides by a
@@ -31,7 +34,7 @@ from math import lcm
 from operator import add, le, sub
 
 from ._value import frozen
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, signed_sum, square_and_multiply
 from .errors import BudgetExceededError, SpecError
 
 DEFAULT_PAIR_BUDGET = 5000
@@ -132,10 +135,10 @@ class Polynomial:
 
     # -- constructors
 
-    @staticmethod
-    def _of(nvars, terms):
+    @classmethod
+    def _of(cls, nvars, terms):
         """Wrap a dict of nonzero Cyclotomic coefficients as is."""
-        p = Polynomial(nvars)
+        p = cls(nvars)
         p.terms = terms
         return p
 
@@ -151,11 +154,11 @@ class Polynomial:
     def monomial(nvars, exp, c=1):
         return Polynomial(nvars, {tuple(exp): c})
 
-    @staticmethod
-    def variable(i, nvars):
+    @classmethod
+    def variable(cls, i, nvars):
         exp = [0] * nvars
         exp[i] = 1
-        return Polynomial.monomial(nvars, exp)
+        return cls(nvars, {tuple(exp): 1})
 
     # -- helpers
 
@@ -163,9 +166,12 @@ class Polynomial:
         return not self.terms
 
     def _operand(self, other):
-        """other as a Polynomial of this ring; scalars become constants."""
+        """other as an element of this ring; scalars become constants."""
         if isinstance(other, (int, Fraction, Cyclotomic)):
-            return Polynomial.constant(self.nvars, other)
+            return type(self)(self.nvars, {(0,) * self.nvars: other})
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} "
+                            f"and {type(other).__name__}")
         if self.nvars != other.nvars:
             raise ValueError("polynomials in different rings")
         return other
@@ -174,25 +180,22 @@ class Polynomial:
         terms = dict(self.terms)
         for e, c in self._operand(other).terms.items():
             terms[e] = terms[e] + c if e in terms else c
-        return Polynomial(self.nvars, terms)
+        return type(self)(self.nvars, terms)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        terms = dict(self.terms)
-        for e, c in self._operand(other).terms.items():
-            terms[e] = terms[e] - c if e in terms else -c
-        return Polynomial(self.nvars, terms)
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return self._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
-            return Polynomial(self.nvars, {exp: c * other for exp, c in self.terms.items()})
+            return type(self)(self.nvars, {exp: c * other for exp, c in self.terms.items()})
         other = self._operand(other)
         terms = {}
         for e1, c1 in self.terms.items():
@@ -200,7 +203,7 @@ class Polynomial:
                 e = _add(e1, e2)
                 c = c1 * c2
                 terms[e] = terms[e] + c if e in terms else c
-        return Polynomial(self.nvars, terms)
+        return type(self)(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -208,15 +211,16 @@ class Polynomial:
         k = int(k)
         if k < 0:
             raise ValueError(f"negative power {k}")
-        out = Polynomial.constant(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
+        return square_and_multiply(self, k, self._operand(1))
 
     def __eq__(self, other):
-        if not isinstance(other, Polynomial):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.terms == self._operand(other).terms
+        return self.nvars == other.nvars and self.terms == other.terms
+
+    def __hash__(self):
+        # a Cyclotomic hashes its demoted form, as equality across fields needs
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def leading(self, order):
         exp = max(self.terms, key=order.key)
@@ -230,7 +234,7 @@ class Polynomial:
         for e, c in self.terms.items():
             ne = fn(e)
             terms[ne] = terms[ne] + c if ne in terms else c
-        return Polynomial(new_nvars, terms)
+        return type(self)(new_nvars, terms)
 
     def extend_vars(self, extra):
         """Append `extra` fresh variables (exponent 0) at the end."""
@@ -244,8 +248,11 @@ class Polynomial:
     def sorted_terms(self, order=GREVLEX, reverse=True):
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=reverse)
 
+    def to_text(self):
+        return polynomial_to_text(self)
+
     def __repr__(self):
-        return f"Polynomial({polynomial_to_text(self)})"
+        return f"{type(self).__name__}({self.to_text()})"
 
 
 # ---------------------------------------------------------------------------
@@ -528,32 +535,27 @@ def _coeff_text(c: Cyclotomic, with_monomial: bool):
     return f"({text})*"
 
 
-def monomial_text(exp, name="d"):
+def monomial_text(exp, names=("d",)):
+    """Variable i is names[i // w] with index i % w + 1, w = len(exp) //
+    len(names): the naming parse_polynomial reads."""
+    w = len(exp) // len(names)
     parts = []
     for i, k in enumerate(exp):
         if k == 0:
             continue
-        parts.append(f"{name}{i + 1}" if k == 1 else f"{name}{i + 1}^{k}")
+        name = f"{names[i // w]}{i % w + 1}"
+        parts.append(name if k == 1 else f"{name}^{k}")
     return "*".join(parts)
 
 
-def polynomial_to_text(p: Polynomial, name="d") -> str:
+def polynomial_to_text(p: Polynomial, names=("d",), order=GREVLEX) -> str:
     if p.is_zero():
         return "0"
     chunks = []
-    for exp, c in p.sorted_terms():
-        mono = monomial_text(exp, name)
-        if not mono:
-            chunks.append(_coeff_text(c, False))
-        else:
-            chunks.append(_coeff_text(c, True) + mono)
-    out = chunks[0]
-    for ch in chunks[1:]:
-        if ch.startswith("-"):
-            out += " - " + ch[1:]
-        else:
-            out += " + " + ch
-    return out
+    for exp, c in p.sorted_terms(order):
+        mono = monomial_text(exp, names)
+        chunks.append(_coeff_text(c, bool(mono)) + mono)
+    return signed_sum(chunks)
 
 
 class _Tokens:

@@ -7,8 +7,8 @@ and the homology vanishing test live here too.
 
 The relation module writes the term d^u 1_j as the key (j, u) with a
 Fraction coefficient (the binomials are rational), from one module_groebner
-run that eliminates a component per class; WeylElement coerces to
-Cyclotomic when relations are built.
+run that eliminates a component per class; a relation's d^u is the
+WeylElement key (0,) * n + u, its coefficient coerced to Cyclotomic.
 """
 
 from fractions import Fraction
@@ -173,11 +173,11 @@ def bbgkz_primitive_presentation(module: SemigroupModule, beta,
         for (gi, exp), c in elem.items():
             deg = sum((e * col for e, col in zip(exp, config.columns)), gens[gi])
             degs.add((deg.torsion, deg.free))
-            by_comp.setdefault(gi, {})[((0,) * n, exp)] = c
+            by_comp.setdefault(gi, {})[(0,) * n + exp] = c
         if len(degs) != 1:
             raise NotHomogeneousError("binomial relation is not degree homogeneous",
                                       bound=bound, degrees=len(degs))
-        binomials.append(_make_relation([(gi, WeylElement(n, terms))
+        binomials.append(_make_relation([(gi, WeylElement(2 * n, terms))
                                          for gi, terms in by_comp.items()]))
     binomials.sort(key=_relation_key)
     relations = tuple(binomials) + tuple(_euler_relations(config, beta, gens))

@@ -181,6 +181,17 @@ def test_check_reports_pointedness_of_non_spanning_columns(spec_file, free, poin
     assert run_cli("check", "--spec", path, python_flags=("-O",)).stdout == res.stdout
 
 
+def test_check_parses_a_huge_power_in_beta(spec_file):
+    # zeta(4)^(10^12) = 1 by square and multiply; k products never finish
+    spec = json.loads(MOD4_LINE)
+    spec["beta"] = ["(zeta(4))^1000000000000"]
+    res = subprocess.run([sys.executable, "-m", "tgkz.cli", "check", "--spec",
+                          spec_file(json.dumps(spec))],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["hypotheses"]["ok"] is True
+
+
 def test_refusal_exit_code(spec_file):
     path = spec_file(NOT_POINTED)
     for cmd in ("ideals", "primes", "module", "system", "rank", "dual",

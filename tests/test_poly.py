@@ -30,6 +30,7 @@ from tgkz.errors import BudgetExceededError
 from tgkz.poly import (
     GREVLEX,
     BlockElim,
+    IdealBasis,
     Polynomial,
     groebner_ideal,
     ideal_equal,
@@ -62,6 +63,20 @@ def test_parse_scalar_values():
     assert parse_scalar("zeta(4)") == Cyclotomic.zeta(4)
     assert parse_scalar("-2*zeta(4)^3") == \
         Cyclotomic.rational(-2) * Cyclotomic.zeta(4, 3)
+
+
+def test_powers_square_and_multiply():
+    # about 80 products for an exponent of 10^12; a loop of k products
+    # would never finish
+    assert parse_scalar("(zeta(4))^1000000000000") == 1
+    assert parse_scalar("(2*zeta(6))^7") == Cyclotomic.rational(128) * Cyclotomic.zeta(6)
+    assert P("(d1*d2)^1000000000000", 2) == \
+        Polynomial.monomial(2, (10 ** 12, 10 ** 12))
+    f = P("zeta(3)*d1 - d2 + 1/2", 2)
+    power = Polynomial.constant(2, 1)
+    for k in range(8):
+        assert f ** k == power
+        power = power * f
 
 
 def test_groebner_simple_binomial():
@@ -707,6 +722,25 @@ def test_mixed_field_arithmetic_agrees_with_lifting_first():
         assert f == F and (f == g) == (F == G) and f != f + 1
         assert polynomial_to_text(f) == polynomial_to_text(F)
     assert seen == set(MIXED_ORDERS)
+
+
+def test_ideal_bases_hash_as_they_compare():
+    rng = random.Random(7)
+    checked = 0
+    while checked < 6:
+        ideal = groebner_ideal([_mixed_binomial(rng, 3) for _ in range(2)])
+        if all(c.order == 12 for g in ideal.generators for c in g.terms.values()):
+            continue  # lifting would change nothing
+        checked += 1
+        lifted = IdealBasis(ideal.nvars, tuple(_lift12(g) for g in ideal.generators))
+        assert lifted == ideal
+        assert hash(lifted) == hash(ideal)
+        assert len({ideal, lifted}) == 1
+    # rings of different sizes: unequal without an error, even with equal
+    # (empty) terms
+    assert Polynomial.zero(1) != Polynomial.zero(2)
+    assert Polynomial.constant(1, 2) != Polynomial.constant(2, 2)
+    assert len({Polynomial.zero(1), Polynomial.zero(2)}) == 2
 
 
 def test_mixed_field_groebner_agrees_with_lifting_first():

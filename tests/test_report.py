@@ -1,4 +1,7 @@
 import hashlib
+import importlib
+import importlib.util
+import inspect
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -222,3 +225,65 @@ def test_render_matches_json_dumps_on_adversarial_payloads(payload):
 def test_render_refuses_what_it_does_not_write(payload):
     with pytest.raises(TypeError):
         render(payload)
+
+
+def _load_tracing():
+    """bench/tracing.py as a module of its own, read only: nothing here
+    calls its install()."""
+    spec = importlib.util.spec_from_file_location("_bench_tracing", BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACING = _load_tracing()
+
+
+def _per_layer_problem(name):
+    """Why `bench/run.py --trace 1` could not read the per-layer metric
+    `name` off a trace of tgkz, or None when it can."""
+    if name == "trace.overhead_s":
+        return None
+    *path, stat = name.removeprefix("setup.").split(".")
+    if len(path) == 1:
+        return None if path[0] in TRACING.LAYERS and stat in ("calls", "self_s") \
+            else f"{name} is no layer statistic"
+    function = TRACING.ALIASES.get(".".join(path), ".".join(path))
+    layer, *attrs = function.split(".")
+    if layer not in TRACING.LAYERS:
+        return f"{layer} is no traced layer"
+    module = importlib.import_module(f"tgkz.{layer}")
+    if len(attrs) == 1:
+        obj = vars(module).get(attrs[0])
+        traced = (not attrs[0].startswith("_")
+                  and getattr(obj, "__module__", None) == module.__name__
+                  and (inspect.isfunction(obj) or hasattr(obj, "cache_info")))
+    else:
+        cls = vars(module).get(attrs[0])
+        traced = (len(attrs) == 2 and isinstance(cls, type) and attrs[1] in vars(cls)
+                  and attrs[1] in TRACING.METHODS.get(layer, {}).get(attrs[0], ()))
+    if not traced:
+        return f"{function} is not traced"
+    work = {n: stat for n, (stat, _) in {**TRACING.BEFORE, **TRACING.AFTER}.items()}
+    stats = {"calls"} if function in TRACING.COUNT_ONLY else \
+        {"calls", "time_s", "self_s", work.get(function)}
+    if work.get(function) == "rational":
+        stats.add("rational_share")
+    return None if stat in stats else f"{function} has no statistic {stat}"
+
+
+def test_every_per_layer_benchmark_name_resolves():
+    names = [m["name"] for m in
+             json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]]
+    assert names
+    assert [(n, _per_layer_problem(n)) for n in names
+            if _per_layer_problem(n) is not None] == []
+
+
+@pytest.mark.parametrize("name", [
+    "weyl.no_such_function.calls", "poly._reduce.calls", "poly.GREVLEX.calls",
+    "poly.Polynomial.__add__.calls", "poly.Polynomial.leading.time_s",
+    "cyclotomic.no_such.calls", "nolayer.self_s", "poly.buchberger.points",
+])
+def test_per_layer_resolver_rejects_names_the_trace_lacks(name):
+    assert _per_layer_problem(name) is not None

@@ -245,7 +245,7 @@ def _weyl_left_ideal_contains_one(ops, nvars, bound=6):
         for k, c in e.terms.items():
             row[idx[k]] = c
         rows.append(row)
-    const_key = ((0,) * nvars, (0,) * nvars)
+    const_key = (0,) * (2 * nvars)
     if const_key not in idx:
         return False
     target = [zero] * len(keys)

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import make_config
 from tgkz.cyclotomic import Cyclotomic
+from tgkz.poly import Polynomial, parse_polynomial
 from tgkz.weyl import WeylElement, euler_operators
 
 
@@ -90,9 +91,61 @@ def test_to_json_ordering():
                   {"x": [0], "d": [0], "c": "-2"}]
 
 
+def random_weyl(rng, n, cyclotomic=False):
+    out = WeylElement.zero(n)
+    for _ in range(rng.randint(1, 4)):
+        c = Cyclotomic.rational(rng.randint(-5, 5)) / rng.randint(1, 4)
+        if cyclotomic:
+            c = c * Cyclotomic.zeta(rng.choice([3, 4, 8, 12]), rng.randrange(12)) \
+                + rng.randint(-2, 2)
+        xe = tuple(rng.randint(0, 2) for _ in range(n))
+        de = tuple(rng.randint(0, 2) for _ in range(n))
+        out = out + WeylElement.monomial(n, xe, de, c)
+    return out
+
+
 def test_pow_matches_repeated_product():
     x = WeylElement.x(0, 1)
     d = WeylElement.d(0, 1)
     e = x * d
     assert e ** 3 == e * e * e
     assert (d ** 2).to_text() == "d1^2"
+    rng = random.Random(5)
+    for _ in range(10):
+        w = random_weyl(rng, 2)
+        power = WeylElement.constant(2, 1)
+        for k in range(6):
+            assert w ** k == power
+            power = power * w
+
+
+def test_flat_terms_on_2n_variables():
+    w = WeylElement.monomial(2, (1, 0), (0, 3), 5) + WeylElement.constant(2, 1)
+    assert w.nvars == 4
+    assert w.terms == {(1, 0, 0, 3): 5, (0, 0, 0, 0): 1}
+    assert (WeylElement.d(0, 1) * WeylElement.x(0, 1)).terms == {(1, 1): 1, (0, 0): 1}
+    assert w.to_json() == [{"x": [1, 0], "d": [0, 3], "c": "5"},
+                           {"x": [0, 0], "d": [0, 0], "c": "1"}]
+
+
+def test_text_round_trips_through_the_parser():
+    # the printer names flat variable i as the parser reads it
+    rng = random.Random(2205)
+    for n in (1, 2, 3):
+        for cyclotomic in (False, True):
+            for _ in range(15):
+                w = random_weyl(rng, n, cyclotomic)
+                parsed = parse_polynomial(w.to_text(), n, names=("x", "d"))
+                assert parsed.nvars == w.nvars
+                assert parsed.terms == w.terms
+
+
+def test_mixed_products_with_polynomials_raise_type_error():
+    # the same flat terms in the two algebras
+    p = Polynomial.variable(1, 2)
+    w = WeylElement.d(0, 1)
+    assert p.terms == w.terms
+    for op in (lambda: p * w, lambda: w * p, lambda: p + w, lambda: w - p):
+        with pytest.raises(TypeError):
+            op()
+    assert p != w and w != p
