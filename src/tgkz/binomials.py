@@ -8,6 +8,12 @@ full-group ideal arise.  A character chi on the saturated free kernel L
 extends to Z^n, and x^u -> chi(u)^-1 x^u carries I_L onto I_{L,chi} keeping
 leading terms (Eisenbud-Sturmfels, Duke Math. J. 84, 1996, section 2).
 
+A lattice ideal is saturated one variable at a time by Bayer's lemma
+(poly.saturate_graded): the binomial of a kernel row is homogeneous for the
+weights h(a_j), h = cones.positive_grading.  Only variables of weight 0
+(unit columns, or all when the cone is not pointed) are saturated by
+elimination (poly.saturate); nothing else here eliminates.
+
 Toric ideals and minimal primes are memoized per configuration value (small
 LRU caches); callers must not mutate the cached ideals.
 """
@@ -17,14 +23,14 @@ from itertools import product
 from math import prod
 
 from ._value import frozen
-from .cones import Face, PointConfig, face_by_columns
+from .cones import Face, PointConfig, face_by_columns, positive_grading
 from .cyclotomic import Cyclotomic
-from .errors import (LatticeMismatchError, NotBinomialError, NotSaturatedError,
-                     PrimesDoNotIntersectError, SmithCheckError)
+from .errors import (LatticeMismatchError, NotBinomialError, NotPointedError,
+                     NotSaturatedError, PrimesDoNotIntersectError, SmithCheckError)
 from .lattice import (hermite_coordinates, hnf_rows, hnf_with_transform,
                       is_hermite, kernel_basis, kernel_lattice, smith_normal_form)
 from .poly import (GREVLEX, IdealBasis, Polynomial, groebner_ideal, ideal_equal,
-                   ideal_member, normal_form, saturate)
+                   ideal_member, normal_form, saturate, saturate_graded)
 
 
 def _power_product(values, exponents):
@@ -110,30 +116,52 @@ def _face_kernel_rows(config: PointConfig, face_cols):
     return embedded
 
 
-def lattice_ideal(rows, nvars, values=None) -> IdealBasis:
-    """Reduced basis of the (optionally twisted) lattice ideal of the row
-    span: binomials with exponents the positive/negative parts of each row,
-    coefficient twisted by the character value, then saturated so membership
-    depends only on the lattice, not the chosen basis."""
+@lru_cache(maxsize=16)
+def _grading_weights(config: PointConfig):
+    """w_j = h(a_j) for h = cones.positive_grading, 0 on unit columns;
+    all 0 when the cone is not pointed."""
+    try:
+        h = positive_grading(config)
+    except NotPointedError:
+        return (0,) * config.n
+    return tuple(int(h(c)) for c in config.columns)
+
+
+def lattice_ideal(rows, config: PointConfig, values=None) -> IdealBasis:
+    """Reduced grevlex basis of the (optionally twisted) lattice ideal of
+    the row span, rows in Z^config.n: binomials with exponents the
+    positive/negative parts of each row, coefficient twisted by the
+    character value, saturated by every variable of the rows' support so
+    membership depends only on the lattice, not the chosen basis.  Weight-0
+    variables go first, and the ideal stays homogeneous for the weights."""
+    n = config.n
     values = [1] * len(rows) if values is None else values
-    gens = [_binomial(m, nvars, val) for m, val in zip(rows, values)]
+    gens = [_binomial(m, n, val) for m, val in zip(rows, values)]
     if not gens:
-        return IdealBasis(nvars, ())
-    return saturate(groebner_ideal(gens, nvars), range(nvars))
+        return IdealBasis(n, ())
+    weights = _grading_weights(config)
+    support = [j for j in range(n) if any(m[j] for m in rows)]
+    units = [j for j in support if not weights[j]]
+    if units:
+        gens = list(saturate(groebner_ideal(gens, n), units).generators)
+    for j in support:
+        if weights[j]:
+            gens = saturate_graded(gens, weights, j)
+    return groebner_ideal(gens, n)
 
 
 @lru_cache(maxsize=16)
 def toric_ideal_free(config: PointConfig) -> IdealBasis:
     """Lattice ideal of the kernel of the free projection of the columns,
     computed once per configuration (memoized)."""
-    return lattice_ideal(free_kernel_rows(config), config.n)
+    return lattice_ideal(free_kernel_rows(config), config)
 
 
 @lru_cache(maxsize=16)
 def toric_ideal_full(config: PointConfig) -> IdealBasis:
     """Lattice ideal of the kernel of the full column map, torsion included,
     computed once per configuration (memoized)."""
-    return lattice_ideal(full_kernel_rows(config), config.n)
+    return lattice_ideal(full_kernel_rows(config), config)
 
 
 def markov_basis(config: PointConfig):
@@ -195,7 +223,7 @@ def face_twisted_ideal(config: PointConfig, face: Face, rho: PartialCharacter) -
     face_cols = sorted(on_face)
     if face_cols:
         embedded = _face_kernel_rows(config, face_cols)
-        face_ideal = lattice_ideal(embedded, n, [rho.value_of(m) for m in embedded])
+        face_ideal = lattice_ideal(embedded, config, [rho.value_of(m) for m in embedded])
         gens.extend(face_ideal.generators)
     if not gens:
         return IdealBasis(n, ())

@@ -2,8 +2,11 @@
 
 Monomial orders, one Groebner core with a pair budget, reduced Groebner
 bases of ideals and of submodules of free modules (used by the presentation
-builder), saturation and intersection by variable adjunction/elimination,
-and the canonical round-trippable text format.  The core is Buchberger's
+builder), saturation by one variable of a graded ideal (saturate_graded,
+Bayer's lemma, no new variable), and the canonical round-trippable text
+format.  saturate, intersect and intersect_many still adjoin a variable and
+eliminate it (eliminate, BlockElim); of them the library uses only
+saturate, for variables of weight 0.  The core is Buchberger's
 algorithm with the Gebauer-Moeller pair criteria B_k, M, F and the product
 criterion (Gebauer-Moeller, "On an installation of Buchberger's algorithm",
 JSC 6, 1988; Becker-Weispfenning, Groebner Bases, 1993, ch. 5); its pair
@@ -31,13 +34,15 @@ import heapq
 import os
 from fractions import Fraction
 from math import lcm
-from operator import add, le, sub
+from operator import add, le, mul, sub
 
 from ._value import frozen
 from .cyclotomic import Cyclotomic, signed_sum, square_and_multiply
 from .errors import BudgetExceededError, SpecError
 
 DEFAULT_PAIR_BUDGET = 5000
+# the largest power of a constant, in bits, that the text parser builds
+MAX_POWER_BITS = 1 << 18
 
 
 def default_pair_budget():
@@ -84,6 +89,20 @@ class BlockElim(MonomialOrder):
 
 
 GREVLEX = Grevlex()
+
+
+class WeightedLast(MonomialOrder):
+    """Weighted degree w.e first, then the smaller exponent of variable
+    `var`, then grevlex: a monomial order when w >= 0 and w[var] > 0.  On a
+    w-homogeneous element the leading term has the least power of x_var, so
+    x_var divides the leading term only if it divides the element (Bayer's
+    lemma; Sturmfels, Groebner Bases and Convex Polytopes, 1996, Lemma 12.1)."""
+
+    def __init__(self, weights, var):
+        self.weights, self.var = tuple(weights), var
+
+    def key(self, exp):
+        return (sum(map(mul, self.weights, exp)), -exp[self.var], GREVLEX.key(exp))
 
 
 class TermOverPosition(MonomialOrder):
@@ -461,6 +480,19 @@ def saturate(ideal: IdealBasis, var_indices) -> IdealBasis:
     return _eliminate_last(gens, n)
 
 
+def saturate_graded(gens, weights, var):
+    """A Groebner basis of (gens) : x_var^infinity under WeightedLast(
+    weights, var), for gens homogeneous in the weights w >= 0 with w[var] >
+    0: their reduced basis in that order, each element divided by its
+    largest power of x_var (Bigatti-La Scala-Robbiano, JSC 27, 1999)."""
+    out = []
+    for g in buchberger(gens, WeightedLast(weights, var)):
+        k = min(e[var] for e in g.terms)
+        out.append(g.map_exponents(lambda e: e[:var] + (e[var] - k,) + e[var + 1:], g.nvars)
+                   if k else g)
+    return out
+
+
 def intersect(a: IdealBasis, b: IdealBasis) -> IdealBasis:
     """I cap J via t*I + (1-t)*J and elimination of t."""
     if a.nvars != b.nvars:
@@ -600,6 +632,20 @@ class _Tokens:
         return tok
 
 
+def _check_power_size(c: Cyclotomic, k):
+    """Refuse c^k when it would take more than MAX_POWER_BITS bits: |k|
+    times the bit size of c, unless c is a root of unity, whose powers stay
+    as small as it is."""
+    bits = max(c.den.bit_length(), sum(map(abs, c.num)).bit_length())
+    if abs(k) * bits <= MAX_POWER_BITS:
+        return
+    form = c.unit_rational_form()
+    if form is None or abs(form[0]) != 1:
+        raise SpecError(f"power too large: a {bits}-bit constant to the power {k} "
+                        f"would take about {abs(k) * bits} bits, more than {MAX_POWER_BITS}",
+                        exponent=k, bits=bits, bound=MAX_POWER_BITS)
+
+
 def parse_polynomial(text, nvars, names=("d",)) -> Polynomial:
     """Parse the canonical text format.
 
@@ -657,10 +703,11 @@ def parse_polynomial(text, nvars, names=("d",)) -> Polynomial:
         if toks.peek()[0] == "^":
             toks.next()
             k = parse_int()
+            if len(base.terms) == 1 and set(base.terms) == {(0,) * total}:
+                c = base.terms[(0,) * total]
+                _check_power_size(c, k)
+                return Polynomial.constant(total, c ** k)
             if k < 0:
-                if len(base.terms) == 1 and set(base.terms) == {(0,) * total}:
-                    c = base.terms[(0,) * total]
-                    return Polynomial.constant(total, c ** k)
                 raise ValueError("negative powers only allowed on constants")
             return base ** k
         return base

@@ -31,6 +31,7 @@ from tgkz.poly import (
     intersect_many,
     parse_polynomial,
     polynomial_to_text,
+    saturate,
 )
 from tgkz.problem import parse_spec
 from tgkz.report import ideal_texts, run_command
@@ -83,11 +84,22 @@ def test_markov_basis_simple(mod4_line):
     assert markov_basis(mod4_line) == [(2, -1)]
 
 
+def eliminating_lattice_ideal(rows, n, values=None):
+    """The lattice ideal by the elimination path, kept as the oracle of
+    lattice_ideal: one grevlex run on the binomials x^(m+) - value x^(m-),
+    then saturation by every variable through an adjoined one (saturate)."""
+    values = [1] * len(rows) if values is None else values
+    gens = [Polynomial.monomial(n, tuple(max(x, 0) for x in m))
+            - Polynomial.monomial(n, tuple(max(-x, 0) for x in m), value)
+            for m, value in zip(rows, values)]
+    return saturate(groebner_ideal(gens, n), range(n)) if gens else IdealBasis(n, ())
+
+
 def oracle_twisted_ideal(config, rho):
     """The twisted ideal built from scratch: one Buchberger run on the
-    twisted Markov binomials, then a saturation."""
+    twisted Markov binomials, then a saturation by elimination."""
     moves = markov_basis(config)
-    return lattice_ideal(moves, config.n, [rho.value_of(m) for m in moves])
+    return eliminating_lattice_ideal(moves, config.n, [rho.value_of(m) for m in moves])
 
 
 def test_twisted_ideal_values(mod4_line):
@@ -116,6 +128,74 @@ def test_twisted_ideal_matches_buchberger_and_saturate_oracle(battery):
     assert checked == 164  # characters over 68 configs
 
 
+def has_unit_column(config):
+    return any(not any(c.free) for c in config.columns)
+
+
+def test_lattice_ideal_matches_elimination_on_random_battery():
+    configs = random_battery(20250, 80)
+    assert sum(map(has_unit_column, configs)) >= 20
+    for config in configs:
+        for rows in (free_kernel_rows(config), full_kernel_rows(config)):
+            got = lattice_ideal(rows, config)
+            expect = eliminating_lattice_ideal(rows, config.n)
+            assert got == expect
+            assert ideal_texts(got) == ideal_texts(expect)
+
+
+def test_lattice_ideal_matches_elimination_on_bench_and_sample_specs():
+    # prism8_t2's full toric ideal takes about a second by elimination
+    paths = sorted(p for p in [*BENCH_SPECS.glob("*.json"), *SAMPLES.glob("*.json")]
+                   if p.stem != "prism8_t2")
+    assert len(paths) == 16
+    for path in paths:
+        config = parse_spec(path.read_text(encoding="utf-8")).config
+        for rows in (free_kernel_rows(config), full_kernel_rows(config)):
+            assert lattice_ideal(rows, config) == eliminating_lattice_ideal(rows, config.n)
+
+
+def test_twisted_lattice_ideals_match_elimination(battery):
+    configs = battery + random_battery(20260, 30) + [bench_config(n) for n in IDEALS_SPECS]
+    twists = faces = 0
+    for config in configs:
+        n = config.n
+        moves = markov_basis(config)
+        for rho, _ in minimal_primes(config):
+            values = [rho.value_of(m) for m in moves]
+            assert lattice_ideal(moves, config, values) == oracle_twisted_ideal(config, rho)
+            twists += 1
+        # a character on each face kernel with root-of-unity values
+        for face in cones.face_lattice(config):
+            on_face = sorted(face.column_indices)
+            rows = binomials._face_kernel_rows(config, on_face) if on_face else []
+            values = [Cyclotomic.zeta(config.ell + 2, k + 1) for k in range(len(rows))]
+            rho = PartialCharacter.on_rows(rows, values, n)
+            off_face = [Polynomial.variable(j, n) for j in range(n) if j not in on_face]
+            twisted = eliminating_lattice_ideal(rows, n, [rho.value_of(m) for m in rows])
+            gens = off_face + list(twisted.generators)
+            expect = groebner_ideal(gens, n) if gens else IdealBasis(n, ())
+            assert face_twisted_ideal(config, face, rho) == expect
+            faces += 1
+    assert twists > len(configs) and faces > 2 * len(configs)
+
+
+def test_unit_column_saturates_by_elimination_first(monkeypatch):
+    # Z/4 + Z with columns (1, 1), (1, 2) and the unit (1, 0): the unit's
+    # weight is 0, so no grading is positive on it and Bayer's lemma does
+    # not apply; it is saturated by elimination before the other variables
+    config = make_config([4], [((1,), (1,)), ((1,), (2,)), ((1,), (0,))])
+    assert binomials._grading_weights(config) == (1, 2, 0)
+    saturated = []
+    real = binomials.saturate
+    monkeypatch.setattr(binomials, "saturate", lambda ideal, var_indices: saturated.append(
+        list(var_indices)) or real(ideal, var_indices))
+    for rows in (free_kernel_rows(config), full_kernel_rows(config)):
+        got = lattice_ideal(rows, config)
+        assert got == eliminating_lattice_ideal(rows, config.n)
+    assert saturated == [[2], [2]]
+    assert texts(got) == ["d1^2 - d2*d3", "d3^4 - 1"]  # (2, -1, -1) and (0, 0, 4)
+
+
 def test_twisted_ideal_runs_no_groebner_basis(monkeypatch, battery):
     mod4_line, plane_segment = battery[1], battery[2]
     for config, value in ((mod4_line, Cyclotomic.zeta(4)), (plane_segment, Cyclotomic.zeta(6))):
@@ -127,15 +207,17 @@ def test_twisted_ideal_runs_no_groebner_basis(monkeypatch, battery):
 
 
 def test_cold_minimal_primes_groebner_runs(monkeypatch):
-    # mod8_line has 8 characters.  Cold, its primes take 4 Groebner runs:
-    # Buchberger and saturation for each of the free and the full toric
-    # ideal.  Certifying the primes by intersecting them took 7 more (11),
-    # and building every prime by Buchberger and saturation 16 more (27).
+    # mod8_line has 8 characters and two variables, both of positive weight.
+    # Cold, its primes take 6 Groebner runs: for each of the free and the
+    # full toric ideal, one Bayer saturation per variable and one grevlex
+    # run.  Buchberger then saturation by elimination took 4; certifying the
+    # primes by intersecting them took 7 more (11), and building every prime
+    # by Buchberger and saturation 16 more (27).
     config = bench_config("mod8_line")
     for cached in (binomials.toric_ideal_free, binomials.toric_ideal_full,
                    binomials._minimal_primes):
         cached.cache_clear()
-    assert buchberger_calls(monkeypatch, lambda: minimal_primes(config)) == 4
+    assert buchberger_calls(monkeypatch, lambda: minimal_primes(config)) == 6
     assert len(minimal_primes(config)) == 8
 
 
@@ -319,8 +401,8 @@ def test_toric_ideals_memoized_per_config(battery):
         # an equal config built anew hits the same entry
         assert toric_ideal_full(make_config(config.group.torsion_orders,
                                             [(c.torsion, c.free) for c in config.columns])) is full
-        fresh_free = lattice_ideal(free_kernel_rows(config), config.n)
-        fresh_full = lattice_ideal(full_kernel_rows(config), config.n)
+        fresh_free = lattice_ideal(free_kernel_rows(config), config)
+        fresh_full = lattice_ideal(full_kernel_rows(config), config)
         assert free.generators == fresh_free.generators
         assert full.generators == fresh_full.generators
         assert ideal_equal(free, fresh_free) and ideal_equal(full, fresh_full)

@@ -192,6 +192,18 @@ def test_check_parses_a_huge_power_in_beta(spec_file):
     assert json.loads(res.stdout)["hypotheses"]["ok"] is True
 
 
+def test_check_refuses_a_huge_power_of_a_non_root_of_unity(spec_file):
+    # (3/2)^(10^12) would need a 10^12-bit integer: refused up front
+    spec = json.loads(MOD4_LINE)
+    spec["beta"] = ["(3/2)^1000000000000"]
+    res = subprocess.run([sys.executable, "-m", "tgkz.cli", "check", "--spec",
+                          spec_file(json.dumps(spec))],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 3, res.stderr
+    assert "UNSUPPORTED_CHARACTER_VALUE" in res.stderr and "power too large" in res.stderr
+    assert res.stdout == ""
+
+
 def test_refusal_exit_code(spec_file):
     path = spec_file(NOT_POINTED)
     for cmd in ("ideals", "primes", "module", "system", "rank", "dual",
@@ -231,13 +243,13 @@ def test_missing_arguments_exit_3_and_help_exits_0(args):
     assert res.stdout.startswith("usage: tgkz")
 
 
-# the largest Groebner run of z6_plane `ideals` reduces exactly 20 S-pairs
-# after the pair criteria (66 without them), which pins the pair order and
-# the criteria
+# the largest Groebner run of z6_plane `ideals` reduces exactly 5 S-pairs
+# after the pair criteria (10 without them), which pins the pair order and
+# the criteria; mod4_line `ideals` reduces none, its `system` some
 @pytest.mark.parametrize("spec,command,budget,rc", [
-    ("mod4_line", "ideals", "1", 4),
-    ("z6_plane", "ideals", "19", 4),
-    ("z6_plane", "ideals", "20", 0),
+    ("mod4_line", "system", "1", 4),
+    ("z6_plane", "ideals", "4", 4),
+    ("z6_plane", "ideals", "5", 0),
     ("mod4_line", "ideals", "abc", 3),
     ("mod4_line", "ideals", "-1", 3),
 ])

@@ -26,12 +26,13 @@ from tgkz.binomials import (
     twisted_ideal,
 )
 from tgkz.cyclotomic import Cyclotomic
-from tgkz.errors import BudgetExceededError
+from tgkz.errors import BudgetExceededError, SpecError
 from tgkz.poly import (
     GREVLEX,
     BlockElim,
     IdealBasis,
     Polynomial,
+    WeightedLast,
     groebner_ideal,
     ideal_equal,
     ideal_member,
@@ -63,6 +64,20 @@ def test_parse_scalar_values():
     assert parse_scalar("zeta(4)") == Cyclotomic.zeta(4)
     assert parse_scalar("-2*zeta(4)^3") == \
         Cyclotomic.rational(-2) * Cyclotomic.zeta(4, 3)
+
+
+def test_powers_of_constants_have_a_size_bound():
+    bound = poly.MAX_POWER_BITS
+    # 3/2 takes 2 bits (numerator 3, denominator 2), 1 + zeta(4) takes 2
+    assert parse_scalar(f"(3/2)^{bound // 2}") == Fraction(3, 2) ** (bound // 2)
+    assert parse_scalar(f"(2/3)^-{bound // 2}") == Fraction(3, 2) ** (bound // 2)
+    for text in (f"(3/2)^{bound // 2 + 1}", f"(2/3)^-{bound // 2 + 1}",
+                 f"(1 + zeta(4))^{bound}", "2*d1^3 + (3/2)^1000000000000"):
+        with pytest.raises(SpecError, match="power too large"):
+            parse_polynomial(text, 1)
+    # roots of unity, rational or not, keep their size under any power
+    assert parse_scalar("(-1)^1000000000001") == -1
+    assert parse_scalar("(-zeta(6))^-1000000000000") == Cyclotomic.zeta(3)  # -zeta6 = zeta3^2
 
 
 def test_powers_square_and_multiply():
@@ -348,8 +363,8 @@ def test_monic_kernel_matches_division_oracle(monkeypatch, battery):
 
     def compute():
         for config in battery + [z6]:
-            lattice_ideal(free_kernel_rows(config), config.n)
-            lattice_ideal(full_kernel_rows(config), config.n)
+            lattice_ideal(free_kernel_rows(config), config)
+            lattice_ideal(full_kernel_rows(config), config)
             power_ideal(config)
         # a twisted ideal is a rescaled free basis with no Groebner run of
         # its own, so Q(zeta_4) and Q(zeta_6) reach the core through the
@@ -364,7 +379,7 @@ def test_monic_kernel_matches_division_oracle(monkeypatch, battery):
     calls = _recorded_buchberger_inputs(monkeypatch, compute)
     orders = {type(order) for _, order in calls}
     fields = {c.order for gens, _ in calls for g in gens for c in g.terms.values()}
-    assert orders == {type(GREVLEX), BlockElim}
+    assert orders == {type(GREVLEX), BlockElim, WeightedLast}
     assert {4, 6} <= fields
     for gens, order in calls:
         expect, pairs = _oracle_buchberger(gens, order)
@@ -538,16 +553,16 @@ def test_module_core_matches_division_oracle_on_raw_pair_elements(bound):
 def test_criteria_core_matches_criteria_free_oracles(monkeypatch, battery):
     """Every Groebner run behind the lattice ideals, minimal primes and
     relation modules of the battery and of seeded random configs, under
-    GREVLEX, BlockElim and the eliminating TermOverPosition: the criteria
-    core gives the oracle's basis and pops no more pairs."""
+    GREVLEX, BlockElim, WeightedLast and the eliminating TermOverPosition:
+    the criteria core gives the oracle's basis and pops no more pairs."""
     configs = battery + random_battery(20240, 40)
 
     def compute():
         binomials._minimal_primes.cache_clear()
         systems._relation_module.cache_clear()
         for config in configs:
-            lattice_ideal(free_kernel_rows(config), config.n)
-            lattice_ideal(full_kernel_rows(config), config.n)
+            lattice_ideal(free_kernel_rows(config), config)
+            lattice_ideal(full_kernel_rows(config), config)
             minimal_primes(config)
             for kind in (K, K_INTERIOR):
                 gens = _primitive_set_for(SemigroupModule(kind, config)).elements
@@ -556,7 +571,9 @@ def test_criteria_core_matches_criteria_free_oracles(monkeypatch, battery):
     calls = []
     module_calls = _module_runs(monkeypatch, systems, lambda: calls.extend(
         _recorded_buchberger_inputs(monkeypatch, compute)))
-    assert {type(order) for _, order in calls} == {type(GREVLEX), BlockElim}
+    # unit columns of the random battery saturate by elimination (BlockElim),
+    # the other variables by Bayer's lemma (WeightedLast)
+    assert {type(order) for _, order in calls} == {type(GREVLEX), BlockElim, WeightedLast}
     # one run per relation module, eliminating at least one class component
     assert len(module_calls) == 2 * len(configs)
     assert {type(eliminate) for _, eliminate in module_calls} == {int}
@@ -615,6 +632,56 @@ def test_no_assert_statements(module):
     # python -O strips assert statements, so every check must raise instead
     tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+def _groebner_users(tree):
+    """Names of the top-level definitions of a module that mention
+    _groebner, as a name, an attribute or an import."""
+    users = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id == "_groebner"
+                    or isinstance(node, ast.Attribute) and node.attr == "_groebner"
+                    or isinstance(node, ast.alias) and node.name == "_groebner"):
+                users.add(getattr(top, "name", type(top).__name__))
+    return users
+
+
+def test_groebner_core_runs_only_through_buchberger_and_module_groebner():
+    # a run that bypasses buchberger escapes the coefficient lift, and the
+    # buchberger spies of the tests and the benchmark's per-layer counters
+    # read 0 for it
+    users = {(module.__name__, name) for module in TGKZ_MODULES
+             for name in _groebner_users(ast.parse(Path(module.__file__).read_text(
+                 encoding="utf-8")))}
+    assert users == {("tgkz.poly", "buchberger"), ("tgkz.poly", "module_groebner")}
+    assert _groebner_users(ast.parse("from .poly import _groebner as core")) == {"ImportFrom"}
+    assert _groebner_users(ast.parse("def f():\n    return poly._groebner")) == {"f"}
+
+
+def test_saturate_graded_divides_out_the_variable():
+    # Bayer's lemma: (d1*d3 - d2*d3) : d3^infinity = (d1 - d2)
+    assert poly.saturate_graded([P("d1*d3 - d2*d3", 3)], (1, 1, 1), 2) == [P("d1 - d2", 3)]
+    # with d3 of weight 2 these are homogeneous; an S-pair gives d3^3, so
+    # the saturation is the unit ideal, as elimination finds
+    gens = [P("d1^2*d3 - d3^2", 3), P("d1*d3^2", 3)]
+    got = poly.saturate_graded(gens, (1, 1, 2), 2)
+    assert got[-1] == Polynomial.constant(3, 1)
+    assert groebner_ideal(got) == saturate(groebner_ideal(gens), [2])
+
+
+def test_weighted_last_is_a_monomial_order_with_the_variable_last():
+    rng = random.Random(11)
+    order = WeightedLast((2, 0, 1), 2)
+    exps = [tuple(rng.randrange(4) for _ in range(3)) for _ in range(60)]
+    for a in exps:
+        assert order.key(a) >= order.key((0, 0, 0))
+        for b in exps:
+            for c in exps[:10]:
+                if order.key(a) < order.key(b):
+                    assert order.key(poly._add(a, c)) < order.key(poly._add(b, c))
+    # of two terms of one weighted degree, the one with less of d3 leads
+    assert order.key((1, 0, 0)) > order.key((0, 3, 2)) > order.key((0, 0, 2))
 
 
 def _stored(comp, exp):
