@@ -9,6 +9,16 @@ Python ints (Phi_e is monic, so reducing by it never divides); `coeffs`
 gives the coordinates as Fractions.  Phi_e is irreducible over Q, so every
 nonzero element is invertible.  Binary operations between elements of
 different orders lift both to Q(zeta_lcm).
+
+Signed roots of unity s * zeta_e^k (s = +-1), such as character values,
+carry a tag root = (s, k).  Only the bounded memo _signed_root makes tagged
+objects, one per (e, s, k mod e), with -zeta^k stored as zeta^(k + e/2) for
+even e; every other constructor leaves root = None, even for an element
+that equals a root.  The memo shares its objects, so none may be mutated.
+On tagged operands zeta, rational(+-1), products, integer powers, inverse,
+negation, lift, demoted and unit_rational_form are a lookup on exponents;
+sums and untagged operands take the generic path.  The tag changes neither
+equality, nor hashing, nor (order, num, den).
 """
 
 from fractions import Fraction
@@ -70,11 +80,12 @@ def _reduce_mod_phi(coeffs, e):
 
 
 class Cyclotomic:
-    __slots__ = ("order", "num", "den")
+    __slots__ = ("order", "num", "den", "root")
 
     def __init__(self, order, coeffs):
         """The element with the given rational power-basis coordinates."""
         self.order = int(order)
+        self.root = None
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != _phi_degree(self.order):
             raise ValueError(f"Q(zeta_{self.order}) takes {_phi_degree(self.order)} "
@@ -93,6 +104,8 @@ class Cyclotomic:
         if not isinstance(q, (int, Fraction)):
             q = Fraction(q)
         order = int(order)
+        if q == 1 or q == -1:
+            return _root(order, int(q), 0)
         return _raw(order, (q.numerator,) + (0,) * (_phi_degree(order) - 1), q.denominator)
 
     @staticmethod
@@ -106,9 +119,7 @@ class Cyclotomic:
     @staticmethod
     def zeta(e, k=1):
         """zeta_e^k as an element of Q(zeta_e)."""
-        e = int(e)
-        k = int(k) % e
-        return _raw(e, _reduce_mod_phi((0,) * k + (1,), e), 1)
+        return _root(int(e), 1, int(k))
 
     @staticmethod
     def coerce(x, order=1):
@@ -123,6 +134,9 @@ class Cyclotomic:
             return self
         if e2 % self.order:
             raise ValueError(f"Q(zeta_{self.order}) does not embed in Q(zeta_{e2})")
+        if self.root:
+            s, k = self.root
+            return _root(e2, s, k * (e2 // self.order))
         if self.is_rational():
             return _raw(e2, self.num[:1] + (0,) * (_phi_degree(e2) - 1), self.den)
         step = e2 // self.order
@@ -158,12 +172,19 @@ class Cyclotomic:
         return Cyclotomic.coerce(other).__sub__(self)
 
     def __neg__(self):
+        if self.root:
+            s, k = self.root
+            return _root(self.order, -s, k)
         return _raw(self.order, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return _canonical(self.order, tuple(x * other.numerator for x in self.num),
                               self.den * other.denominator)
+        if self.root and isinstance(other, Cyclotomic) and other.root:
+            (s, k), (t, j) = self.root, other.root
+            e = lcm(self.order, other.order)
+            return _root(e, s * t, k * (e // self.order) + j * (e // other.order))
         a, b = self._pair(other)
         if b.is_rational():
             a, b = b, a  # the product commutes; scale by whichever is rational
@@ -182,6 +203,9 @@ class Cyclotomic:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
+        if self.root:
+            s, k = self.root
+            return _root(self.order, s, -k)
         if self.is_rational():
             return _canonical(self.order, (self.den,) + self.num[1:], self.num[0])
         # num times the product of its other Galois conjugates is the norm,
@@ -202,6 +226,9 @@ class Cyclotomic:
 
     def __pow__(self, k):
         k = int(k)
+        if self.root:
+            s, j = self.root
+            return _root(self.order, s if k % 2 else 1, j * k)
         if k < 0:
             return self.inverse() ** (-k)
         return square_and_multiply(self, k, Cyclotomic.one(self.order))
@@ -241,12 +268,28 @@ class Cyclotomic:
         """Equal element in the smallest cyclotomic subfield that contains it.
 
         Canonicalizes printing and hashing regardless of the order in which
-        arithmetic promoted the operands.
+        arithmetic promoted the operands.  A tagged s * zeta_e^k is a
+        primitive e1-th root, e1 = e / gcd(e, k), times s, and lies in
+        Q(zeta_d) exactly when e1 divides lcm(2, d).
         """
+        if self.root:
+            s, k = self.root
+            g = gcd(self.order, k)
+            e1, k1 = self.order // g, k // g
+            if e1 % 4 == 2:  # zeta_2m = -zeta_m^((m + 1)/2) for odd m, and k1 is odd
+                s, e1, k1 = -s, e1 // 2, k1 * (e1 // 2 + 1) // 2
+            return _root(e1, s, k1)
         return _demote(self.order, self.num, self.den)
 
     def unit_rational_form(self):
-        """(q, k) with self = q * zeta(order)^k and q rational, or None."""
+        """(q, k) with self = q * zeta(order)^k and q rational, or None;
+        the least such k."""
+        if self.root:
+            s, k = self.root
+            half = self.order // 2
+            if self.order % 2 == 0 and k >= half:
+                return Fraction(-s), k - half
+            return Fraction(s), k
         for k in range(self.order):
             ratio = self * Cyclotomic.zeta(self.order, -k % self.order)
             q = ratio.rational_value()
@@ -314,11 +357,30 @@ def _conjugate_product(num, e):
     return out
 
 
-def _raw(order, num, den):
-    """Cyclotomic(order, num / den) from a form already canonical."""
+def _raw(order, num, den, root=None):
+    """Cyclotomic(order, num / den) from a form already canonical; only
+    _signed_root passes a root tag."""
     x = object.__new__(Cyclotomic)
-    x.order, x.num, x.den = order, num, den
+    x.order, x.num, x.den, x.root = order, num, den, root
     return x
+
+
+def _root(e, s, k):
+    """s * zeta_e^k for s = +-1, from the memo: for even e, -zeta^k is
+    zeta^(k + e/2)."""
+    if e < 1:
+        raise ValueError("order must be >= 1")
+    if s < 0 and e % 2 == 0:
+        s, k = 1, k + e // 2
+    return _signed_root(e, s, k % e)
+
+
+@lru_cache(maxsize=1024)
+def _signed_root(e, s, k):
+    """The tagged s * zeta_e^k, 0 <= k < e, one entry per root: a table of
+    all e powers of one order would hold e * phi(e) integers."""
+    num = _reduce_mod_phi((0,) * k + (1,), e)
+    return _raw(e, num if s > 0 else tuple(-x for x in num), 1, (s, k))
 
 
 def _canonical(order, num, den):

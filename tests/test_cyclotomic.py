@@ -1,14 +1,19 @@
+import ast
+import importlib
+import pkgutil
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from cyclotomic_oracle import Cyclotomic as Oracle
 from cyclotomic_oracle import _reduce_mod_phi, _xgcd_poly, cramer_inverse
 from fieldlin_oracle import determinant
+import tgkz
 from tgkz import cyclotomic, fieldlin
 from tgkz.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from tgkz.lattice import det
@@ -336,3 +341,197 @@ def test_exact_division_checks_raise_value_error_under_optimize():
         "polynomial division leaves a remainder",  # x^2 + 1 = (x - 1)(x + 1) + 2
         "leading coefficient does not divide exactly",  # x by 2x + 1
         "[-1, 1]"]  # x^2 - 1 = (x - 1)(x + 1)
+
+
+# ---------------------------------------------------------------------------
+# signed roots of unity: the tagged fast paths against the oracle
+
+ROOT_ORDERS = tuple(range(1, 41)) + (60, 97)
+
+
+def _signed_roots(e):
+    """(tagged, oracle) for s * zeta_e^k, every k and s = +-1."""
+    out = []
+    for k in range(e):
+        z, oz = Cyclotomic.zeta(e, k), Oracle.zeta(e, k)
+        out += [(z, oz), (-z, -oz)]
+    return out
+
+
+def _assert_root(x):
+    """x is tagged, and its form is that of the element built untagged."""
+    assert x.root is not None
+    untagged = Cyclotomic(x.order, x.coeffs)
+    assert untagged.root is None
+    assert (x.order, x.num, x.den) == (untagged.order, untagged.num, untagged.den)
+
+
+def _partner_orders(e):
+    """Orders other than e whose lcm with e keeps the oracle's products cheap."""
+    return [d for d in ROOT_ORDERS if d != e and e * d // gcd(e, d) <= 120]
+
+
+@pytest.mark.parametrize("e", ROOT_ORDERS)
+def test_signed_roots_match_the_oracle(e):
+    """Every +-zeta_e^k through the tagged operations, against the
+    Fraction-tuple kernel.  The oracle's demotion solves a linear system
+    per divisor of e, its unit_rational_form takes up to e products and its
+    inverse at order 97 an extended Euclid on dense degree-96 polynomials,
+    so a seeded sample of eight roots per order goes through every
+    operation, all roots through negation, products, sums and, below order
+    97, inverses, and every zeta_e^k through demotion."""
+    rng = random.Random(e)
+    roots = _signed_roots(e)
+    sample = rng.sample(roots, min(8, len(roots)))
+    inverses = {}
+
+    def inverse(ox):  # the oracle's, once per root
+        if ox.coeffs not in inverses:
+            inverses[ox.coeffs] = ox.inverse()
+        return inverses[ox.coeffs]
+
+    for x, ox in roots:
+        _assert_same(x, ox)
+        _assert_root(x)
+        _assert_same(-x, -ox)
+        _assert_root(-x)
+        y, oy = rng.choice(roots)
+        _assert_same(x * y, ox * oy)
+        _assert_root(x * y)
+        assert (x == y) == (ox == oy)
+        if e < 97:
+            _assert_same(x.inverse(), inverse(ox))
+            _assert_same(x / y, ox * inverse(oy))
+        coeffs = _random_coeffs(rng, e)
+        u, ou = Cyclotomic(e, coeffs), Oracle(e, coeffs)
+        _assert_same(x + u, ox + ou)
+        _assert_same(u - x, ou - ox)
+    for x, ox in roots[::2] + sample:
+        _assert_same(x.demoted(), ox.demoted())
+        _assert_root(x.demoted())
+    partners = _partner_orders(e)
+    for x, ox in sample:
+        _assert_same(x.inverse(), inverse(ox))
+        _assert_root(x.inverse())
+        assert x.to_text() == ox.to_text()
+        assert hash(x) == hash(ox)
+        assert x.unit_rational_form() == ox.unit_rational_form()
+        y, oy = x.lift(2 * e), ox.lift(2 * e)
+        _assert_same(y, oy)
+        _assert_root(y)
+        power = Oracle.one(e)
+        for n in range(6):
+            _assert_same(x ** n, power)
+            _assert_root(x ** n)
+            power = power * ox
+        power = inverse(ox)
+        for n in (-1, -2, -3):
+            _assert_same(x ** n, power)
+            power = power * inverse(ox)
+        if partners:
+            d = rng.choice(partners)
+            k = rng.randrange(d)
+            y, oy = Cyclotomic.zeta(d, k), Oracle.zeta(d, k)
+            _assert_same(x * y, ox * oy)
+            _assert_root(x * y)
+            _assert_same(y / x, oy * inverse(ox))
+            assert (x == y) == (ox == oy)
+
+
+def test_rational_units_are_tagged_roots():
+    for order in (1, 2, 3, 4, 9):
+        assert Cyclotomic.one(order).root == (1, 0)
+        assert Cyclotomic.rational(Fraction(-1), order) == -1
+        assert Cyclotomic.rational(-1, order).root == ((1, order // 2) if order % 2 == 0
+                                                      else (-1, 0))
+    assert Cyclotomic.rational(2, 4).root is None and Cyclotomic.zero(4).root is None
+    # one memo entry per root: -zeta_e^k is zeta_e^(k + e/2) for even e
+    assert -Cyclotomic.zeta(6, 1) is Cyclotomic.zeta(6, 4) is Cyclotomic.zeta(6, -2)
+    assert (-Cyclotomic.zeta(5, 1)).root == (-1, 1)
+    # a root reached by sums stays untagged, and equal to the tagged one
+    i = Cyclotomic.zeta(4)
+    assert (i + i - i).root is None and i + i - i == i
+    assert hash(i + i - i) == hash(i)
+
+
+def test_root_memo_holds_only_the_roots_asked_for():
+    # a table of all the powers of order 10007 would hold 10007 * 10006 integers
+    cyclotomic._signed_root.cache_clear()
+    ks = (0, 1, 77, 10006)
+    for k in ks:
+        z = Cyclotomic.zeta(10007, k)
+        assert Cyclotomic.zeta(10007, k + 10007) is z
+    assert cyclotomic._signed_root.cache_info().currsize == len(ks)
+    assert (Cyclotomic.zeta(10007, 77) ** -1).root == (1, 10007 - 77)
+    assert cyclotomic._signed_root.cache_info().currsize == len(ks) + 1
+    size = cyclotomic._signed_root.cache_info().maxsize
+    assert size is not None and size <= 4096
+
+
+# ---------------------------------------------------------------------------
+# tooling: the root memo shares its objects, so nothing may mutate one
+
+
+def _slot_writers(tree):
+    """Qualified names of the functions ("<module>" at top level) that
+    assign, augment or delete an attribute named like a Cyclotomic slot, or
+    set or delete one by name with setattr, delattr or __setattr__."""
+    slots = set(Cyclotomic.__slots__)
+    writers = set()
+
+    def targets(node):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            return node.targets
+        if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            return [node.target]
+        return []
+
+    def leaves(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for item in target.elts:
+                yield from leaves(item)
+        elif isinstance(target, ast.Starred):
+            yield from leaves(target.value)
+        else:
+            yield target
+
+    def by_name(node):
+        if not isinstance(node, ast.Call) or len(node.args) < 2:
+            return False
+        name = node.args[1]
+        func = node.func
+        return (isinstance(name, ast.Constant) and name.value in slots
+                and (isinstance(func, ast.Name) and func.id in ("setattr", "delattr")
+                     or isinstance(func, ast.Attribute)
+                     and func.attr in ("__setattr__", "__delattr__")))
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (by_name(child) or any(isinstance(leaf, ast.Attribute) and leaf.attr in slots
+                                      for t in targets(child) for leaf in leaves(t))):
+                writers.add(scope or "<module>")
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            visit(child, inner)
+
+    visit(tree, "")
+    return writers
+
+
+def test_cyclotomic_slots_are_written_only_by_the_constructors():
+    modules = [tgkz] + [importlib.import_module(f"tgkz.{info.name}")
+                        for info in pkgutil.iter_modules(tgkz.__path__)]
+    writers = {(module.__name__, name) for module in modules
+               for name in _slot_writers(ast.parse(Path(module.__file__).read_text(
+                   encoding="utf-8")))}
+    assert writers == {("tgkz.cyclotomic", "Cyclotomic.__init__"), ("tgkz.cyclotomic", "_raw")}
+    # the check itself sees each kind of write
+    for source, where in (("def f(x):\n    x.root = None", "f"),
+                          ("class C:\n    def g(self, x):\n        x.num += (1,)", "C.g"),
+                          ("a, (b.den, c) = 1, (2, 3)", "<module>"),
+                          ("def f(x):\n    del x.num", "f"),
+                          ("def f(x):\n    object.__setattr__(x, 'root', (1, 0))", "f"),
+                          ("def f(x):\n    setattr(x, 'den', 2)", "f")):
+        assert _slot_writers(ast.parse(source)) == {where}, source
+    assert _slot_writers(ast.parse("def f(x):\n    x.terms = {}\n    return x.num")) == set()

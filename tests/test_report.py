@@ -144,6 +144,36 @@ def test_ideal_reports_match_benchmark_references(name, command, workers):
     assert digest == references[f"{name}:{command}"]
 
 
+def _zp_spec(p):
+    """The Z/p spec of the roadmap: columns (1 mod p, (1, 0)), (5 mod p,
+    (1, 1)) and (0, (1, 2)), beta 0, module K."""
+    return ('{"torsion_orders": [%d], "columns": [{"torsion": [1], "free": [1, 0]}, '
+            '{"torsion": [5], "free": [1, 1]}, {"torsion": [0], "free": [1, 2]}], '
+            '"beta": [0, 0], "module": "K"}\n' % p)
+
+
+@pytest.mark.parametrize("p,digest", [
+    (31, "e48ad6d58fc97003dab9849ec2148a32f8fd1f1e8fa901ff32afb5db01908f7e"),
+    (97, "1201c200c9db6c40c973e99a2293b2ba69eef6f96b18ba133e17f08a3f9523c2"),
+])
+def test_zp_ideals_take_no_norm_and_no_demotion_solve(monkeypatch, p, digest):
+    """Every character value of Z/p is a root of unity, so its inverse and
+    its printed form need no Galois norm (_conjugate_product) and no linear
+    solve (fieldlin.solve); the report hashes as it did when both ran."""
+    from tgkz import cyclotomic, fieldlin
+    calls = []
+    for module, name in ((cyclotomic, "_conjugate_product"), (fieldlin, "solve")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    for cached in (binomials._minimal_primes, binomials.toric_ideal_free,
+                   binomials.toric_ideal_full, cyclotomic._demote, cyclotomic._signed_root):
+        cached.cache_clear()
+    text = render(run_command(parse_spec(_zp_spec(p)), "ideals"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    assert calls == []
+
+
 @pytest.mark.parametrize("folder,name,command", PRESENTATION_JOBS)
 def test_presentation_reports_match_benchmark_references(folder, name, command):
     """The reports of the benchmark's presentation jobs hash to the
