@@ -30,7 +30,7 @@ from .errors import (LatticeMismatchError, NotBinomialError, NotPointedError,
 from .lattice import (hermite_coordinates, hnf_rows, hnf_with_transform,
                       is_hermite, kernel_basis, kernel_lattice, smith_normal_form)
 from .poly import (GREVLEX, IdealBasis, Polynomial, groebner_ideal, ideal_equal,
-                   normal_forms, saturate, saturate_graded)
+                   ideal_member, normal_form, saturate, saturate_graded)
 
 
 def _power_product(values, exponents):
@@ -350,8 +350,7 @@ def _minimal_primes(config: PointConfig):
     full = toric_ideal_full(config).generators
     if (len(ideals) != prod(orders)
             or any([g.leading(GREVLEX)[0] for g in p.generators] != leads for p in ideals)
-            or not all(nf.is_zero() for p in ideals
-                       for nf in normal_forms(full, p.generators, GREVLEX))
+            or not all(ideal_member(f, p) for p in ideals for f in full)
             or any(ideal_equal(p, q) for i, p in enumerate(ideals) for q in ideals[:i])):
         raise PrimesDoNotIntersectError(
             "minimal primes do not intersect to the full-group ideal",
@@ -383,19 +382,19 @@ def classify_graded_binomial_prime(ideal: IdealBasis, config: PointConfig):
     gb = list(ideal.generators)
     if any(g.total_degree() == 0 for g in gb):
         return None  # unit ideal
-    variables = [Polynomial.variable(j, n) for j in range(n)]
-    inside = [j for j, nf in enumerate(normal_forms(variables, gb, GREVLEX))
-              if not nf.is_zero()]
+    inside = [j for j in range(n)
+              if not normal_form(Polynomial.variable(j, n), gb, GREVLEX).is_zero()]
     face = face_by_columns(config, inside)
     if face is None:
         return None
     face_cols = sorted(set(face.column_indices))
     sub_kernel = _face_kernel_rows(config, face_cols) if face_cols else []
-    # the normal forms of x^(m+) and x^(m-) for each row m, in turn
-    forms = normal_forms([Polynomial.monomial(n, tuple(max(s * x, 0) for x in m))
-                          for m in sub_kernel for s in (1, -1)], gb, GREVLEX)
     values = []
-    for nf_plus, nf_minus in zip(forms[::2], forms[1::2]):
+    for m in sub_kernel:
+        plus = tuple(max(x, 0) for x in m)
+        minus = tuple(max(-x, 0) for x in m)
+        nf_plus = normal_form(Polynomial.monomial(n, plus), gb, GREVLEX)
+        nf_minus = normal_form(Polynomial.monomial(n, minus), gb, GREVLEX)
         if nf_minus.is_zero() or set(nf_plus.terms) != set(nf_minus.terms):
             return None
         exp = next(iter(nf_minus.terms))

@@ -15,10 +15,11 @@ carry a tag root = (s, k).  Only the bounded memo _signed_root makes tagged
 objects, one per (e, s, k mod e), with -zeta^k stored as zeta^(k + e/2) for
 even e; every other constructor leaves root = None, even for an element
 that equals a root.  The memo shares its objects, so none may be mutated.
-On tagged operands zeta, rational(+-1), products, integer powers, inverse,
-negation, lift, demoted and unit_rational_form are a lookup on exponents;
-sums and untagged operands take the generic path.  The tag changes neither
-equality, nor hashing, nor (order, num, den).
+On tagged operands zeta, rational(+-1), products, inverse, negation, lift
+and demoted are a lookup on exponents, so integer powers and
+unit_rational_form, built from products and inverses, stay on tagged
+objects; sums and untagged operands take the generic path.  The tag changes
+neither equality, nor hashing, nor (order, num, den).
 """
 
 from fractions import Fraction
@@ -226,9 +227,6 @@ class Cyclotomic:
 
     def __pow__(self, k):
         k = int(k)
-        if self.root:
-            s, j = self.root
-            return _root(self.order, s if k % 2 else 1, j * k)
         if k < 0:
             return self.inverse() ** (-k)
         return square_and_multiply(self, k, Cyclotomic.one(self.order))
@@ -282,14 +280,7 @@ class Cyclotomic:
         return _demote(self.order, self.num, self.den)
 
     def unit_rational_form(self):
-        """(q, k) with self = q * zeta(order)^k and q rational, or None;
-        the least such k."""
-        if self.root:
-            s, k = self.root
-            half = self.order // 2
-            if self.order % 2 == 0 and k >= half:
-                return Fraction(-s), k - half
-            return Fraction(s), k
+        """(q, k) with self = q * zeta(order)^k and q rational, or None."""
         for k in range(self.order):
             ratio = self * Cyclotomic.zeta(self.order, -k % self.order)
             q = ratio.rational_value()

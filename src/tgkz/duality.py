@@ -166,8 +166,9 @@ def character_split(config: PointConfig, truncation=DEFAULT_TRUNCATION) -> Split
     values = tuple(tuple(Cyclotomic.zeta(o, k) for o, k in zip(orders, r)) for r in fibers)
     # every order divides the last, e, so entry (r, f) is zeta_e^(sum r_i f_i e/o_i)
     e = max(orders, default=1)
+    powers = [Cyclotomic.zeta(e, k) for k in range(e)]
     steps = [e // o for o in orders]
-    matrix = tuple(tuple(Cyclotomic.zeta(e, sum(rk * fk * s for rk, fk, s in zip(r, f, steps)))
+    matrix = tuple(tuple(powers[sum(rk * fk * s for rk, fk, s in zip(r, f, steps)) % e]
                          for f in fibers) for r in fibers)
     det = character_table_determinant(orders)
     if det.is_zero():

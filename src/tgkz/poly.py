@@ -398,18 +398,12 @@ def _groebner(elems, order):
     return out
 
 
-def normal_forms(fs, gens, order):
-    """Full multivariate division remainder of each f in fs by gens,
-    deterministic, with the leading terms of gens taken once.  Every
-    divisor must be monic, as the bases buchberger returns are."""
-    gens = [g for g in gens if not g.is_zero()]
-    divisors, leads = [g.terms for g in gens], [g.leading(order)[0] for g in gens]
-    return [Polynomial._of(f.nvars, _reduce(f.terms, divisors, leads, order)) for f in fs]
-
-
 def normal_form(f, gens, order):
-    """normal_forms of the one polynomial f."""
-    return normal_forms([f], gens, order)[0]
+    """Full multivariate division remainder of f by gens, deterministic.
+    Every divisor must be monic, as the bases buchberger returns are."""
+    gens = [g for g in gens if not g.is_zero()]
+    return Polynomial._of(f.nvars, _reduce(f.terms, [g.terms for g in gens],
+                                           [g.leading(order)[0] for g in gens], order))
 
 
 def s_polynomial(f, g, order):
