@@ -27,8 +27,8 @@ from .cones import Face, PointConfig, face_by_columns, positive_grading
 from .cyclotomic import Cyclotomic
 from .errors import (LatticeMismatchError, NotBinomialError, NotPointedError,
                      NotSaturatedError, PrimesDoNotIntersectError, SmithCheckError)
-from .lattice import (hermite_coordinates, hnf_rows, hnf_with_transform,
-                      is_hermite, kernel_basis, kernel_lattice, smith_normal_form)
+from .lattice import (hermite_coordinates, hnf_with_transform, is_hermite, kernel_basis,
+                      kernel_lattice, smith_normal_form)
 from .poly import (GREVLEX, IdealBasis, Polynomial, groebner_ideal, ideal_equal,
                    ideal_member, normal_form, saturate, saturate_graded)
 
@@ -105,15 +105,11 @@ def _binomial(m, nvars, value=1):
 
 
 def _face_kernel_rows(config: PointConfig, face_cols):
-    """Kernel of the free parts of the given columns, embedded into Z^n."""
-    sub = [[config.columns[j].free[i] for j in face_cols] for i in range(config.d)]
-    embedded = []
-    for row in kernel_basis(sub):
-        full = [0] * config.n
-        for pos, j in enumerate(face_cols):
-            full[j] = row[pos]
-        embedded.append(tuple(full))
-    return embedded
+    """Kernel of the free parts of the given columns, embedded into Z^n: the
+    kernel of the free matrix over one unit row per column off the face."""
+    n = config.n
+    off_face = tuple(tuple(int(i == j) for i in range(n)) for j in range(n) if j not in face_cols)
+    return list(kernel_basis(config.free_matrix() + off_face))
 
 
 @lru_cache(maxsize=16)
@@ -220,11 +216,8 @@ def face_twisted_ideal(config: PointConfig, face: Face, rho: PartialCharacter) -
     n = config.n
     on_face = set(face.column_indices)
     gens = [Polynomial.variable(j, n) for j in range(n) if j not in on_face]
-    face_cols = sorted(on_face)
-    if face_cols:
-        embedded = _face_kernel_rows(config, face_cols)
-        face_ideal = lattice_ideal(embedded, config, [rho.value_of(m) for m in embedded])
-        gens.extend(face_ideal.generators)
+    embedded = _face_kernel_rows(config, on_face)
+    gens.extend(lattice_ideal(embedded, config, [rho.value_of(m) for m in embedded]).generators)
     if not gens:
         return IdealBasis(n, ())
     return groebner_ideal(gens, n)
@@ -233,44 +226,26 @@ def face_twisted_ideal(config: PointConfig, face: Face, rho: PartialCharacter) -
 def extend_character(rho: PartialCharacter):
     """Extend to all of Z^n: value rho on the lattice, 1 on a complement.
 
-    Requires saturation; a basis of Z^n adapted to the lattice comes from the
-    Smith decomposition of the basis matrix, the complement rows get value 1,
-    and values on the standard vectors follow by multiplicativity.  No root
-    extraction is ever needed, so the coefficient field does not grow.
+    Requires saturation.  With B the basis rows and T * B^T = H, the lattice
+    is saturated exactly when H is the identity; then the first r rows of T
+    pair with B to the identity, so chi(e_j) = prod_i rho(b_i)^T[i][j]
+    restricts to rho.  No root extraction is ever needed, so the
+    coefficient field does not grow.
     """
     n = rho.nvars
     identity = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    if not rho.basis:
-        return PartialCharacter.on_rows(identity, [Cyclotomic.one()] * n, n)
-    snf = smith_normal_form(rho.basis)
-    r = len(snf.invariant_factors)
-    # saturated: Z^n modulo the lattice is torsion-free
-    if r != len(rho.basis) or any(f != 1 for f in snf.invariant_factors):
+    r = len(rho.basis)
+    h, t = hnf_with_transform([tuple(b[j] for b in rho.basis) for j in range(n)])
+    if h != tuple(e[:r] for e in identity[:r]):
         raise NotSaturatedError("character lattice is not saturated",
-                                invariant_factors=snf.invariant_factors)
-    # adapted basis rows w_i: rows of V^{-1}; the first r span the lattice
-    w = _unimodular_inverse(snf.V)
-    adapted_values = [rho.value_of(row) for row in w[:r]] + [Cyclotomic.one()] * (n - r)
-    # e_j = sum_i V[j][i] w_i
-    values = [_power_product(adapted_values, snf.V[j]) for j in range(n)]
+                                pivots=tuple(row[i] for i, row in enumerate(h)))
+    values = [_power_product(rho.values, column[:r]) for column in zip(*t)]
     full = PartialCharacter.on_rows(identity, values, n)
     for row, expected in zip(rho.basis, rho.values):
         if full.value_of(row) != expected:
             raise SmithCheckError("the extension disagrees with the character on its lattice",
                                   shape=(len(rho.basis), n), row=row)
     return full
-
-
-def _unimodular_inverse(m):
-    """Integer inverse of a unimodular matrix, given by rows, via Hermite
-    reduction of [m | I], which ends at [I | m^{-1}]."""
-    n = len(m)
-    aug = [list(row) + [1 if j == i else 0 for j in range(n)]
-           for i, row in enumerate(m)]
-    h = hnf_rows(aug)  # n rows, as [m | I] has rank n
-    if len(m[0]) != n or any(h[i][i] != 1 for i in range(n)):
-        raise SmithCheckError("a Smith transform is not unimodular", shape=(n, len(m[0])))
-    return tuple(row[n:] for row in h)
 
 
 def twist_automorphism(f: Polynomial, full_character: PartialCharacter) -> Polynomial:
@@ -387,8 +362,7 @@ def classify_graded_binomial_prime(ideal: IdealBasis, config: PointConfig):
     face = face_by_columns(config, inside)
     if face is None:
         return None
-    face_cols = sorted(set(face.column_indices))
-    sub_kernel = _face_kernel_rows(config, face_cols) if face_cols else []
+    sub_kernel = _face_kernel_rows(config, face.column_indices)
     values = []
     for m in sub_kernel:
         plus = tuple(max(x, 0) for x in m)

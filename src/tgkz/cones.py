@@ -18,8 +18,7 @@ from . import fieldlin
 from ._value import frozen
 from .cyclotomic import Cyclotomic
 from .errors import EmptyConeError, HypothesisError, NotPointedError
-from .lattice import (INFINITE, AbelianGroup, Functional, det, hnf_rows, lattice_index, rank,
-                      smith_normal_form)
+from .lattice import INFINITE, AbelianGroup, Functional, det, hnf_rows, lattice_index, rank
 
 
 @frozen
@@ -344,10 +343,10 @@ class HypothesesReport:
 
 @lru_cache(maxsize=16)
 def check_hypotheses(config: PointConfig) -> HypothesesReport:
-    """The standing hypotheses, once per configuration (memoized)."""
-    s = smith_normal_form(config.free_matrix())
-    spans = (len(s.invariant_factors) == config.d
-             and all(f == 1 for f in s.invariant_factors))
+    """The standing hypotheses, once per configuration (memoized).  The free
+    parts span Z^d exactly when their Hermite form is the identity."""
+    spans = hnf_rows(config.free_columns()) == tuple(
+        tuple(int(i == j) for j in range(config.d)) for i in range(config.d))
     pointed = is_pointed(config)
     delta = lattice_index(config.columns, config.group)
     ell = config.ell

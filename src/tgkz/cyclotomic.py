@@ -16,51 +16,60 @@ objects, one per (e, s, k mod e), with -zeta^k stored as zeta^(k + e/2) for
 even e; every other constructor leaves root = None, even for an element
 that equals a root.  The memo shares its objects, so none may be mutated.
 On tagged operands zeta, rational(+-1), products, inverse, negation, lift
-and demoted are a lookup on exponents, so integer powers and
-unit_rational_form, built from products and inverses, stay on tagged
-objects; sums and untagged operands take the generic path.  The tag changes
-neither equality, nor hashing, nor (order, num, den).
+and demoted are a lookup on exponents, so integer powers, built from
+products and inverses, stay on tagged objects; sums and untagged operands
+take the generic path.  unit_rational_form steps an untagged copy, so it
+makes no root but zeta_e.  The tag changes neither equality, nor hashing,
+nor (order, num, den).
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import product
+from math import gcd, lcm, prod
 from operator import add, sub
 
 from .errors import NotInvertibleError
 
 
-def _poly_divmod_int(num, den):
-    """Exact division of integer coefficient lists (ascending), den monic-led."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(num) - len(den), -1, -1):
-        lead = num[k + len(den) - 1]
-        q, r = divmod(lead, den[-1])
-        if r:
-            raise ValueError("leading coefficient does not divide exactly")
-        out[k] = q
-        if q:
-            for i, c in enumerate(den):
-                num[k + i] -= q * c
-    if any(num):
-        raise ValueError("polynomial division leaves a remainder")
-    return out
-
-
 @lru_cache(maxsize=64)
 def cyclotomic_polynomial(e: int):
-    """Integer coefficients of Phi_e, ascending order, monic."""
+    """Integer coefficients of Phi_e, ascending order, monic.
+
+    Phi_e(x) = Phi_r(x^(e/r)) for r the product of the primes dividing e,
+    and Phi_r = prod_{d | r} (x^d - 1)^mu(r/d) by Moebius inversion of
+    x^r - 1 = prod_{d | r} Phi_d.  The factors with mu = 1 are multiplied
+    first, so each division by x^d - 1 is exact: a running sum.
+    """
     e = int(e)
     if e < 1:
         raise ValueError("order must be >= 1")
-    # x^e - 1 = prod_{d | e} Phi_d
-    num = [0] * (e + 1)
-    num[0], num[e] = -1, 1
-    for d in range(1, e):
-        if e % d == 0:
-            num = _poly_divmod_int(num, cyclotomic_polynomial(d))
-    return tuple(num)
+    primes, rest = [], e
+    for p in range(2, e + 1):
+        if p * p > rest:
+            break
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+    if rest > 1:
+        primes.append(rest)
+    num, divisors = [1], []
+    for chosen in product((0, 1), repeat=len(primes)):
+        d = prod(p for p, c in zip(primes, chosen) if c)
+        if (len(primes) - sum(chosen)) % 2:  # mu(r/d) = -1
+            divisors.append(d)
+        else:  # times x^d - 1
+            num = [b - a for a, b in zip(num + [0] * d, [0] * d + num)]
+    for d in divisors:  # q (x^d - 1) = num gives q_k = q_(k-d) - num_k
+        num = [-x for x in num]
+        for k in range(d, len(num)):
+            num[k] += num[k - d]
+        del num[-d:]
+    step = e // prod(primes)
+    out = [0] * ((len(num) - 1) * step + 1)
+    out[::step] = num
+    return tuple(out)
 
 
 def _phi_degree(e):
@@ -280,12 +289,20 @@ class Cyclotomic:
         return _demote(self.order, self.num, self.den)
 
     def unit_rational_form(self):
-        """(q, k) with self = q * zeta(order)^k and q rational, or None."""
-        for k in range(self.order):
-            ratio = self * Cyclotomic.zeta(self.order, -k % self.order)
+        """(q, k) with self = q * zeta(order)^k, q rational and k least, or
+        None.  An untagged copy of self steps through self * zeta^j, each a
+        product with one nonzero term on the left, so j < order steps take
+        O(order * phi(order)) work and make no root but zeta itself."""
+        e = self.order
+        zeta = Cyclotomic.zeta(e)
+        ratio = _raw(e, self.num, self.den)
+        for j in range(e):
             q = ratio.rational_value()
-            if q is not None:
-                return q, k
+            if q is not None:  # self = q * zeta^-j
+                k = -j % e
+                # for even e, zeta^(e/2) = -1 gives the lesser k
+                return (-q, k - e // 2) if e % 2 == 0 and k >= e // 2 else (q, k)
+            ratio = zeta * ratio
         return None
 
     def to_text(self):

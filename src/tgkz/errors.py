@@ -60,8 +60,8 @@ class PrimesDoNotIntersectError(TgkzError):
 
 class SmithCheckError(TgkzError):
     """U*M*V != D or a broken divisibility chain in a Smith decomposition,
-    or a Smith transform that is not unimodular or does not extend a
-    character (exit 2).  Context: shape of M."""
+    or a character extension that disagrees with the character on its
+    lattice (exit 2).  Context: shape of M, and the row that disagrees."""
 
     code = "SNF_CHECK_FAILED"
 

@@ -3,10 +3,22 @@
 Matrices are tuples of integer rows, arbitrary precision.  Lattice bases are
 returned as rows in Hermite normal form with positive pivots, so equal
 lattices always produce identical output.
+
+One Hermite form with its transform, T * rows = H (hnf_with_transform),
+answers every lattice question (Cohen, GTM 138, section 2.4): the rows of T
+past the rank of H span the kernel of the rows' map; H's pivots give the
+index [N : Z cal(A)] and the spanning test; the first rows of T solve for a
+target (express_in_columns) and extend a character from a saturated
+lattice.  The column questions on cal(A) share one memoized form,
+_column_hermite.  The Smith form is kept only where a finite quotient is
+enumerated: its transform V fixes the characters of the free kernel modulo
+the full kernel (binomials._minimal_primes) and the residues of Z^d modulo
+a simplex (semigroups._box_base).
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from operator import mul
 
 from ._value import frozen
@@ -271,9 +283,10 @@ def _untransform(v, h, t):
 
 
 def kernel_basis(m):
-    """Canonical basis rows of {u in Z^cols : M u = 0}, M given by rows."""
-    s = smith_normal_form(m)
-    return hnf_rows(tuple(zip(*s.V))[len(s.invariant_factors):])
+    """Canonical basis rows of {u in Z^cols : M u = 0}, M given by rows: with
+    T * M^T = H, the rows of T past the rank of H."""
+    h, t = hnf_with_transform(tuple(zip(*m)))
+    return hnf_rows(t[len(h):])
 
 
 @frozen
@@ -381,40 +394,21 @@ class Functional:
         return self.free_part
 
 
-def full_coordinate_matrix(columns, group):
-    """(k+d) x n integer rows of canonical full coordinates: torsion rows
-    (representatives in [0, l_i)) stacked over free rows."""
-    return (tuple(tuple(c.torsion[i] for c in columns) for i in range(group.torsion_rank))
-            + tuple(tuple(c.free[i] for c in columns) for i in range(group.free_rank)))
-
-
-def _presentation_matrix(columns, group):
-    """[M | L] where M holds full coordinates and L the torsion relations l_i e_i."""
-    orders = group.torsion_orders
-    return tuple(row + tuple(o if i == j else 0 for j, o in enumerate(orders))
-                 for i, row in enumerate(full_coordinate_matrix(columns, group)))
-
-
-def kernel_lattice_free(columns, group):
-    """Basis (rows, HNF) of {u in Z^n : sum u_j pi(a_j) = 0}."""
-    if group.free_rank == 0:
-        return tuple(map(tuple, _unit_rows(len(columns))))
-    return kernel_basis([[c.free[i] for c in columns] for i in range(group.free_rank)])
+@lru_cache(maxsize=16)
+def _column_hermite(columns, group):
+    """hnf_with_transform of the n + k presentation vectors of Z cal(A) in
+    Z^(k+d): each column's full coordinates, then l_i e_i per torsion order;
+    once per (columns, group) (memoized)."""
+    width = group.torsion_rank + group.free_rank
+    relations = [tuple(o if j == i else 0 for j in range(width))
+                 for i, o in enumerate(group.torsion_orders)]
+    return hnf_with_transform([c.torsion + c.free for c in columns] + relations)
 
 
 def kernel_lattice(columns, group):
     """Basis (rows, HNF) of {u in Z^n : sum u_j a_j = 0 in N}, torsion included."""
-    if group.torsion_rank == 0:
-        return kernel_lattice_free(columns, group)
-    n = len(columns)
-    return hnf_rows([r[:n] for r in kernel_basis(_presentation_matrix(columns, group))])
-
-
-@lru_cache(maxsize=16)
-def _column_hermite(columns, group):
-    """hnf_with_transform of the presentation matrix's columns, once per
-    (columns, group) (memoized)."""
-    return hnf_with_transform(tuple(zip(*_presentation_matrix(columns, group))))
+    h, t = _column_hermite(tuple(columns), group)
+    return hnf_rows([row[:len(columns)] for row in t[len(h):]])
 
 
 def express_in_columns(columns, group, target):
@@ -425,14 +419,9 @@ def express_in_columns(columns, group, target):
 
 
 def lattice_index(columns, group):
-    """Index [N : Z*cal(A)] as a positive integer, or INFINITE."""
-    total = group.torsion_rank + group.free_rank
-    if total == 0:
-        return 1
-    s = smith_normal_form(_presentation_matrix(columns, group))
-    if len(s.invariant_factors) < total:
+    """Index [N : Z*cal(A)] as a positive integer, or INFINITE: the product
+    of the Hermite pivots when there are k + d of them."""
+    h, _ = _column_hermite(tuple(columns), group)
+    if len(h) < group.torsion_rank + group.free_rank:
         return INFINITE
-    out = 1
-    for f in s.invariant_factors:
-        out *= f
-    return out
+    return prod(row[i] for i, row in enumerate(h))

@@ -15,9 +15,10 @@ from itertools import combinations
 from operator import mul
 
 from fieldlin_oracle import determinant
+from lattice_oracle import kernel_basis
 from tgkz import fieldlin
 from tgkz.cones import AffinePiece, Arrangement, Face, facets, positive_grading
-from tgkz.lattice import det, kernel_basis, rank
+from tgkz.lattice import det, rank
 from tgkz.semigroups import cone_points_up_to
 
 

@@ -4,15 +4,54 @@ tgkz.cyclotomic.
 Elements are stored in the power basis 1, zeta, ..., zeta^(phi(e)-1) of
 Q[x]/Phi_e(x) with one Fraction per coordinate; every operation runs on
 Fractions.  Binary operations between elements of different orders lift
-both to Q(zeta_lcm).  Demotion has no cache here.
+both to Q(zeta_lcm).  Demotion has no cache here.  Phi_e is x^e - 1
+divided exactly by Phi_d for each proper divisor d, recursively, and
+unit_rational_form(x) tries x * zeta^-k for k = 0, 1, ... on a tgkz
+element: the algorithms tgkz.cyclotomic ran before it built Phi_e from
+Moebius products and stepped by zeta.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from tgkz import cyclotomic, fieldlin
-from tgkz.cyclotomic import cyclotomic_polynomial
 from tgkz.lattice import det
+
+
+def _poly_divmod_int(num, den):
+    """Exact division of integer coefficient lists (ascending), den monic."""
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for k in range(len(num) - len(den), -1, -1):
+        q = num[k + len(den) - 1]
+        out[k] = q
+        for i, c in enumerate(den):
+            num[k + i] -= q * c
+    if any(num):
+        raise ValueError("polynomial division leaves a remainder")
+    return out
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(e):
+    """Integer coefficients of Phi_e, ascending: x^e - 1 divided by Phi_d
+    for every proper divisor d of e, recursively."""
+    num = [-1] + [0] * (e - 1) + [1]
+    for d in range(1, e):
+        if e % d == 0:
+            num = _poly_divmod_int(num, cyclotomic_polynomial(d))
+    return tuple(num)
+
+
+def unit_rational_form(x):
+    """(q, k) with the tgkz element x = q * zeta(order)^k, q rational and k
+    least, or None: one product x * zeta^-k per k, in increasing k."""
+    for k in range(x.order):
+        q = (x * cyclotomic.Cyclotomic.zeta(x.order, -k % x.order)).rational_value()
+        if q is not None:
+            return q, k
+    return None
 
 
 def _phi_degree(e):

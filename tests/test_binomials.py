@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from tgkz.binomials import (
     twisted_ideal,
 )
 from tgkz.cyclotomic import Cyclotomic
+from tgkz.lattice import smith_normal_form
 from tgkz.errors import (LatticeMismatchError, NotBinomialError, NotSaturatedError,
                          PrimesDoNotIntersectError, SmithCheckError)
 from tgkz.poly import (
@@ -322,9 +324,46 @@ def test_invariant_checks_raise_typed_errors(monkeypatch, mod4_line):
     with pytest.raises(LatticeMismatchError) as exc:
         minimal_primes(mod4_line)
     assert exc.value.context == {"free_rank": 1, "full_rows": 0}
+    monkeypatch.undo()
+    # a transform that does not invert the basis extends to the wrong character
+    real = binomials.hnf_with_transform
+    monkeypatch.setattr(binomials, "hnf_with_transform",
+                        lambda rows: (real(rows)[0], ((1, 0), (0, 1))))
     with pytest.raises(SmithCheckError) as exc:
-        binomials._unimodular_inverse(((2,),))
-    assert exc.value.context == {"shape": (1, 1)}
+        extend_character(PartialCharacter.on_rows([(2, -1)], (Cyclotomic.zeta(4),), 2))
+    assert exc.value.context == {"shape": (1, 2), "row": (2, -1)}
+
+
+def test_extend_character_restricts_to_rho_in_its_field(battery):
+    """On the free kernels of small configs and on random lattices, with
+    random root-of-unity and rational values in Q(zeta_e): the extension
+    is refused exactly when the Smith factors of the lattice are not all
+    one, and otherwise agrees with rho on its lattice and takes every value
+    in Q(zeta_e)."""
+    rng = random.Random(77)
+    lattices = [free_kernel_rows(config) for config in battery + random_battery(5, 20)]
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        lattices.append([tuple(rng.randint(-3, 3) for _ in range(n))
+                         for _ in range(rng.randint(1, n))])
+    saturated = 0
+    for rows in lattices:
+        n = len(rows[0]) if rows else 1
+        e = rng.choice([1, 2, 3, 4, 6, 12])
+        values = [rng.choice([Cyclotomic.zeta(e, rng.randrange(e)),
+                              Cyclotomic.rational(rng.choice([-2, 3]), e)]) for _ in rows]
+        rho = PartialCharacter.on_rows(rows, values, n)
+        if rho.basis and smith_normal_form(rho.basis).invariant_factors != \
+                (1,) * len(rho.basis):
+            with pytest.raises(NotSaturatedError):
+                extend_character(rho)
+            continue
+        saturated += 1
+        full = extend_character(rho)
+        assert full.basis == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert [full.value_of(row) for row in rho.basis] == list(rho.values)
+        assert all(e % v.demoted().order == 0 for v in full.values), (e, full.values)
+    assert saturated >= 30
 
 
 def test_extend_character_full_lattice():

@@ -8,7 +8,7 @@ import pytest
 
 import cone_oracle
 from conftest import make_config, random_battery, square_prism
-from tgkz import cones
+from tgkz import cones, lattice
 from tgkz.cones import (
     Arrangement,
     AffinePiece,
@@ -212,11 +212,13 @@ def test_facet_minors_match_rank_kernel_oracle(battery):
 
 
 def test_facet_normals_use_no_hermite_or_smith_form(monkeypatch, battery):
-    for name in ("hnf_rows", "rank", "smith_normal_form"):
+    cases = [(cfg.nonzero_free_columns(), cfg.d) for cfg in battery]
+    expect = [cone_oracle.facet_normals(vecs, d) for vecs, d in cases]
+    for name in ("hnf_rows", "rank"):
         monkeypatch.setattr(cones, name, None)
-    for cfg in battery:
-        vecs = cfg.nonzero_free_columns()
-        assert cones._facet_normals(vecs, cfg.d) == cone_oracle.facet_normals(vecs, cfg.d)
+    for name in ("hnf_with_transform", "smith_normal_form"):
+        monkeypatch.setattr(lattice, name, None)
+    assert [cones._facet_normals(vecs, d) for vecs, d in cases] == expect
 
 
 def test_cone_triangulation_covers(plane_segment):

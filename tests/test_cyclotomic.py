@@ -10,12 +10,14 @@ from pathlib import Path
 
 import pytest
 
+import cyclotomic_oracle
 from cyclotomic_oracle import Cyclotomic as Oracle
 from cyclotomic_oracle import _reduce_mod_phi, _xgcd_poly, cramer_inverse
 from fieldlin_oracle import determinant
 import tgkz
 from tgkz import cyclotomic, fieldlin
 from tgkz.cyclotomic import Cyclotomic, cyclotomic_polynomial
+from tgkz.poly import parse_scalar
 from tgkz.lattice import det
 
 
@@ -330,17 +332,37 @@ def test_api_checks_raise_value_error_under_optimize():
         "intersection of no ideals"]
 
 
-def test_exact_division_checks_raise_value_error_under_optimize():
-    code = ("from tgkz.cyclotomic import _poly_divmod_int\n"
-            "for num, den in (([1, 0, 1], [1, 1]), ([0, 1], [1, 2]), ([-1, 0, 1], [1, 1])):\n"
-            "    try:\n        print(_poly_divmod_int(num, den))\n"
-            "    except ValueError as exc:\n        print(exc)\n")
-    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == [
-        "polynomial division leaves a remainder",  # x^2 + 1 = (x - 1)(x + 1) + 2
-        "leading coefficient does not divide exactly",  # x by 2x + 1
-        "[-1, 1]"]  # x^2 - 1 = (x - 1)(x + 1)
+def test_cyclotomic_polynomial_matches_recursive_division():
+    for e in list(range(1, 400)) + [2310]:
+        assert cyclotomic_polynomial(e) == cyclotomic_oracle.cyclotomic_polynomial(e), e
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        cyclotomic_polynomial(0)
+
+
+def test_unit_rational_form_matches_the_loop_oracle():
+    """Tagged and untagged q * zeta_e^k and non-units, against the loop of
+    one product per k, at every order to 60 and at 97, 120 and 210."""
+    rng = random.Random(4620)
+    count = 0
+    for e in list(range(1, 61)) + [97, 120, 210]:
+        for _ in range(4):
+            k = rng.randrange(e)
+            root = Cyclotomic.zeta(e, k) * rng.choice([1, -1])
+            q = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 5]))
+            scaled = Cyclotomic(e, (root * q).coeffs)  # untagged
+            other = Cyclotomic(e, _random_coeffs(rng, e))
+            for x in (root, scaled, other):
+                assert x.unit_rational_form() == cyclotomic_oracle.unit_rational_form(x), x
+                count += 1
+    assert count == 4 * 3 * 63
+
+
+def test_unit_rational_form_makes_one_root_at_most():
+    x = parse_scalar("2*zeta(2310)^2000")
+    assert x.root is None
+    misses = cyclotomic._signed_root.cache_info().misses
+    assert x.unit_rational_form() == (-2, 845)
+    assert cyclotomic._signed_root.cache_info().misses - misses <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
+import ast
 import itertools
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import lattice_oracle
+from conftest import make_config
 from fieldlin_oracle import determinant
 from tgkz import lattice
+from tgkz.cones import check_hypotheses
 from tgkz.errors import SmithCheckError
 from tgkz.lattice import (
     INFINITE,
@@ -21,7 +26,6 @@ from tgkz.lattice import (
     is_hermite,
     kernel_basis,
     kernel_lattice,
-    kernel_lattice_free,
     lattice_index,
     smith_normal_form,
 )
@@ -257,7 +261,7 @@ def test_kernel_lattice_index_divides_torsion_power():
                           tuple(rng.randint(-2, 3) for _ in range(d)))
             for _ in range(n))
         full = kernel_lattice(columns, group)
-        free = kernel_lattice_free(columns, group)
+        free = kernel_basis([[c.free[i] for c in columns] for i in range(d)])
         assert len(full) == len(free)  # ell * (free kernel) kills torsion, so ranks agree
         if not full:
             continue
@@ -266,3 +270,80 @@ def test_kernel_lattice_index_divides_torsion_power():
         index = abs(determinant([[Fraction(x) for x in row] for row in coords]))
         ell = group.torsion_index
         assert index >= 1 and (Fraction(ell) ** len(full)) % index == 0
+
+
+def _random_columns(rng):
+    """(columns, group): torsion rank 0-2, free rank 0-3, one to four
+    columns, with zero, repeated and parallel free parts."""
+    orders = [(), (rng.choice([2, 3, 4, 6]),), (2, rng.choice([2, 4, 6]))][rng.randint(0, 2)]
+    group = AbelianGroup(orders, rng.randint(0, 3))
+    columns = []
+    for _ in range(rng.randint(1, 4)):
+        free = tuple(rng.randint(-3, 3) for _ in range(group.free_rank))
+        if columns and rng.random() < 0.25:
+            free = tuple(rng.choice([1, -1, 2]) * x for x in rng.choice(columns).free)
+        columns.append(group.element([rng.randrange(o) for o in orders], free))
+    return tuple(columns), group
+
+
+def test_kernel_basis_matches_the_smith_oracle():
+    rng = random.Random(2024)
+    for _ in range(300):
+        r, c = rng.randint(1, 4), rng.randint(1, 6)
+        rows = [[rng.choice([0, rng.randint(-6, 6)]) for _ in range(c)] for _ in range(r)]
+        if r > 1 and rng.random() < 0.3:  # a dependent row
+            rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
+        assert kernel_basis(rows) == lattice_oracle.kernel_basis(rows), rows
+
+
+def test_column_lattices_match_the_smith_oracle():
+    """kernel_lattice and lattice_index on 300 random (columns, group),
+    every torsion rank 0-2 and free rank 0-3 among them."""
+    rng = random.Random(1993)
+    shapes = set()
+    for _ in range(300):
+        columns, group = _random_columns(rng)
+        shapes.add((group.torsion_rank, group.free_rank))
+        assert kernel_lattice(columns, group) == \
+            lattice_oracle.kernel_lattice(columns, group), (columns, group)
+        index = lattice_index(columns, group)
+        expect = lattice_oracle.lattice_index(columns, group)
+        assert index is expect if expect is INFINITE else index == expect, (columns, group)
+    assert shapes == {(k, d) for k in range(3) for d in range(4)}
+
+
+def test_spanning_test_matches_the_smith_oracle():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(200):
+        columns, group = _random_columns(rng)
+        if not group.free_rank:
+            continue
+        config = make_config(group.torsion_orders, [(c.torsion, c.free) for c in columns])
+        spans = check_hypotheses(config).spans
+        assert spans == lattice_oracle.spans(config), config
+        seen.add(spans)
+    assert seen == {True, False}
+
+
+def test_only_finite_quotient_enumerations_take_a_smith_form():
+    """In src/tgkz, smith_normal_form is called only where a finite
+    quotient is enumerated: the characters of the free kernel modulo the
+    full kernel, and the residues of Z^d modulo a simplex."""
+    callers = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "smith_normal_form":
+                callers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    src = Path(lattice.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert callers == {"_minimal_primes", "_box_base"}
