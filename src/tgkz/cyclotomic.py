@@ -309,22 +309,10 @@ class Cyclotomic:
         d = self.demoted()
         if d.is_rational():
             return str(d.rational_value())
-        parts = []
-        for k, c in enumerate(d.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-                continue
-            zet = f"zeta({d.order})" if k == 1 else f"zeta({d.order})^{k}"
-            if c == 1:
-                term = zet
-            elif c == -1:
-                term = f"-{zet}"
-            else:
-                term = f"{c}*{zet}"
-            parts.append(term)
-        return signed_sum(parts)
+        zeta = f"zeta({d.order})"
+        names = ["", zeta] + [f"{zeta}^{k}" for k in range(2, len(d.num))]
+        return signed_sum([scaled_text(c, name)
+                           for c, name in zip(d.coeffs, names) if c])
 
     def __repr__(self):
         return f"Cyclotomic({self.to_text()})"
@@ -341,6 +329,18 @@ def square_and_multiply(base, k, one):
         if k:
             base = base * base
     return out
+
+
+def scaled_text(q, name=""):
+    """The rational q times `name` as text: the name alone for q = 1, -name
+    for q = -1, q*name otherwise, and q alone when there is no name."""
+    if not name:
+        return str(q)
+    if q == 1:
+        return name
+    if q == -1:
+        return f"-{name}"
+    return f"{q}*{name}"
 
 
 def signed_sum(chunks):

@@ -4,9 +4,13 @@ Monomial orders, one Groebner core with a pair budget, reduced Groebner
 bases of ideals and of submodules of free modules (used by the presentation
 builder), saturation by one variable of a graded ideal (saturate_graded,
 Bayer's lemma, no new variable), and the canonical round-trippable text
-format.  saturate, intersect and intersect_many still adjoin a variable and
-eliminate it (eliminate, BlockElim); of them the library uses only
-saturate, for variables of weight 0.  The core is Buchberger's
+format.  Its lexer is one regex: runs of decimal digits (as int() reads
+them) are numbers, runs of letters names, "+-*/^()" operators, and any other
+character but whitespace raises ValueError; a numeric character that is not
+a decimal digit (², ①, ½) reads as a letter, so it fails as an unknown name
+or an unexpected token.  saturate, intersect and intersect_many still adjoin
+a variable and eliminate it (eliminate, BlockElim); of them the library uses
+only saturate, for variables of weight 0.  The core is Buchberger's
 algorithm with the Gebauer-Moeller pair criteria B_k, M, F and the product
 criterion (Gebauer-Moeller, "On an installation of Buchberger's algorithm",
 JSC 6, 1988; Becker-Weispfenning, Groebner Bases, 1993, ch. 5); its pair
@@ -32,12 +36,13 @@ shifts and lcms keep the component, and no lcm of two leads is their sum.
 
 import heapq
 import os
+import re
 from fractions import Fraction
 from math import lcm
 from operator import add, le, mul, sub
 
 from ._value import frozen
-from .cyclotomic import Cyclotomic, signed_sum, square_and_multiply
+from .cyclotomic import Cyclotomic, scaled_text, signed_sum, square_and_multiply
 from .errors import BudgetExceededError, SpecError
 
 DEFAULT_PAIR_BUDGET = 5000
@@ -541,30 +546,11 @@ def module_groebner(elems, eliminate=0):
 # ---------------------------------------------------------------------------
 # text format: canonical printing and parsing
 #
-# poly   := ["+"|"-"] term (("+"|"-") term)*
+# poly   := ("+"|"-")* term (("+"|"-")+ term)*, a run of signs as one sign
 # term   := factor ("*" factor)*
 # factor := rational | "zeta(" int ")" ["^" int] | var ["^" int] | "(" poly ")"
+# int    := "-"* digits
 # var    := name followed by a 1-based index, e.g. d1, x3
-
-
-def _coeff_text(c: Cyclotomic, with_monomial: bool):
-    c = c.demoted()
-    q = c.rational_value()
-    if q is not None:
-        if not with_monomial:
-            return str(q)
-        if q == 1:
-            return ""
-        if q == -1:
-            return "-"
-        return f"{q}*"
-    text = c.to_text()
-    single = "+" not in text and " - " not in text
-    if not with_monomial:
-        return text
-    if single:
-        return f"{text}*"
-    return f"({text})*"
 
 
 def monomial_text(exp, names=("d",)):
@@ -586,50 +572,33 @@ def polynomial_to_text(p: Polynomial, names=("d",), order=GREVLEX) -> str:
     chunks = []
     for exp, c in p.sorted_terms(order):
         mono = monomial_text(exp, names)
-        chunks.append(_coeff_text(c, bool(mono)) + mono)
+        q = c.demoted().rational_value()
+        if q is not None:
+            chunks.append(scaled_text(q, mono))
+            continue
+        text = c.to_text()
+        if mono and ("+" in text or " - " in text):  # a sum before a monomial
+            text = f"({text})"
+        chunks.append(f"{text}*{mono}" if mono else text)
     return signed_sum(chunks)
 
 
-class _Tokens:
-    def __init__(self, text):
-        self.toks = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.toks.append(("num", int(text[i:j])))
-                i = j
-            elif ch.isalpha():
-                j = i
-                while j < len(text) and (text[j].isalpha()):
-                    j += 1
-                self.toks.append(("name", text[i:j]))
-                i = j
-            elif ch in "+-*/^()":
-                self.toks.append((ch, ch))
-                i += 1
-            else:
-                raise ValueError(f"unexpected character {ch!r} in polynomial text")
-        self.pos = 0
+# a run of decimal digits, a run of letters, an operator, any other character
+_TOKEN = re.compile(r"(\d+)|([^\W\d_]+)|([-+*/^()])|(\S)")
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
 
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ValueError(f"expected {kind!r}, got {tok!r}")
-        return tok
+def _tokens(text):
+    """The tokens of `text` as (kind, value) pairs: ("num", int),
+    ("name", str) or (op, op); whitespace separates tokens."""
+    for num, name, op, other in _TOKEN.findall(text):
+        if other:
+            raise ValueError(f"unexpected character {other!r} in polynomial text")
+        if num:
+            yield "num", int(num)
+        elif name:
+            yield "name", name
+        else:
+            yield op, op
 
 
 def _check_power_size(c: Cyclotomic, k):
@@ -653,55 +622,63 @@ def parse_polynomial(text, nvars, names=("d",)) -> Polynomial:
     flat variable (prefix_position * nvars + i - 1).  Total variables =
     len(names) * nvars.
     """
-    toks = _Tokens(text)
+    toks = list(_tokens(text))[::-1]  # the next token last
     total = len(names) * nvars
 
-    def parse_int():
+    def peek():
+        return toks[-1] if toks else (None, None)
+
+    def take(kind):
+        if peek()[0] != kind:
+            raise ValueError(f"expected {kind!r}, got {peek()!r}")
+        return toks.pop()
+
+    def signs(accepted):
+        """+1 or -1: the product of a run of the `accepted` signs."""
         sign = 1
-        while toks.peek()[0] == "-":
-            toks.next()
-            sign = -sign
-        return sign * toks.expect("num")[1]
+        while peek()[0] in accepted:
+            if toks.pop()[0] == "-":
+                sign = -sign
+        return sign
+
+    def parse_int():
+        return signs(("-",)) * take("num")[1]
 
     def atom():
-        kind, val = toks.peek()
+        kind, val = peek()
+        if kind not in ("(", "num", "name"):
+            raise ValueError(f"unexpected token {kind!r}")
+        toks.pop()
         if kind == "(":
-            toks.next()
             p = expr()
-            toks.expect(")")
+            take(")")
             return p
         if kind == "num":
-            toks.next()
-            num = val
-            if toks.peek()[0] == "/":
-                toks.next()
-                den = toks.expect("num")[1]
-                return Polynomial.constant(total, Fraction(num, den))
-            return Polynomial.constant(total, num)
-        if kind == "name":
-            toks.next()
-            if val == "zeta":
-                toks.expect("(")
-                e = toks.expect("num")[1]
-                toks.expect(")")
-                k = 1
-                if toks.peek()[0] == "^":
-                    toks.next()
-                    k = parse_int()
-                return Polynomial.constant(total, Cyclotomic.zeta(e, k))
-            for pos, prefix in enumerate(names):
-                if val == prefix:
-                    idx = toks.expect("num")[1]
-                    if not 1 <= idx <= nvars:
-                        raise ValueError(f"variable index out of range: {prefix}{idx}")
-                    return Polynomial.variable(pos * nvars + idx - 1, total)
-            raise ValueError(f"unknown name {val!r}")
-        raise ValueError(f"unexpected token {kind!r}")
+            if peek()[0] == "/":
+                toks.pop()
+                return Polynomial.constant(total, Fraction(val, take("num")[1]))
+            return Polynomial.constant(total, val)
+        if val == "zeta":
+            take("(")
+            e = take("num")[1]
+            take(")")
+            k = 1
+            if peek()[0] == "^":
+                toks.pop()
+                k = parse_int()
+            return Polynomial.constant(total, Cyclotomic.zeta(e, k))
+        for pos, prefix in enumerate(names):
+            if val == prefix:
+                idx = take("num")[1]
+                if not 1 <= idx <= nvars:
+                    raise ValueError(f"variable index out of range: {prefix}{idx}")
+                return Polynomial.variable(pos * nvars + idx - 1, total)
+        raise ValueError(f"unknown name {val!r}")
 
     def factor():
         base = atom()
-        if toks.peek()[0] == "^":
-            toks.next()
+        if peek()[0] == "^":
+            toks.pop()
             k = parse_int()
             if len(base.terms) == 1 and set(base.terms) == {(0,) * total}:
                 c = base.terms[(0,) * total]
@@ -714,28 +691,20 @@ def parse_polynomial(text, nvars, names=("d",)) -> Polynomial:
 
     def term():
         p = factor()
-        while toks.peek()[0] == "*":
-            toks.next()
+        while peek()[0] == "*":
+            toks.pop()
             p = p * factor()
         return p
 
     def expr():
-        sign = 1
-        while toks.peek()[0] in ("+", "-"):
-            if toks.next()[0] == "-":
-                sign = -sign
-        p = term() * sign
-        while toks.peek()[0] in ("+", "-"):
-            sign = 1
-            while toks.peek()[0] in ("+", "-"):
-                if toks.next()[0] == "-":
-                    sign = -sign
-            p = p + term() * sign
+        p = signs(("+", "-")) * term()
+        while peek()[0] in ("+", "-"):
+            p = p + signs(("+", "-")) * term()
         return p
 
     out = expr()
-    if toks.peek()[0] is not None:
-        raise ValueError(f"trailing input at token {toks.peek()!r}")
+    if toks:
+        raise ValueError(f"trailing input at token {peek()!r}")
     return out
 
 

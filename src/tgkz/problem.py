@@ -22,7 +22,7 @@ from .semigroups import EXPLICIT, K, K_INTERIOR, SemigroupModule
 MODULE_NAMES = {"K": K, "K_interior": K_INTERIOR}
 
 DEFAULT_BOUNDS = {
-    "h_degree": None,          # resolved per run: max primitive height
+    "h_degree": None,          # echoed in settings.bounds; read by no command
     "binomial_degree": None,   # resolved per run: default_binomial_bound
     "truncation": DEFAULT_TRUNCATION,
 }

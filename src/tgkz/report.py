@@ -66,7 +66,8 @@ def _discrepancy_notes(config, full_ideal):
             "silently corrected"]
 
 
-def ideals_block(spec):
+def ideals_block(spec, notes):
+    """The ideals block; a discrepancy with a tabulated ideal joins `notes`."""
     config = spec.config
     full = binomials.toric_ideal_full(config)
     block = {
@@ -75,7 +76,8 @@ def ideals_block(spec):
         "power": ideal_texts(binomials.power_ideal(config)),
         "minimal_primes": primes_block(spec)["primes"],
     }
-    return block, _discrepancy_notes(config, full)
+    notes.extend(_discrepancy_notes(config, full))
+    return block
 
 
 def primes_block(spec):
@@ -135,10 +137,11 @@ def dual_block(spec, bound, truncation):
     }
 
 
-def analysis_block(spec, bound, truncation):
+def analysis_block(spec, bound, truncation, notes):
     """Parameter analysis for the full report: quasi-degrees, the vanishing
     verdict at the given parameter, the regularity certificate, the rank, and
-    the duality payload.  Explicit modules skip the rank/duality entries."""
+    the duality payload.  Explicit modules skip the rank/duality entries, and
+    say so in `notes`."""
     config = spec.config
     cert = systems.regularity_certificate(config)
     block = {
@@ -149,7 +152,6 @@ def analysis_block(spec, bound, truncation):
         "rank": None,
         "duality": None,
     }
-    notes = []
     if spec.module.kind in (K, K_INTERIOR):
         block["quasi_degrees"] = arrangement_json(
             systems.quasi_degrees(config, spec.module.kind))
@@ -161,7 +163,12 @@ def analysis_block(spec, bound, truncation):
         notes.append("quasi-degree, rank and duality analysis applies to the "
                      "cone-closure and interior modules only; skipped for an "
                      "explicit generator list")
-    return block, notes
+    return block
+
+
+# the blocks of a command, in order; any other command reports its own block
+_COMMAND_BLOCKS = {"check": ("hypotheses",),
+                   "report": ("hypotheses", "ideals", "module", "system", "analysis")}
 
 
 def run_command(spec: ProblemSpec, command, bound=None, workers=None):
@@ -179,42 +186,24 @@ def run_command(spec: ProblemSpec, command, bound=None, workers=None):
         "pair_budget": default_pair_budget(),
         "bounds": dict(spec.bounds),
     }
-    notes = []
-    blocks = {}
     hyp = cones.check_hypotheses(spec.config)
-    if command == "check":
-        blocks["hypotheses"] = hyp.to_json()
-    else:
-        if not hyp.ok:
-            raise HypothesisError(
-                "standing hypotheses fail; run 'check' for the diagnosis",
-                hypotheses=hyp.to_json())
-        truncation = spec.bounds["truncation"]
-        if command in ("system", "dual", "report"):
-            resolved = settings["bounds"]["binomial_degree"] = \
-                _resolved_binomial_bound(spec, bound)
-        if command == "ideals":
-            blocks["ideals"], extra = ideals_block(spec)
-            notes.extend(extra)
-        elif command == "primes":
-            blocks["primes"] = primes_block(spec)
-        elif command == "module":
-            blocks["module"] = module_block(spec)
-        elif command == "system":
-            blocks["system"] = system_block(spec, resolved)
-        elif command == "rank":
-            blocks["rank"] = rank_block(spec)
-        elif command == "dual":
-            blocks["dual"] = dual_block(spec, resolved, truncation)
-        elif command == "report":
-            blocks["hypotheses"] = hyp.to_json()
-            blocks["ideals"], extra = ideals_block(spec)
-            notes.extend(extra)
-            blocks["module"] = module_block(spec)
-            blocks["system"] = system_block(spec, resolved)
-            blocks["analysis"], extra = analysis_block(spec, resolved,
-                                                       truncation)
-            notes.extend(extra)
+    if command != "check" and not hyp.ok:
+        raise HypothesisError(
+            "standing hypotheses fail; run 'check' for the diagnosis",
+            hypotheses=hyp.to_json())
+    if command in ("system", "dual", "report"):
+        bound = settings["bounds"]["binomial_degree"] = _resolved_binomial_bound(spec, bound)
+    notes = []
+    builders = {
+        "hypotheses": hyp.to_json,
+        "ideals": lambda: ideals_block(spec, notes),
+        "primes": lambda: primes_block(spec),
+        "module": lambda: module_block(spec),
+        "system": lambda: system_block(spec, bound),
+        "rank": lambda: rank_block(spec),
+        "dual": lambda: dual_block(spec, bound, spec.bounds["truncation"]),
+        "analysis": lambda: analysis_block(spec, bound, spec.bounds["truncation"], notes),
+    }
     out = {
         "schema": SCHEMA_VERSION,
         "command": command,
@@ -222,7 +211,8 @@ def run_command(spec: ProblemSpec, command, bound=None, workers=None):
         "settings": settings,
         "notes": notes,
     }
-    out.update(blocks)
+    for name in _COMMAND_BLOCKS.get(command, (command,)):
+        out[name] = builders[name]()
     return out
 
 

@@ -26,7 +26,7 @@ from operator import add, and_, lshift, mul
 from ._value import frozen
 from .cones import PointConfig, cone_triangulation, facet_rows, is_pointed
 from .errors import BoxScanIncompleteError, NotPointedError, SpecError
-from .lattice import smith_normal_form
+from .lattice import GroupElement, smith_normal_form
 
 K = "K"
 K_INTERIOR = "K_INTERIOR"
@@ -282,7 +282,8 @@ def module_generators(module: SemigroupModule) -> PrimitiveSet:
             "candidate box missed a primitive element",
             module=module.kind, scale=base_scale,
             degrees=sorted(set(degrees) ^ set(widened)))
-    elements = [config.group.element(f.torsion, v)
+    # reduced torsion parts and int degrees: no group.element re-reduction
+    elements = [GroupElement(config.group, f.torsion, v)
                 for f in config.group.torsion_elements() for v in degrees]
     elements.sort(key=lambda e: e.sort_key())
     return PrimitiveSet(tuple(elements), tuple(e.free for e in elements))

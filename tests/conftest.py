@@ -12,6 +12,14 @@ def make_config(orders, cols):
     return PointConfig(group, tuple(group.element(t, f) for t, f in cols))
 
 
+def zp_spec(p, beta="[0, 0]", module="K"):
+    """The Z/p spec of the roadmap: columns (1 mod p, (1, 0)), (5 mod p,
+    (1, 1)) and (0, (1, 2)), beta 0, module K; `beta` is JSON text."""
+    return ('{"torsion_orders": [%d], "columns": [{"torsion": [1], "free": [1, 0]}, '
+            '{"torsion": [5], "free": [1, 1]}, {"torsion": [0], "free": [1, 2]}], '
+            '"beta": %s, "module": "%s"}\n' % (p, beta, module))
+
+
 def random_battery(seed, count):
     """Small pointed spanning configs: d <= 2, at most three columns of
     height-one or short free parts, torsion (), 2, 3, 4, 2x2 or 6, and about

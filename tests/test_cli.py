@@ -219,6 +219,17 @@ def test_check_refuses_a_huge_power_of_a_non_root_of_unity(spec_file):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("beta", ["²", "zeta(4)^²", "①", "½"])
+def test_check_refuses_numeric_characters_that_are_not_decimal_digits(spec_file, beta):
+    # the text format reads them as letters of a name, which fails to parse
+    spec = json.loads(MOD4_LINE)
+    spec["beta"] = [beta]
+    res = run_cli("check", "--spec", spec_file(json.dumps(spec)))
+    assert res.returncode == 3, res.stderr
+    assert "UNSUPPORTED_CHARACTER_VALUE" in res.stderr and "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
 def test_refusal_exit_code(spec_file):
     path = spec_file(NOT_POINTED)
     for cmd in ("ideals", "primes", "module", "system", "rank", "dual",

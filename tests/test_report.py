@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import zp_spec
 from tgkz import binomials, cones, semigroups, systems
 from tgkz.errors import HypothesisError, SpecError
 from tgkz.problem import parse_spec
@@ -144,14 +145,6 @@ def test_ideal_reports_match_benchmark_references(name, command, workers):
     assert digest == references[f"{name}:{command}"]
 
 
-def _zp_spec(p):
-    """The Z/p spec of the roadmap: columns (1 mod p, (1, 0)), (5 mod p,
-    (1, 1)) and (0, (1, 2)), beta 0, module K."""
-    return ('{"torsion_orders": [%d], "columns": [{"torsion": [1], "free": [1, 0]}, '
-            '{"torsion": [5], "free": [1, 1]}, {"torsion": [0], "free": [1, 2]}], '
-            '"beta": [0, 0], "module": "K"}\n' % p)
-
-
 @pytest.mark.parametrize("p,digest", [
     (31, "e48ad6d58fc97003dab9849ec2148a32f8fd1f1e8fa901ff32afb5db01908f7e"),
     (97, "1201c200c9db6c40c973e99a2293b2ba69eef6f96b18ba133e17f08a3f9523c2"),
@@ -169,9 +162,29 @@ def test_zp_ideals_take_no_norm_and_no_demotion_solve(monkeypatch, p, digest):
     for cached in (binomials._minimal_primes, binomials.toric_ideal_free,
                    binomials.toric_ideal_full, cyclotomic._demote, cyclotomic._signed_root):
         cached.cache_clear()
-    text = render(run_command(parse_spec(_zp_spec(p)), "ideals"))
+    text = render(run_command(parse_spec(zp_spec(p)), "ideals"))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
     assert calls == []
+
+
+@pytest.mark.parametrize("beta,module,command,digest", [
+    ("[0, 0]", "K", "dual",
+     "3316594d1d050a5e9403694583894365d183604c43c2c35a99e23775c168bd1f"),
+    ("[0, 0]", "K", "report",
+     "80b84929b610907e8e4b54af6415e3693611ad79ad0c0b942d9139eb3a4ba75b"),
+    ('["2*zeta(13)^5", "-1/3"]', "K_interior", "dual",
+     "22ea565c2e3f9e78a468c7b57be5052cf4ea651c422015e536a4155d519f3703"),
+    ('["2*zeta(13)^5", "-1/3"]', "K_interior", "report",
+     "83cbbfa95ba2c800c739d7efb222043f0ba387cf76c6932946193f8c1fe0a599"),
+])
+def test_z13_cyclotomic_reports_keep_their_bytes(beta, module, command, digest):
+    """Z/13 reports print what no benchmark reference covers: a dense
+    character-table determinant (4826809 + 9653618*zeta(13)^2 + ...),
+    cyclotomic beta and dual beta, and Euler operators with non-rational
+    constants.  The digests were taken with the character-loop text format
+    kept in tests/text_oracle.py."""
+    text = render(run_command(parse_spec(zp_spec(13, beta, module)), command))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("folder,name,command", PRESENTATION_JOBS)
