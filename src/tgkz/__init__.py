@@ -70,10 +70,8 @@ from .poly import (
     Polynomial,
     groebner_ideal,
     ideal_equal,
-    intersect_many,
     parse_polynomial,
     polynomial_to_text,
-    saturate,
 )
 from .problem import ProblemSpec, parse_spec
 from .report import run_command

@@ -9,10 +9,10 @@ extends to Z^n, and x^u -> chi(u)^-1 x^u carries I_L onto I_{L,chi} keeping
 leading terms (Eisenbud-Sturmfels, Duke Math. J. 84, 1996, section 2).
 
 A lattice ideal is saturated one variable at a time by Bayer's lemma
-(poly.saturate_graded): the binomial of a kernel row is homogeneous for the
-weights h(a_j), h = cones.positive_grading.  Only variables of weight 0
-(unit columns, or all when the cone is not pointed) are saturated by
-elimination (poly.saturate); nothing else here eliminates.
+(poly.saturate_graded), its binomials being homogeneous for the weights
+h(a_j), h = cones.positive_grading of a pointed cone.  A unit column a_j has
+weight 0 and finite order o_j, so x_j^o_j - chi(o_j e_j) lies in the ideal
+and makes x_j a unit modulo it.  Nothing here eliminates.
 
 Toric ideals and minimal primes are memoized per configuration value (small
 LRU caches); callers must not mutate the cached ideals.
@@ -20,17 +20,17 @@ LRU caches); callers must not mutate the cached ideals.
 
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import gcd, lcm, prod
 
 from ._value import frozen
 from .cones import Face, PointConfig, face_by_columns, positive_grading
 from .cyclotomic import Cyclotomic
-from .errors import (LatticeMismatchError, NotBinomialError, NotPointedError,
-                     NotSaturatedError, PrimesDoNotIntersectError, SmithCheckError)
+from .errors import (LatticeMismatchError, NotBinomialError, NotSaturatedError,
+                     PrimesDoNotIntersectError, SmithCheckError)
 from .lattice import (hermite_coordinates, hnf_with_transform, is_hermite, kernel_basis,
                       kernel_lattice, smith_normal_form)
 from .poly import (GREVLEX, IdealBasis, Polynomial, groebner_ideal, ideal_equal,
-                   ideal_member, normal_form, saturate, saturate_graded)
+                   ideal_member, normal_form, saturate_graded)
 
 
 def _power_product(values, exponents):
@@ -89,8 +89,7 @@ def _free_kernel(config: PointConfig):
 
 
 def free_kernel_rows(config: PointConfig):
-    """Kernel basis rows of the free column map, computed once per
-    configuration (memoized); a fresh list on every call."""
+    """Kernel basis rows of the free column map (memoized); a fresh list."""
     return list(_free_kernel(config))
 
 
@@ -114,22 +113,18 @@ def _face_kernel_rows(config: PointConfig, face_cols):
 
 @lru_cache(maxsize=16)
 def _grading_weights(config: PointConfig):
-    """w_j = h(a_j) for h = cones.positive_grading, 0 on unit columns;
-    all 0 when the cone is not pointed."""
-    try:
-        h = positive_grading(config)
-    except NotPointedError:
-        return (0,) * config.n
+    """h(a_j) for h = cones.positive_grading: 0 exactly on unit columns."""
+    h = positive_grading(config)
     return tuple(int(h(c)) for c in config.columns)
 
 
 def lattice_ideal(rows, config: PointConfig, values=None) -> IdealBasis:
     """Reduced grevlex basis of the (optionally twisted) lattice ideal of
-    the row span, rows in Z^config.n: binomials with exponents the
-    positive/negative parts of each row, coefficient twisted by the
-    character value, saturated by every variable of the rows' support so
-    membership depends only on the lattice, not the chosen basis.  Weight-0
-    variables go first, and the ideal stays homogeneous for the weights."""
+    the row span, rows in Z^config.n: the binomials x^(m+) - chi(m) x^(m-)
+    saturated by every variable of the rows' support, so membership depends
+    only on the lattice.  Unit columns add x_j^o_j - chi(o_j e_j), o_j the
+    order of a_j (LatticeMismatchError if the span misses o_j e_j); Bayer's
+    lemma does the rest (NotPointedError if the cone is not pointed)."""
     n = config.n
     values = [1] * len(rows) if values is None else values
     gens = [_binomial(m, n, val) for m, val in zip(rows, values)]
@@ -139,7 +134,12 @@ def lattice_ideal(rows, config: PointConfig, values=None) -> IdealBasis:
     support = [j for j in range(n) if any(m[j] for m in rows)]
     units = [j for j in support if not weights[j]]
     if units:
-        gens = list(saturate(groebner_ideal(gens, n), units).generators)
+        rho = PartialCharacter.on_rows(rows, values, n)
+        orders = config.group.torsion_orders
+        for j in units:  # o_j e_j lies in the lattice, o_j the order of a_j
+            order = lcm(*(o // gcd(t, o) for t, o in zip(config.columns[j].torsion, orders)))
+            m = tuple(order * (i == j) for i in range(n))
+            gens.append(_binomial(m, n, rho.value_of(m)))
     for j in support:
         if weights[j]:
             gens = saturate_graded(gens, weights, j)

@@ -8,13 +8,13 @@ format.  Its lexer is one regex: runs of decimal digits (as int() reads
 them) are numbers, runs of letters names, "+-*/^()" operators, and any other
 character but whitespace raises ValueError; a numeric character that is not
 a decimal digit (², ①, ½) reads as a letter, so it fails as an unknown name
-or an unexpected token.  saturate, intersect and intersect_many still adjoin
-a variable and eliminate it (eliminate, BlockElim); of them the library uses
-only saturate, for variables of weight 0.  The core is Buchberger's
-algorithm with the Gebauer-Moeller pair criteria B_k, M, F and the product
-criterion (Gebauer-Moeller, "On an installation of Buchberger's algorithm",
-JSC 6, 1988; Becker-Weispfenning, Groebner Bases, 1993, ch. 5); its pair
-budget counts the S-pairs it reduces after the criteria.
+or an unexpected token.  saturate, intersect and intersect_many adjoin a
+variable and eliminate it (eliminate, BlockElim); no other module calls
+them, and they remain as test oracles and benchmark layers.  The core is
+Buchberger's algorithm with the Gebauer-Moeller pair criteria B_k, M, F and
+the product criterion (Gebauer-Moeller, "On an installation of Buchberger's
+algorithm", JSC 6, 1988; Becker-Weispfenning, Groebner Bases, 1993, ch. 5);
+its pair budget counts the S-pairs it reduces after the criteria.
 
 Coefficients carry their own field: a Cyclotomic knows its order and lifts
 mixed orders to their lcm on every operation, so a Polynomial is just a

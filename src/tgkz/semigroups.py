@@ -116,9 +116,11 @@ def member_semigroup(config: PointConfig, t) -> bool:
     """Membership of t in the unsaturated column monoid (units included).
 
     Depth-first column subtraction on an explicit stack, with answers kept
-    per config; termination needs the pointed-cone hypothesis, since only
-    then does a grading strictly decrease.
+    per config; it ends because a grading strictly decreases, so the cone
+    must be pointed (else NotPointedError).
     """
+    if not is_pointed(config):
+        raise NotPointedError("semigroup membership requires a pointed cone")
     memo = _membership_memo(config)
     rows = facet_rows(config)
     stack = [t]

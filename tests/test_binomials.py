@@ -23,8 +23,8 @@ from tgkz.binomials import (
 )
 from tgkz.cyclotomic import Cyclotomic
 from tgkz.lattice import smith_normal_form
-from tgkz.errors import (LatticeMismatchError, NotBinomialError, NotSaturatedError,
-                         PrimesDoNotIntersectError, SmithCheckError)
+from tgkz.errors import (LatticeMismatchError, NotBinomialError, NotPointedError,
+                         NotSaturatedError, PrimesDoNotIntersectError, SmithCheckError)
 from tgkz.poly import (
     IdealBasis,
     Polynomial,
@@ -135,14 +135,20 @@ def has_unit_column(config):
 
 
 def test_lattice_ideal_matches_elimination_on_random_battery():
+    # plus the configs with a unit column of two larger batteries, and
+    # every lattice also twisted by roots of unity on its rows
     configs = random_battery(20250, 80)
-    assert sum(map(has_unit_column, configs)) >= 20
-    for config in configs:
+    units = [config for seed in (20240, 77) for config in random_battery(seed, 200)
+             if has_unit_column(config)]
+    assert sum(map(has_unit_column, configs)) >= 20 and len(units) >= 150
+    for config in configs + units:
         for rows in (free_kernel_rows(config), full_kernel_rows(config)):
-            got = lattice_ideal(rows, config)
-            expect = eliminating_lattice_ideal(rows, config.n)
-            assert got == expect
-            assert ideal_texts(got) == ideal_texts(expect)
+            twist = [Cyclotomic.zeta(config.ell + 2, k + 1) for k in range(len(rows))]
+            for values in (None, twist):
+                got = lattice_ideal(rows, config, values)
+                expect = eliminating_lattice_ideal(rows, config.n, values)
+                assert got == expect
+                assert ideal_texts(got) == ideal_texts(expect)
 
 
 def test_lattice_ideal_matches_elimination_on_bench_and_sample_specs():
@@ -181,21 +187,55 @@ def test_twisted_lattice_ideals_match_elimination(battery):
     assert twists > len(configs) and faces > 2 * len(configs)
 
 
-def test_unit_column_saturates_by_elimination_first(monkeypatch):
+def test_unit_column_joins_by_its_unit_binomial(monkeypatch):
     # Z/4 + Z with columns (1, 1), (1, 2) and the unit (1, 0): the unit's
     # weight is 0, so no grading is positive on it and Bayer's lemma does
-    # not apply; it is saturated by elimination before the other variables
+    # not apply; it has order 4, so d3^4 - 1 joins the binomials, d3 is a
+    # unit modulo them, and no Groebner run eliminates
     config = make_config([4], [((1,), (1,)), ((1,), (2,)), ((1,), (0,))])
     assert binomials._grading_weights(config) == (1, 2, 0)
-    saturated = []
-    real = binomials.saturate
-    monkeypatch.setattr(binomials, "saturate", lambda ideal, var_indices: saturated.append(
-        list(var_indices)) or real(ideal, var_indices))
-    for rows in (free_kernel_rows(config), full_kernel_rows(config)):
-        got = lattice_ideal(rows, config)
+    lattices = (free_kernel_rows(config), full_kernel_rows(config))
+    runs = []
+    real = poly.buchberger
+    monkeypatch.setattr(poly, "buchberger", lambda gens, order=poly.GREVLEX: runs.append(
+        (list(gens), order)) or real(gens, order))
+    ideals = [lattice_ideal(rows, config) for rows in lattices]
+    monkeypatch.setattr(poly, "buchberger", real)
+    assert not any(isinstance(order, poly.BlockElim) for _, order in runs)
+    # per lattice: Bayer saturations of d1 and d2, the first given the unit
+    # binomial, then one grevlex run
+    assert [getattr(order, "var", None) for _, order in runs] == [0, 1, None] * 2
+    assert all(parse_polynomial("d3^4 - 1", 3) in gens for gens, _ in runs[::3])
+    for rows, got in zip(lattices, ideals):
         assert got == eliminating_lattice_ideal(rows, config.n)
-    assert saturated == [[2], [2]]
     assert texts(got) == ["d1^2 - d2*d3", "d3^4 - 1"]  # (2, -1, -1) and (0, 0, 4)
+
+
+# Z/3 + Z with the units (1, 0) twice: the rows (0, 4, -1) and (0, 1, -1)
+# span the full kernel, which holds (0, 3, 0) and (0, 0, 3), but they are
+# not in Hermite form; with no unit binomial the ideal stays d3^4 - d3
+UNIT_PAIR = make_config([3], [((0,), (1,)), ((1,), (0,)), ((1,), (0,))])
+UNIT_PAIR_ROWS = [(0, 4, -1), (0, 1, -1)]
+
+
+@pytest.mark.parametrize("values,expect", [
+    (None, ["d2 - d3", "d3^3 - 1"]),
+    # rho(0, 3, 0) = zeta(3) / zeta(6) = zeta(6) = 1 + zeta(3) = d2^3, and d2 = zeta(6) * d3
+    ([Cyclotomic.zeta(3), Cyclotomic.zeta(6)], ["d2 + (-1 - zeta(3))*d3", "d3^3 + 1 + zeta(3)"]),
+])
+def test_lattice_ideal_joins_units_on_rows_off_hermite_form(values, expect):
+    got = lattice_ideal(UNIT_PAIR_ROWS, UNIT_PAIR, values)
+    assert got == eliminating_lattice_ideal(UNIT_PAIR_ROWS, UNIT_PAIR.n, values)
+    assert texts(got) == expect
+
+
+def test_lattice_ideal_refuses_lattices_it_cannot_saturate():
+    # the span of (0, 1, -1) misses (0, 3, 0), and 3 is the order of d2's unit column
+    with pytest.raises(LatticeMismatchError):
+        lattice_ideal([(0, 1, -1)], UNIT_PAIR)
+    # columns 1 and -1 span no pointed cone, so no grading is positive
+    with pytest.raises(NotPointedError):
+        toric_ideal_free(make_config([], [((), (1,)), ((), (-1,))]))
 
 
 def test_twisted_ideal_runs_no_groebner_basis(monkeypatch, battery):

@@ -207,6 +207,18 @@ def test_check_parses_a_scaled_root_of_large_order_in_beta(spec_file):
     assert json.loads(res.stdout)["hypotheses"]["ok"] is True
 
 
+def test_check_parses_a_root_of_large_prime_order_in_beta(spec_file):
+    # zeta(40009)^7 is one power-basis vector, read off without stepping;
+    # e steps of dense products through Q(zeta_40009) took minutes
+    spec = json.loads(MOD4_LINE)
+    spec["beta"] = ["zeta(40009)^7"]
+    res = subprocess.run([sys.executable, "-m", "tgkz.cli", "check", "--spec",
+                          spec_file(json.dumps(spec))],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["hypotheses"]["ok"] is True
+
+
 def test_check_refuses_a_huge_power_of_a_non_root_of_unity(spec_file):
     # (3/2)^(10^12) would need a 10^12-bit integer: refused up front
     spec = json.loads(MOD4_LINE)

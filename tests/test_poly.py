@@ -150,6 +150,16 @@ def test_intersection_four_primes_over_zeta4():
     assert ideal_equal(inter, groebner_ideal([P("d1^8 - d2^4", 2)], nvars=2))
 
 
+def _saturate_unit_columns(config, rows):
+    """Saturate the binomials of the rows by elimination (poly.saturate) at
+    the unit columns of their support, if there are any."""
+    n = config.n
+    units = [j for j, c in enumerate(config.columns)
+             if not any(c.free) and any(m[j] for m in rows)]
+    if units:
+        poly.saturate(groebner_ideal([binomials._binomial(m, n) for m in rows], n), units)
+
+
 def test_elimination_returns_t_free_part_of_block_basis(monkeypatch):
     """saturate and intersect return the t-free part of the reduced
     BlockElim basis as is; the oracle is the former second step, a grevlex
@@ -164,18 +174,15 @@ def test_elimination_returns_t_free_part_of_block_basis(monkeypatch):
 
     monkeypatch.setattr(poly, "_eliminate_last", record)
     callers = []
-    for module, name in ((binomials, "saturate"), (poly, "intersect")):
-        monkeypatch.setattr(module, name, lambda *args, fn=getattr(module, name), name=name:
+    for name in ("saturate", "intersect"):
+        monkeypatch.setattr(poly, name, lambda *args, fn=getattr(poly, name), name=name:
                             callers.append(name) or fn(*args))
     root = Path(__file__).resolve().parent.parent / "bench" / "specs"
     configs = random_battery(31, 12) + [
         parse_spec((root / f"{name}.json").read_text(encoding="utf-8")).config
         for name in ("mod4_line3", "z6_plane", "z2z2_line", "mod8_line", "mod6_line")]
     for config in configs:
-        for cached in (binomials.toric_ideal_free, binomials.toric_ideal_full,
-                       binomials._minimal_primes):
-            cached.cache_clear()
-        binomials.toric_ideal_free(config)
+        _saturate_unit_columns(config, free_kernel_rows(config))
         intersect_many([ideal for _, ideal in minimal_primes(config)])
     assert {"saturate", "intersect"} <= set(callers)
     assert len(seen) == len(callers)
@@ -551,9 +558,10 @@ def test_module_core_matches_division_oracle_on_raw_pair_elements(bound):
 
 
 def test_criteria_core_matches_criteria_free_oracles(monkeypatch, battery):
-    """Every Groebner run behind the lattice ideals, minimal primes and
-    relation modules of the battery and of seeded random configs, under
-    GREVLEX, BlockElim, WeightedLast and the eliminating TermOverPosition:
+    """Every Groebner run behind the lattice ideals, their unit columns
+    saturated by elimination, the minimal primes and the relation modules
+    of the battery and of seeded random configs, under GREVLEX, BlockElim,
+    WeightedLast and the eliminating TermOverPosition:
     the criteria core gives the oracle's basis and pops no more pairs."""
     configs = battery + random_battery(20240, 40)
 
@@ -561,8 +569,9 @@ def test_criteria_core_matches_criteria_free_oracles(monkeypatch, battery):
         binomials._minimal_primes.cache_clear()
         systems._relation_module.cache_clear()
         for config in configs:
-            lattice_ideal(free_kernel_rows(config), config)
-            lattice_ideal(full_kernel_rows(config), config)
+            for rows in (free_kernel_rows(config), full_kernel_rows(config)):
+                lattice_ideal(rows, config)
+                _saturate_unit_columns(config, rows)
             minimal_primes(config)
             for kind in (K, K_INTERIOR):
                 gens = _primitive_set_for(SemigroupModule(kind, config)).elements
@@ -571,8 +580,9 @@ def test_criteria_core_matches_criteria_free_oracles(monkeypatch, battery):
     calls = []
     module_calls = _module_runs(monkeypatch, systems, lambda: calls.extend(
         _recorded_buchberger_inputs(monkeypatch, compute)))
-    # unit columns of the random battery saturate by elimination (BlockElim),
-    # the other variables by Bayer's lemma (WeightedLast)
+    # lattice ideals saturate by Bayer's lemma (WeightedLast); the unit
+    # columns of the random battery, saturated here by poly.saturate, run
+    # BlockElim
     assert {type(order) for _, order in calls} == {type(GREVLEX), BlockElim, WeightedLast}
     # one run per relation module, eliminating at least one class component
     assert len(module_calls) == 2 * len(configs)
@@ -634,15 +644,15 @@ def test_no_assert_statements(module):
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
 
 
-def _groebner_users(tree):
-    """Names of the top-level definitions of a module that mention
-    _groebner, as a name, an attribute or an import."""
+def _users(tree, names=("_groebner",)):
+    """Names of the top-level definitions of a module that mention one of
+    `names`, as a name, an attribute or an import."""
     users = set()
     for top in tree.body:
         for node in ast.walk(top):
-            if (isinstance(node, ast.Name) and node.id == "_groebner"
-                    or isinstance(node, ast.Attribute) and node.attr == "_groebner"
-                    or isinstance(node, ast.alias) and node.name == "_groebner"):
+            if (isinstance(node, ast.Name) and node.id in names
+                    or isinstance(node, ast.Attribute) and node.attr in names
+                    or isinstance(node, ast.alias) and node.name in names):
                 users.add(getattr(top, "name", type(top).__name__))
     return users
 
@@ -652,11 +662,30 @@ def test_groebner_core_runs_only_through_buchberger_and_module_groebner():
     # buchberger spies of the tests and the benchmark's per-layer counters
     # read 0 for it
     users = {(module.__name__, name) for module in TGKZ_MODULES
-             for name in _groebner_users(ast.parse(Path(module.__file__).read_text(
+             for name in _users(ast.parse(Path(module.__file__).read_text(
                  encoding="utf-8")))}
     assert users == {("tgkz.poly", "buchberger"), ("tgkz.poly", "module_groebner")}
-    assert _groebner_users(ast.parse("from .poly import _groebner as core")) == {"ImportFrom"}
-    assert _groebner_users(ast.parse("def f():\n    return poly._groebner")) == {"f"}
+    assert _users(ast.parse("from .poly import _groebner as core")) == {"ImportFrom"}
+    assert _users(ast.parse("def f():\n    return poly._groebner")) == {"f"}
+
+
+ELIMINATION = ("saturate", "eliminate", "_eliminate_last", "BlockElim", "intersect",
+               "intersect_many")
+
+
+def test_nothing_but_poly_names_an_elimination_function():
+    # lattice ideals saturate by Bayer's lemma and unit binomials; the
+    # eliminating functions stay in poly for the tests' oracles and the
+    # benchmark's layer names
+    users = {(module.__name__, name) for module in TGKZ_MODULES if module is not poly
+             for name in _users(ast.parse(Path(module.__file__).read_text(
+                 encoding="utf-8")), ELIMINATION)}
+    assert users == set()
+    assert _users(ast.parse("from .poly import saturate"), ELIMINATION) == {"ImportFrom"}
+    assert _users(ast.parse("def f(i):\n    return poly.intersect(i, i)"), ELIMINATION) == {"f"}
+    # a keyword argument and a longer name are not uses
+    assert _users(ast.parse("def f(e):\n    return g(e, eliminate=1) or saturate_graded"),
+                  ELIMINATION) == set()
 
 
 def test_saturate_graded_divides_out_the_variable():

@@ -187,6 +187,36 @@ def test_z13_cyclotomic_reports_keep_their_bytes(beta, module, command, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+# Z/4 + Z with the unit column (1, 0), and Z/6 + Z^2 with the unit (2, (0, 0))
+UNIT_LINE = ('{"torsion_orders": [4], "columns": [{"torsion": [1], "free": [1]},'
+             ' {"torsion": [1], "free": [2]}, {"torsion": [1], "free": [0]}],'
+             ' "beta": ["1/2"], "module": "K"}')
+UNIT_PLANE = ('{"torsion_orders": [6], "columns": [{"torsion": [1], "free": [1, 0]},'
+              ' {"torsion": [2], "free": [0, 0]}, {"torsion": [3], "free": [1, 1]},'
+              ' {"torsion": [0], "free": [1, 2]}], "beta": ["1/2", "zeta(3)"],'
+              ' "module": "K_interior"}')
+
+
+@pytest.mark.parametrize("spec,command,digest", [
+    (UNIT_LINE, "ideals", "7206bb413c23933f537b25aab4319131184523910b6bc7aff94f58900fdddfe1"),
+    (UNIT_LINE, "primes", "d67ec2851ea96fdae61a174eb5844c3972733126267315f52b26bff31a231f9c"),
+    (UNIT_LINE, "system", "c5269c6929524b23224e6ae8b4dc81c1a81da933dc63d42cc2bc9088e75342af"),
+    (UNIT_LINE, "dual", "b864a48df59aedbe9ac511e63eeba7467925aa0f63d6201d299ea1c1d3a95768"),
+    (UNIT_LINE, "report", "f95a2cee5e2ee349707d6b59791a9e234b47f4c448f123cb24ef4581efdf399f"),
+    (UNIT_PLANE, "ideals", "e504b4225ed00b11d34477e2e2bb37e15339e6bda1a907c0f4e0c3a73caaaf94"),
+    (UNIT_PLANE, "primes", "3effaf9f8692088f8810eb2c08c4d16ef36e229b72b788a9e49d20bea191b44a"),
+    (UNIT_PLANE, "system", "d910aff82a479b5a55a99cbdf766101be781985dadc22e3f6434392ee6d5db69"),
+    (UNIT_PLANE, "dual", "c180a7fa054bc5b23d333f2109b520f75b84116f83aabe7330285b3d20cf7d6a"),
+    (UNIT_PLANE, "report", "ce2d7b650a2fc3eacfc9d2b6bac6817cd680f16a9359fa99405bc8ccf33f0e10"),
+])
+def test_unit_column_reports_keep_their_bytes(spec, command, digest):
+    """No benchmark or sample spec has a unit column, whose lattice ideals
+    join the unit binomial x_j^o_j - chi(o_j e_j).  The digests were taken
+    when unit columns were saturated by elimination."""
+    text = render(run_command(parse_spec(spec), command))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.mark.parametrize("folder,name,command", PRESENTATION_JOBS)
 def test_presentation_reports_match_benchmark_references(folder, name, command):
     """The reports of the benchmark's presentation jobs hash to the

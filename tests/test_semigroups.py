@@ -562,6 +562,29 @@ def test_non_spanning_box_scan_raises_typed_error():
     assert res.stdout.splitlines() == ["HYPOTHESIS_FAILED [('d', 2), ('rank', 1)]"] * 2
 
 
+NOT_POINTED = (
+    "from tgkz.cones import PointConfig\n"
+    "from tgkz.errors import NotPointedError\n"
+    "from tgkz.lattice import AbelianGroup\n"
+    "from tgkz.semigroups import EXPLICIT, SemigroupModule, membership, primitive_elements\n"
+    "group = AbelianGroup((), 1)\n"
+    "config = PointConfig(group, (group.element((), (1,)), group.element((), (-1,))))\n"
+    "module = SemigroupModule(EXPLICIT, config, (group.zero(),))\n"
+    "for call in (lambda: membership(group.element((), (5,)), module),\n"
+    "             lambda: primitive_elements(module)):\n"
+    "    try:\n        call()\n"
+    "    except NotPointedError as exc:\n        print(exc.code)\n")
+
+
+def test_monoid_membership_refuses_a_cone_that_is_not_pointed():
+    # columns 1 and -1: subtracting a column never lowers a grading, so the
+    # search would push 6, 7, 8, ... without end; it must refuse at once
+    res = subprocess.run([sys.executable, "-c", NOT_POINTED],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["NOT_POINTED"] * 2
+
+
 # ---------------------------------------------------------------------------
 # iterative monoid membership
 
