@@ -186,8 +186,6 @@ def power_ideal(config: PointConfig) -> IdealBasis:
     without saturation.
     """
     gens = [_binomial([config.ell * x for x in m], config.n) for m in markov_basis(config)]
-    if not gens:
-        return IdealBasis(config.n, ())
     return groebner_ideal(gens, config.n)
 
 
@@ -218,8 +216,6 @@ def face_twisted_ideal(config: PointConfig, face: Face, rho: PartialCharacter) -
     gens = [Polynomial.variable(j, n) for j in range(n) if j not in on_face]
     embedded = _face_kernel_rows(config, on_face)
     gens.extend(lattice_ideal(embedded, config, [rho.value_of(m) for m in embedded]).generators)
-    if not gens:
-        return IdealBasis(n, ())
     return groebner_ideal(gens, n)
 
 

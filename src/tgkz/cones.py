@@ -5,8 +5,8 @@ come back as semigroup units.  The cone kernel is integer: facets are
 primitive integer rows (`facet_rows`, once per config), pointedness is the
 sum of the facet normals being positive on the columns, and the placing
 triangulation tests rank by Hermite form and visibility by integer minors.
-Any triangulation gives the same volume, so canonicity is only needed for
-reproducibility of candidate boxes downstream.
+One placing triangulation per config gives the volume and the box scan's
+simplices; arrangement membership is tested on integer normals.
 """
 
 from fractions import Fraction
@@ -18,7 +18,8 @@ from . import fieldlin
 from ._value import frozen
 from .cyclotomic import Cyclotomic
 from .errors import EmptyConeError, HypothesisError, NotPointedError
-from .lattice import INFINITE, AbelianGroup, Functional, det, hnf_rows, lattice_index, rank
+from .lattice import (INFINITE, AbelianGroup, Functional, det, hnf_rows, kernel_basis,
+                      lattice_index, rank)
 
 
 @frozen
@@ -116,26 +117,39 @@ def placing_triangulation(vectors):
 
 
 @lru_cache(maxsize=16)
+def _triangulation(config: PointConfig):
+    """(points, simplices, rank) of the placing triangulation of (1, 0),
+    then (1, p) for each distinct nonzero free column p: it triangulates
+    conv({0} cup pi(A)), and its simplices through the origin, unlifted, are
+    the placing triangulation of the columns alone.  By induction on placing
+    steps: a rank jump cones every simplex in both runs; else a face {0} cup
+    G lies in one simplex iff G does in the cone run, with the same opposite
+    vertex, and det[(1,0); (1,g_i); (1,x)] on the lifted pivots equals
+    det[g_i; x] on the cone pivots, so visibility agrees; faces without the
+    origin only add simplices without it."""
+    vectors = [(1,) + (0,) * config.d] + [(1,) + p for p in config.nonzero_free_columns()]
+    simplices, rk = placing_triangulation(vectors)
+    return vectors, simplices, rk
+
+
+@lru_cache(maxsize=16)
 def cone_triangulation(config: PointConfig):
     """Maximal simplicial subcones (as tuples of free-column vectors) covering
-    the cone, from the placing triangulation of the distinct nonzero columns
-    (which must span the free part: each simplex carries a box)."""
-    vecs = config.nonzero_free_columns()
-    if not vecs:
+    the cone, from `_triangulation`; the distinct nonzero columns must span
+    the free part, as each simplex carries a box."""
+    vectors, simplices, rk = _triangulation(config)
+    if len(vectors) == 1:
         raise EmptyConeError("all columns have zero free part")
-    simplices, rk = placing_triangulation(vecs)
-    if rk != config.d:
+    if rk != config.d + 1:
         raise HypothesisError("columns must span the free part rationally",
-                              d=config.d, rank=rk)
-    return tuple(tuple(vecs[i] for i in s) for s in simplices)
+                              d=config.d, rank=rk - 1)
+    return tuple(tuple(vectors[i][1:] for i in s[1:]) for s in simplices if s[0] == 0)
 
 
 @lru_cache(maxsize=16)
 def normalized_volume(config: PointConfig) -> int:
     """Normalized lattice volume of conv({0} cup pi(cal A)); unit simplex = 1."""
-    pts = sorted({(0,) * config.d} | {c.free for c in config.columns})
-    vectors = [(1,) + p for p in pts]
-    simplices, rk = placing_triangulation(vectors)
+    vectors, simplices, rk = _triangulation(config)
     if rk < config.d + 1:
         return 0
     return sum(abs(det([vectors[i] for i in s])) for s in simplices)
@@ -304,12 +318,14 @@ class Arrangement:
 
 def membership_in_arrangement(beta, arrangement: Arrangement) -> bool:
     """Exact test whether beta (cyclotomic entries allowed) lies on one of
-    the affine pieces; rank comparison over the coefficient field."""
+    the affine pieces.  A span defined over Q has its complement over
+    Q(zeta) spanned by its integer normals n (an empty span: the kernel of
+    a zero row), so beta is on it iff sum n_i (beta_i - shift_i) == 0."""
     beta = tuple(Cyclotomic.coerce(b) for b in beta)
     for piece in arrangement.pieces:
         target = [b - Fraction(s) for b, s in zip(beta, piece.shift)]
-        vectors = [[Cyclotomic.rational(x) for x in v] for v in piece.span_vectors]
-        if fieldlin.in_span(vectors, target):
+        normals = kernel_basis(piece.span_vectors or ((0,) * len(target),))
+        if not any(sum(n * t for n, t in zip(normal, target)) for normal in normals):
             return True
     return False
 

@@ -18,9 +18,10 @@ that equals a root.  The memo shares its objects, so none may be mutated.
 On tagged operands zeta, rational(+-1), products, inverse, negation, lift
 and demoted are a lookup on exponents, so integer powers, built from
 products and inverses, stay on tagged objects; sums and untagged operands
-take the generic path.  unit_rational_form reads s * zeta^k off the power
-basis when k < phi(e), and otherwise steps an untagged copy by zeta_e at
-most e - phi(e) times, so it makes no root but zeta_e.  The tag changes
+take the generic path, and the parser negates rather than multiplies by
+-1, so a parsed power of zeta keeps its tag.  unit_rational_form reads the
+tag, or s * zeta^k off the power basis when k < phi(e), and otherwise steps
+an untagged copy by zeta_e at most e - phi(e) times.  The tag changes
 neither equality, nor hashing, nor (order, num, den).
 """
 
@@ -291,20 +292,24 @@ class Cyclotomic:
 
     def unit_rational_form(self):
         """(q, k) with self = q * zeta(order)^k, q rational and k least, or
-        None.  Read off when k < phi(order), as zeta^k is a basis vector;
+        None.  Read off the tag, or off the power basis when k < phi(order);
         else zeta^(order - k) * self is rational, found in at most order -
-        phi(order) steps by zeta, each a product with one nonzero term."""
+        phi(order) steps by zeta, each a product with one nonzero term.  For
+        even order, zeta^(order/2) = -1 gives the lesser k."""
+        e = self.order
+        if self.root:
+            s, k = self.root
+            return (Fraction(-s), k - e // 2) if e % 2 == 0 and k >= e // 2 \
+                else (Fraction(s), k)
         nonzero = [i for i, c in enumerate(self.num) if c] or [0]
         if len(nonzero) == 1:
             return Fraction(self.num[nonzero[0]], self.den), nonzero[0]
-        e = self.order
         zeta = Cyclotomic.zeta(e)
         ratio = _raw(e, self.num, self.den)
         for j in range(1, e - len(self.num) + 1):
             ratio = zeta * ratio
             q = ratio.rational_value()
             if q is not None:  # self = q * zeta^(e - j)
-                # for even e, zeta^(e/2) = -1 gives the lesser k
                 return (-q, e // 2 - j) if e % 2 == 0 and j <= e // 2 else (q, e - j)
         return None
 

@@ -1,15 +1,10 @@
-"""Generic exact linear algebra over a field.
-
-Works with any coefficient type supporting +, -, *, /, == 0 comparison and
-bool-able inequality with 0 (fractions.Fraction, Cyclotomic).  Row vectors
-are lists/tuples; nothing here mutates its inputs.
+"""Exact linear algebra by row reduction: the library solves Fraction
+systems only (the homogenizing functional, cyclotomic demotion); the test
+oracles also reduce over Q(zeta), as any field type with +, -, *, / and
+truth as nonzero works.  Nothing here mutates its inputs.
 """
 
 from fractions import Fraction
-
-
-def _is_zero(x):
-    return x == 0
 
 
 def rref(rows):
@@ -25,7 +20,7 @@ def rref(rows):
             break
         pivot = None
         for i in range(r, len(m)):
-            if not _is_zero(m[i][c]):
+            if m[i][c]:
                 pivot = i
                 break
         if pivot is None:
@@ -34,16 +29,12 @@ def rref(rows):
         inv = m[r][c]
         m[r] = [x / inv for x in m[r]]
         for i in range(len(m)):
-            if i != r and not _is_zero(m[i][c]):
+            if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
     return m, pivots
-
-
-def rank(rows) -> int:
-    return len(rref(rows)[1])
 
 
 def solve(matrix_rows, rhs):
@@ -77,15 +68,3 @@ def solve_unique(matrix_rows, rhs):
     if pivots != list(range(ncols)):
         return None
     return tuple(red[r][ncols] for r in range(ncols))
-
-
-def in_span(vectors, target) -> bool:
-    """Is target a linear combination of the given vectors (over the field)?"""
-    vecs = [list(v) for v in vectors]
-    if all(_is_zero(x) for x in target):
-        return True
-    if not vecs:
-        return False
-    base = rank(vecs)
-    return rank(vecs + [list(target)]) == base
-

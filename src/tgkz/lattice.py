@@ -314,10 +314,7 @@ class AbelianGroup:
     @property
     def torsion_index(self):
         """|F|, the order of the torsion subgroup."""
-        out = 1
-        for o in self.torsion_orders:
-            out *= o
-        return out
+        return prod(self.torsion_orders)
 
     def element(self, torsion, free):
         torsion, free = tuple(torsion), tuple(free)

@@ -696,10 +696,10 @@ def parse_polynomial(text, nvars, names=("d",)) -> Polynomial:
             p = p * factor()
         return p
 
-    def expr():
-        p = signs(("+", "-")) * term()
+    def expr():  # negate, not multiply by -1, so a root of unity keeps its tag
+        p = term() if signs(("+", "-")) > 0 else -term()
         while peek()[0] in ("+", "-"):
-            p = p + signs(("+", "-")) * term()
+            p = p + term() if signs(("+", "-")) > 0 else p - term()
         return p
 
     out = expr()

@@ -284,10 +284,10 @@ def module_generators(module: SemigroupModule) -> PrimitiveSet:
             "candidate box missed a primitive element",
             module=module.kind, scale=base_scale,
             degrees=sorted(set(degrees) ^ set(widened)))
-    # reduced torsion parts and int degrees: no group.element re-reduction
-    elements = [GroupElement(config.group, f.torsion, v)
-                for f in config.group.torsion_elements() for v in degrees]
-    elements.sort(key=lambda e: e.sort_key())
+    # reduced torsion parts and int degrees: no group.element re-reduction;
+    # sorted degrees, then lexicographic torsion, is the sort_key order
+    torsion = [f.torsion for f in config.group.torsion_elements()]
+    elements = [GroupElement(config.group, t, v) for v in degrees for t in torsion]
     return PrimitiveSet(tuple(elements), tuple(e.free for e in elements))
 
 

@@ -6,8 +6,9 @@ visibility by Fraction determinants of those coordinates; facet normals are
 Smith kernel rows of the rank d-1 column subsets; pointedness solves
 one Fraction linear program per column subset of size <= d+1; the face
 lattice tries every subset of the facets; the boundary quasi-degrees
-enumerate the irreducible facet points up to a height bound.  Nothing is
-memoized.
+enumerate the irreducible facet points up to a height bound.  The cone
+triangulation places the columns alone, apart from the volume's
+triangulation.  Nothing is memoized.
 """
 
 from fractions import Fraction
@@ -69,6 +70,15 @@ def placing_triangulation(vectors):
         simplices.extend(fresh)
         placed.append(idx)
     return simplices, len(basis_idx)
+
+
+def cone_triangulation(config):
+    """The placing triangulation of the cone over the distinct nonzero
+    columns alone, as tuples of vectors: the box scan's triangulation before
+    it was read off the volume's triangulation."""
+    vecs = config.nonzero_free_columns()
+    simplices, _ = placing_triangulation(vecs)
+    return tuple(tuple(vecs[i] for i in s) for s in simplices)
 
 
 def normalized_volume(config) -> int:

@@ -1,12 +1,31 @@
-"""Gaussian-elimination determinant over any field, kept as a test-only
-oracle for the closed-form character-table determinant of tgkz.duality and
-for the Fraction cone and lattice checks.
+"""Gaussian-elimination determinant, rank and span test over any field,
+kept as test-only oracles: the determinant for the closed-form
+character-table determinant of tgkz.duality and for the Fraction cone and
+lattice checks; rank and in_span, the former tgkz.fieldlin row reduction
+over Q(zeta), for the integer-normal arrangement test of tgkz.cones.
 
 Works with any coefficient type supporting +, -, *, / and == 0 comparison
 (fractions.Fraction, Cyclotomic); the input rows are not mutated.
 """
 
 from fractions import Fraction
+
+from tgkz.fieldlin import rref
+
+
+def rank(rows) -> int:
+    return len(rref(rows)[1])
+
+
+def in_span(vectors, target) -> bool:
+    """Is target a linear combination of the given vectors (over the field)?"""
+    vecs = [list(v) for v in vectors]
+    if all(x == 0 for x in target):
+        return True
+    if not vecs:
+        return False
+    base = rank(vecs)
+    return rank(vecs + [list(target)]) == base
 
 
 def determinant(rows):

@@ -8,6 +8,7 @@ import pytest
 
 import cone_oracle
 from conftest import make_config, random_battery, square_prism
+from fieldlin_oracle import in_span, rank as field_rank
 from tgkz import cones, lattice
 from tgkz.cones import (
     Arrangement,
@@ -26,7 +27,8 @@ from tgkz.cones import (
     placing_triangulation,
     positive_grading,
 )
-from tgkz.errors import NotPointedError
+from tgkz.cyclotomic import Cyclotomic
+from tgkz.errors import HypothesisError, NotPointedError
 from tgkz.lattice import Functional, det
 from tgkz.problem import parse_spec
 
@@ -96,7 +98,6 @@ def _brute_force_facets(cfg):
     d = cfg.d
     found = set()
     cols = [c.free for c in cfg.columns]
-    from tgkz.fieldlin import rank as frank
     for tau in itertools.product(range(-12, 13), repeat=d):
         if all(x == 0 for x in tau):
             continue
@@ -110,7 +111,7 @@ def _brute_force_facets(cfg):
             continue
         zero = [cols[j] for j, v in enumerate(vals) if v == 0]
         rows = [[Fraction(x) for x in z] for z in zero]
-        if frank(rows) == d - 1:
+        if field_rank(rows) == d - 1:
             found.add(tau)
     return found
 
@@ -227,6 +228,83 @@ def test_cone_triangulation_covers(plane_segment):
     assert cone_triangulation(plane_segment) is simplices  # once per config
     assert sorted(tuple(v) for s in simplices for v in s) == \
         [(1, 0), (1, 1), (1, 1), (1, 2)]
+
+
+def test_one_triangulation_matches_cone_placing_oracle(battery):
+    """The simplices through the origin of the volume's triangulation are
+    the placing triangulation of the columns alone, simplex for simplex and
+    in order, and the volume is the Fraction oracle's: on the battery,
+    random_battery and seeded random configs in Z^1..Z^3 with negative
+    entries, non-pointed and non-spanning ones among them."""
+    rng = random.Random(7919)
+    configs = battery + random_battery(20240, 150) + random_battery(77, 150)
+    for _ in range(500):
+        d = rng.randint(1, 3)
+        cols = [tuple(rng.randint(-2, 3) for _ in range(d))
+                for _ in range(rng.randint(1, d + 3))]
+        configs.append(make_config([], [((), c) for c in cols]))
+    seen = {"not_pointed": 0, "non_spanning": 0}
+    for cfg in configs:
+        assert normalized_volume(cfg) == cone_oracle.normalized_volume(cfg), cfg
+        if not cfg.nonzero_free_columns():
+            continue
+        rk = cones._triangulation(cfg)[2]
+        if rk == cfg.d + 1:
+            assert cone_triangulation(cfg) == cone_oracle.cone_triangulation(cfg), cfg
+        else:
+            with pytest.raises(HypothesisError) as err:
+                cone_triangulation(cfg)
+            assert err.value.context["rank"] == rk - 1 == \
+                cone_oracle.placing_triangulation(cfg.nonzero_free_columns())[1]
+            seen["non_spanning"] += 1
+        seen["not_pointed"] += not is_pointed(cfg)
+    assert min(seen.values()) > 30
+
+
+def _random_piece(rng, d):
+    """An affine piece in Q^d: zero to d integer span vectors (repeated and
+    parallel ones among them) and an integer or rational shift."""
+    span = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(0, d))]
+    if span and rng.random() < 0.3:
+        span.append(tuple(-2 * x for x in rng.choice(span)))
+    shift = tuple(Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3])) for _ in range(d))
+    return AffinePiece(shift, tuple(span), ())
+
+
+def _random_scalar(rng, e):
+    """A random element of Q(zeta_e): a rational combination of powers."""
+    return sum((Fraction(rng.randint(-2, 2), rng.randint(1, 3)) * Cyclotomic.zeta(e, k)
+                for k in range(rng.randint(1, 3))), Cyclotomic.zero())
+
+
+def test_membership_matches_in_span_oracle():
+    """Integer normals decide membership as the Q(zeta) rank comparison of
+    the former implementation does, on random pieces in Q^1..Q^3 with empty
+    and rank-deficient spans and beta in Q(zeta_e): beta off the piece, and
+    beta = shift + a Q(zeta_e) combination of the span vectors on it."""
+    rng = random.Random(2005)
+    outcomes = {True: 0, False: 0}
+    for _ in range(600):
+        d = rng.randint(1, 3)
+        e = rng.choice([1, 3, 4, 5, 6, 12])
+        piece = _random_piece(rng, d)
+        if rng.random() < 0.5:
+            beta = [_random_scalar(rng, e) for _ in range(d)]
+        else:
+            beta = list(piece.shift)
+            for v in piece.span_vectors:
+                c = _random_scalar(rng, e)
+                beta = [b + c * x for b, x in zip(beta, v)]
+            if rng.random() < 0.3:  # nudge one coordinate off the piece, sometimes
+                i = rng.randrange(d)
+                beta[i] = beta[i] + _random_scalar(rng, e)
+        target = [Cyclotomic.coerce(b) - s for b, s in zip(beta, piece.shift)]
+        expect = in_span([[Cyclotomic.rational(x) for x in v] for v in piece.span_vectors],
+                         target)
+        assert membership_in_arrangement(beta, Arrangement(d, (piece,))) == expect, \
+            (beta, piece)
+        outcomes[expect] += 1
+    assert min(outcomes.values()) > 150
 
 
 def test_face_lattice_of_plane_segment(plane_segment):

@@ -13,7 +13,7 @@ import pytest
 import cyclotomic_oracle
 from cyclotomic_oracle import Cyclotomic as Oracle
 from cyclotomic_oracle import _reduce_mod_phi, _xgcd_poly, cramer_inverse
-from fieldlin_oracle import determinant
+from fieldlin_oracle import determinant, in_span, rank
 import tgkz
 from tgkz import cyclotomic, fieldlin
 from tgkz.cyclotomic import Cyclotomic, cyclotomic_polynomial
@@ -81,14 +81,14 @@ def test_fieldlin_solve_and_rank_over_cyclotomics():
     # x + i y = 1, i x + y = 1 -> x = y = 1/(1+i)
     s = sol[0]
     assert (s * (one + i)).is_one()
-    assert fieldlin.rank(rows) == 2
+    assert rank(rows) == 2
 
 
 def test_fieldlin_in_span():
     one = Cyclotomic.one()
     two = Cyclotomic.rational(2)
-    assert fieldlin.in_span([[one, two]], [two, two + two])
-    assert not fieldlin.in_span([[one, two]], [one, one])
+    assert in_span([[one, two]], [two, two + two])
+    assert not in_span([[one, two]], [one, one])
 
 
 def _poly_divide(num, den):
@@ -363,6 +363,32 @@ def test_unit_rational_form_makes_one_root_at_most():
     misses = cyclotomic._signed_root.cache_info().misses
     assert x.unit_rational_form() == (-2, 845)
     assert cyclotomic._signed_root.cache_info().misses - misses <= 1
+
+
+def test_parsed_roots_keep_their_tag(monkeypatch):
+    """A parsed signed power of zeta stays tagged, and its form is read off
+    the tag, with no product, as the untagged stepping path finds it."""
+    cases = (("-zeta(12)^7", (1, 1)), ("zeta(12)^9", (-1, 3)), ("-zeta(7)^3", (-1, 3)),
+             ("zeta(2)", (-1, 0)), ("-1", (-1, 0)), ("zeta(4620)^4000", (-1, 1690)),
+             ("-zeta(30)^29", (1, 14)), ("zeta(15015)^5760", (1, 5760)))
+    roots = [parse_scalar(text) for text, _ in cases]
+    for x, (text, form) in zip(roots[:-1], cases):
+        assert Cyclotomic(x.order, x.coeffs).unit_rational_form() == form, text
+    monkeypatch.setattr(Cyclotomic, "__mul__", None)
+    for x, (text, form) in zip(roots, cases):
+        assert x.root is not None, text
+        assert x.unit_rational_form() == form, text
+
+
+def test_root_of_many_small_primes_reads_its_tag_in_time():
+    # zeta(15015)^5760 stepped by zeta about 9,000 times through dense
+    # products in Q(zeta_15015) when the parser dropped its tag
+    code = ("from tgkz.poly import parse_scalar\n"
+            "print(parse_scalar('zeta(15015)^5760').unit_rational_form())\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=10)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "(Fraction(1, 1), 5760)\n"
 
 
 # ---------------------------------------------------------------------------

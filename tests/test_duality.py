@@ -205,13 +205,17 @@ def test_rank_duality_identity(battery):
 
 
 def test_volume_triangulated_once_per_config(monkeypatch, mod4_line):
-    cone_triangulation(mod4_line)  # the box scan's own triangulation
-    normalized_volume.cache_clear()
+    """The volume and the box scan share one placing run on the lifted
+    points, the origin's first."""
+    for cached in (cones._triangulation, cone_triangulation, normalized_volume):
+        cached.cache_clear()
     calls = []
     real = cones.placing_triangulation
     monkeypatch.setattr(cones, "placing_triangulation",
                         lambda vectors: calls.append(vectors) or real(vectors))
     assert rank_formula(mod4_line, K) == rank_formula(mod4_line, K_INTERIOR) == 8
     dual_system(mod4_line, (0,))
+    cone_triangulation(mod4_line)
     assert calls == [[(1, 0), (1, 1), (1, 2)]]
-    assert normalized_volume.cache_parameters()["maxsize"] == 16
+    for cached in (cones._triangulation, cone_triangulation, normalized_volume):
+        assert cached.cache_parameters()["maxsize"] == 16

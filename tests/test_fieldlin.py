@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+from fieldlin_oracle import rank
 from tgkz import fieldlin
 
 
@@ -10,7 +11,7 @@ def _two_pass_solve_unique(matrix_rows, rhs):
     if not matrix_rows:
         return None
     x = fieldlin.solve(matrix_rows, rhs)
-    if x is None or fieldlin.rank(matrix_rows) != len(matrix_rows[0]):
+    if x is None or rank(matrix_rows) != len(matrix_rows[0]):
         return None
     return x
 

@@ -240,6 +240,19 @@ def test_geometry_reports_match_benchmark_references(name, command):
     assert digest == references[f"{name}:{command}"]
 
 
+def test_every_benchmark_reference_is_checked():
+    """The three reference tests above hash every job stored in
+    bench/references.json (read, never written): all 31, so a byte change
+    in any benchmark report fails here before the benchmark runs."""
+    references = json.loads((BENCH / "references.json").read_text(encoding="utf-8"))
+    checked = {f"{name}:{command}" for name in IDEALS_SPECS for command in ("ideals", "primes")}
+    checked |= {f"{name}:{command}" for _, name, command in PRESENTATION_JOBS}
+    checked |= {f"{name}:{command}" for name in GEOMETRY_SPECS
+                for command in ("check", "module", "rank")}
+    assert set(references) == checked
+    assert len(checked) == 31
+
+
 # ---------------------------------------------------------------------------
 # the report writer against json.dumps, kept as its oracle
 

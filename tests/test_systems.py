@@ -8,8 +8,9 @@ import pytest
 
 from cone_oracle import boundary_quasi_degrees
 from conftest import make_config, random_battery, square_prism
+from fieldlin_oracle import in_span
 from relation_oracle import pair_elements, span_reduce
-from tgkz import cones, fieldlin, semigroups, systems
+from tgkz import cones, semigroups, systems
 from tgkz.cones import face_by_columns
 from tgkz.cyclotomic import Cyclotomic
 from tgkz.errors import NotHomogeneousError, NotPointedError, NotStabilizedError
@@ -250,7 +251,7 @@ def _weyl_left_ideal_contains_one(ops, nvars, bound=6):
         return False
     target = [zero] * len(keys)
     target[idx[const_key]] = Cyclotomic.one()
-    return fieldlin.in_span(rows, target)
+    return in_span(rows, target)
 
 
 def test_vanishing_vertex_face_matches_weyl_oracle():
