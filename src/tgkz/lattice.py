@@ -10,10 +10,11 @@ past the rank of H span the kernel of the rows' map; H's pivots give the
 index [N : Z cal(A)] and the spanning test; the first rows of T solve for a
 target (express_in_columns) and extend a character from a saturated
 lattice.  The column questions on cal(A) share one memoized form,
-_column_hermite.  The Smith form is kept only where a finite quotient is
-enumerated: its transform V fixes the characters of the free kernel modulo
-the full kernel (binomials._minimal_primes) and the residues of Z^d modulo
-a simplex (semigroups._box_base).
+_column_hermite.  A simplex's own Hermite form gives the residues of Z^d
+modulo it (semigroups._box_base).  The Smith form serves only the
+characters: its transform V fixes the characters of the free kernel modulo
+the full kernel (binomials._minimal_primes).  Each normal form runs on one
+working matrix whose rows carry the transforms along.
 """
 
 from fractions import Fraction
@@ -81,93 +82,71 @@ class SmithDecomposition:
     invariant_factors: tuple
 
 
-def _swap_rows(a, u, i, j):
-    a[i], a[j] = a[j], a[i]
-    u[i], u[j] = u[j], u[i]
+def _add_row(w, dst, src, q):
+    row, add = w[dst], w[src]
+    for k in range(len(row)):
+        row[k] += q * add[k]
 
 
-def _swap_cols(a, v, i, j):
-    for r in a:
+def _swap_cols(w, i, j):
+    for r in w:
         r[i], r[j] = r[j], r[i]
-    for r in v:
-        r[i], r[j] = r[j], r[i]
 
 
-def _add_row(a, u, dst, src, q):
-    # row dst += q * row src
-    ad, asrc = a[dst], a[src]
-    for k in range(len(ad)):
-        ad[k] += q * asrc[k]
-    ud, usrc = u[dst], u[src]
-    for k in range(len(ud)):
-        ud[k] += q * usrc[k]
-
-
-def _add_col(a, v, dst, src, q):
-    for r in a:
-        r[dst] += q * r[src]
-    for r in v:
+def _add_col(w, dst, src, q):
+    for r in w:
         r[dst] += q * r[src]
 
 
 def smith_normal_form(m) -> SmithDecomposition:
     """U*M*V = D with U, V unimodular and positive diagonal factors in a
-    divisibility chain d1 | d2 | ... ; M is given by its rows, at least one."""
-    a = [list(r) for r in m]
-    nr, nc = len(a), len(a[0])
-    u = _unit_rows(nr)
-    v = _unit_rows(nc)
+    divisibility chain d1 | d2 | ... ; M is given by its rows, at least one.
+
+    One working matrix carries both transforms: row i < nr is row i of M
+    followed by row i of U, and the last nc rows are the rows of V.  A row
+    step acts on whole rows among the first nr, a column step on the first
+    nc entries of every row."""
+    nr, nc = len(m), len(m[0])
+    a = [list(r) + u for r, u in zip(m, _unit_rows(nr))] + _unit_rows(nc)
     k = 0
     while k < min(nr, nc):
-        # smallest nonzero |entry| in the remaining block becomes the pivot
-        piv = None
-        for i in range(k, nr):
-            for j in range(k, nc):
-                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
+        # the first smallest nonzero |entry| of the remaining block, by rows
+        piv = min(((abs(a[i][j]), i, j) for i in range(k, nr) for j in range(k, nc)
+                   if a[i][j] != 0), default=None)
         if piv is None:
             break
-        _swap_rows(a, u, k, piv[0])
-        _swap_cols(a, v, k, piv[1])
+        a[k], a[piv[1]] = a[piv[1]], a[k]
+        _swap_cols(a, k, piv[2])
         while True:
             dirty = False
             for i in range(k + 1, nr):
                 if a[i][k] != 0:
-                    q = a[i][k] // a[k][k]
-                    _add_row(a, u, i, k, -q)
+                    _add_row(a, i, k, -(a[i][k] // a[k][k]))
                     if a[i][k] != 0:
                         # remainder smaller than pivot: promote it
-                        _swap_rows(a, u, k, i)
+                        a[k], a[i] = a[i], a[k]
                         dirty = True
             for j in range(k + 1, nc):
                 if a[k][j] != 0:
-                    q = a[k][j] // a[k][k]
-                    _add_col(a, v, j, k, -q)
+                    _add_col(a, j, k, -(a[k][j] // a[k][k]))
                     if a[k][j] != 0:
-                        _swap_cols(a, v, k, j)
+                        _swap_cols(a, k, j)
                         dirty = True
             if dirty:
                 continue
             # pivot must divide every entry of the remaining block before we
             # advance, otherwise the divisibility chain can break later
-            offender = None
-            for i in range(k + 1, nr):
-                for j in range(k + 1, nc):
-                    if a[i][j] % a[k][k] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(k + 1, nr)
+                             if any(a[i][j] % a[k][k] for j in range(k + 1, nc))), None)
             if offender is None:
                 break
-            _add_row(a, u, k, offender, 1)
+            _add_row(a, k, offender, 1)
         if a[k][k] < 0:
-            for j in range(nc):
-                a[k][j] = -a[k][j]
-            for j in range(nr):
-                u[k][j] = -u[k][j]
+            a[k] = [-x for x in a[k]]
         k += 1
-    um, dm, vm = (tuple(map(tuple, x)) for x in (u, a, v))
+    dm = tuple(tuple(r[:nc]) for r in a[:nr])
+    um = tuple(tuple(r[nc:]) for r in a[:nr])
+    vm = tuple(map(tuple, a[nr:]))
     factors = tuple(dm[i][i] for i in range(min(nr, nc)) if dm[i][i] != 0)
     if _mul(_mul(um, m), vm) != dm or \
             any(g % f for f, g in zip(factors, factors[1:])):
@@ -202,11 +181,13 @@ def is_hermite(rows):
 
 
 def hnf_with_transform(rows):
-    """(H, T) with T unimodular, T * rows = H padded by zero rows."""
-    m = [list(int(x) for x in r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    t = _unit_rows(nr)
+    """(H, T) with T unimodular, T * rows = H padded by zero rows.
+
+    Working row i is input row i followed by row i of T, so every row step
+    acts on one whole row."""
+    m = [[int(x) for x in row] for row in rows]
+    nr, nc = len(m), (len(m[0]) if m else 0)
+    m = [row + u for row, u in zip(m, _unit_rows(nr))]
     r = 0
     for c in range(nc):
         if r == nr:
@@ -220,33 +201,24 @@ def hnf_with_transform(rows):
             if pivot is None:
                 break
             m[r], m[pivot] = m[pivot], m[r]
-            t[r], t[pivot] = t[pivot], t[r]
             done = True
             for i in range(r + 1, nr):
                 if m[i][c] != 0:
-                    q = m[i][c] // m[r][c]
-                    for k in range(nc):
-                        m[i][k] -= q * m[r][k]
-                    for k in range(nr):
-                        t[i][k] -= q * t[r][k]
+                    _add_row(m, i, r, -(m[i][c] // m[r][c]))
                     if m[i][c] != 0:
                         done = False
             if done:
                 break
-        if r < nr and m[r][c] != 0:
+        if m[r][c] != 0:
             if m[r][c] < 0:
                 m[r] = [-x for x in m[r]]
-                t[r] = [-x for x in t[r]]
             for i in range(r):
                 q = m[i][c] // m[r][c]
                 if q:
-                    for k in range(nc):
-                        m[i][k] -= q * m[r][k]
-                    for k in range(nr):
-                        t[i][k] -= q * t[r][k]
+                    _add_row(m, i, r, -q)
             r += 1
-    basis = tuple(tuple(row) for row in m[:r])  # each has its nonzero pivot
-    return basis, tuple(map(tuple, t))
+    basis = tuple(tuple(row[:nc]) for row in m[:r])  # each has its nonzero pivot
+    return basis, tuple(tuple(row[nc:]) for row in m)
 
 
 def _pivot_positions(hrows):

@@ -9,12 +9,12 @@ triangulation.
 
 Cone tests use the integer cone kernel's facet rows (`cones.facet_rows`,
 primitive, once per config): v is in K when every dot product is >= 0, in
-the interior when every one is >= 1.  Box points come from the Smith form
-in integers and are tested all at once (SWAR): each facet row is one
-integer with a W-bit field per candidate b + o and a guard bit on top, W
-fixed per box by a bound on the values and floors, so one add and one AND
-per row test every candidate against a floor.  Each primitive set is
-computed once per module.
+the interior when every one is >= 1.  Box points come from each simplex's
+Hermite form in integers, the residues spread along its diagonal, and are
+tested all at once (SWAR): each facet row is one integer with a W-bit field
+per candidate b + o and a guard bit on top, W fixed per box by a bound on
+the values and floors, so one add and one AND per row test every candidate
+against a floor.  Each primitive set is computed once per module.
 """
 
 import math
@@ -26,7 +26,7 @@ from operator import add, and_, lshift, mul
 from ._value import frozen
 from .cones import PointConfig, cone_triangulation, facet_rows, is_pointed
 from .errors import BoxScanIncompleteError, NotPointedError, SpecError
-from .lattice import GroupElement, smith_normal_form
+from .lattice import GroupElement, hnf_with_transform
 
 K = "K"
 K_INTERIOR = "K_INTERIOR"
@@ -153,19 +153,23 @@ def _box_base(simplex):
     spanned by d linearly independent integer vectors v_j, in the
     fundamental box {sum mu_j v_j : 0 <= mu_j < 1}.
 
-    If U M V = D is the Smith form of M = (v_1 ... v_d), the class of
-    U^-1 r has coordinates mu = M^-1 U^-1 r = V D^-1 r and point M frac(mu),
-    both times |det M|.
+    If T S = H is the Hermite form of the rows v_j of S, the classes are the
+    r with 0 <= r_i < H_ii, vol = prod H_ii = |det S|, and r has
+    coordinates mu = r S^-1 = r H^-1 T and point frac(mu) S.  vol * H^-1 T
+    is integral (vol * H^-1 = adj H) and comes from H by back substitution.
     """
     d = len(simplex)
-    m_rows = list(zip(*simplex))
-    snf = smith_normal_form(m_rows)
-    dets = snf.invariant_factors
-    if len(dets) != d or any(len(v) != d for v in simplex):
+    h, t = hnf_with_transform(simplex)
+    if len(h) != d or any(len(v) != d for v in simplex):
         raise ValueError("box vectors must be d linearly independent vectors")
+    dets = [row[i] for i, row in enumerate(h)]
     vol = math.prod(dets)
-    coords = [[snf.V[j][i] * (vol // dets[i]) for i in range(d)]
-              for j in range(d)]
+    scaled = [None] * d  # row i of vol * H^-1 T
+    for i in reversed(range(d)):
+        scaled[i] = [(vol * t[i][j] - sum(h[i][k] * scaled[k][j] for k in range(i + 1, d)))
+                     // dets[i] for j in range(d)]
+    coords = list(zip(*scaled))  # coords[j] . r = vol * mu_j
+    m_rows = list(zip(*simplex))
     base = set()
     for residue in product(*map(range, dets)):
         mu = [sum(map(mul, row, residue)) % vol for row in coords]
@@ -311,12 +315,16 @@ def primitive_elements(module: SemigroupModule) -> PrimitiveSet:
 def cone_points_up_to(config: PointConfig, height, bound):
     """Free-part lattice points of the cone with height(v) <= bound, where
     `height` is a functional >= 1 on every nonzero column; -den * height,
-    den clearing its denominators, is tested as one more row."""
+    den clearing its denominators, is tested as one more row.  No cone point
+    has negative height, so a negative bound leaves none."""
+    simplices = cone_triangulation(config)
+    if bound < 0:
+        return []
     den = math.lcm(*(Fraction(c).denominator for c in height.free_part))
     rows = facet_rows(config) + (tuple(int(-den * c) for c in height.free_part),)
     floor = (0,) * (len(rows) - 1) + (-math.floor(den * Fraction(bound)),)
     out = set()
-    for simplex in cone_triangulation(config):
+    for simplex in simplices:
         scales = [math.floor(Fraction(bound) / height(v)) + 2 for v in simplex]
         out.update(tuple(map(add, b, o))
                    for b, o in _box_points(simplex, scales, rows, floor,

@@ -1,17 +1,52 @@
-"""The packed-word box scan, kept as a test-only oracle for
-tgkz.semigroups._box_points.
+"""The packed-word box scan and the Smith-form box base, kept as test-only
+oracles for tgkz.semigroups._box_points and _box_base.
 
 Each candidate b + o is one integer holding all of its facet values, W bits
 per value with a guard bit on top, and the candidates are visited one at a
-time in a Python loop: one add and one mask per floor test.
+time in a Python loop: one add and one mask per floor test.  The box base
+takes its residues from the Smith form of the simplex (the form of
+lattice_oracle, so independent of tgkz.lattice).
 """
 
+import math
 from itertools import chain, product
 from operator import lshift, mul
+
+from lattice_oracle import smith_normal_form
+from tgkz.errors import BoxScanIncompleteError
 
 
 def _values(rows, v):
     return tuple(sum(map(mul, row, v)) for row in rows)
+
+
+def box_base(simplex):
+    """One representative b per residue class of Z^d modulo the sublattice
+    spanned by d linearly independent integer vectors v_j, in the
+    fundamental box {sum mu_j v_j : 0 <= mu_j < 1}.
+
+    If U M V = D is the Smith form of M = (v_1 ... v_d), the class of
+    U^-1 r has coordinates mu = M^-1 U^-1 r = V D^-1 r and point M frac(mu),
+    both times |det M|.
+    """
+    d = len(simplex)
+    m_rows = list(zip(*simplex))
+    snf = smith_normal_form(m_rows)
+    dets = snf.invariant_factors
+    if len(dets) != d or any(len(v) != d for v in simplex):
+        raise ValueError("box vectors must be d linearly independent vectors")
+    vol = math.prod(dets)
+    coords = [[snf.V[j][i] * (vol // dets[i]) for i in range(d)]
+              for j in range(d)]
+    base = set()
+    for residue in product(*map(range, dets)):
+        mu = [sum(map(mul, row, residue)) % vol for row in coords]
+        base.add(tuple(x // vol for x in _values(m_rows, mu)))
+    if len(base) != vol:
+        raise BoxScanIncompleteError(
+            "box representatives do not cover the residue classes",
+            simplex=simplex, expected=vol, found=len(base))
+    return base
 
 
 def box_points(simplex, scales, rows, floor, base, reducers=()):

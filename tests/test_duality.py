@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +171,15 @@ def test_character_split_torsion_free(plane_segment):
     cert = character_split(plane_segment)
     assert cert.determinant.is_one()
     assert len(cert.exponents) == 1
+
+
+@pytest.mark.parametrize("name", ["plane_segment", "mod4_line", "z6_plane"])
+def test_character_split_with_negative_truncation_checks_no_piece(name):
+    path = Path(__file__).resolve().parent.parent / "sample_specs" / f"{name}.json"
+    config = parse_spec(path.read_text(encoding="utf-8")).config
+    cert = character_split(config, -5)
+    assert cert.pieces_checked == 0
+    assert cert.truncation == -5
 
 
 def test_character_split_requires_hypotheses(even_pair):

@@ -103,9 +103,36 @@ def test_smith_identities_random():
         assert all(facs[i + 1] % facs[i] == 0 for i in range(len(facs) - 1))
 
 
+def _parts(s):
+    return s.U, s.D, s.V, s.invariant_factors
 
-def _swap_cols_forgetting_v(a, v, i, j):
-    for r in a:
+
+def test_normal_forms_equal_the_two_matrix_routines():
+    """(H, T) and (U, D, V, invariant factors) equal, entry for entry, those
+    of the routines that stepped each matrix and its transforms apart
+    (lattice_oracle), on 3,000 seeded matrices up to 5x5 with entries up to
+    4 in absolute value: every shape, some with a dependent or a zero row."""
+    rng = random.Random(4022)
+    shapes, dependent = set(), 0
+    for _ in range(3000):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        m = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)]
+        if r > 1 and rng.random() < 0.3:
+            a, b = rng.choice((-2, -1, 1, 2)), rng.randint(-2, 2)
+            m[-1] = [a * x + b * y for x, y in zip(m[0], m[1 % (r - 1)])]
+        elif rng.random() < 0.05:
+            m[rng.randrange(r)] = [0] * c
+        dependent += len(hnf_rows(m)) < min(r, c)
+        shapes.add((r, c))
+        assert hnf_with_transform(m) == lattice_oracle.hnf_with_transform(m), m
+        assert _parts(smith_normal_form(m)) == _parts(lattice_oracle.smith_normal_form(m)), m
+    assert len(shapes) == 25
+    assert dependent > 300
+
+
+def _swap_cols_forgetting_v(w, i, j):
+    # the working matrix ends with the nc rows of V, each nc long
+    for r in w[:-len(w[-1])]:
         r[i], r[j] = r[j], r[i]
 
 
@@ -113,10 +140,10 @@ def _swap_cols_forgetting_v(a, v, i, j):
 WRONG_TRANSFORM = """
 from tgkz import lattice
 from tgkz.errors import SmithCheckError
-def swap_a_only(a, v, i, j):
-    for r in a:
+def swap_m_rows_only(w, i, j):
+    for r in w[:-len(w[-1])]:
         r[i], r[j] = r[j], r[i]
-lattice._swap_cols = swap_a_only
+lattice._swap_cols = swap_m_rows_only
 try:
     lattice.smith_normal_form([[3, 1]])
 except SmithCheckError as exc:
@@ -328,8 +355,9 @@ def test_spanning_test_matches_the_smith_oracle():
 
 def test_only_finite_quotient_enumerations_take_a_smith_form():
     """In src/tgkz, smith_normal_form is called only where a finite
-    quotient is enumerated: the characters of the free kernel modulo the
-    full kernel, and the residues of Z^d modulo a simplex."""
+    quotient is enumerated through its transform: the characters of the
+    free kernel modulo the full kernel.  The residues of Z^d modulo a
+    simplex come from the simplex's Hermite form."""
     callers = set()
 
     def visit(node, scope):
@@ -346,4 +374,4 @@ def test_only_finite_quotient_enumerations_take_a_smith_form():
     src = Path(lattice.__file__).parent
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    assert callers == {"_minimal_primes", "_box_base"}
+    assert callers == {"_minimal_primes"}

@@ -6,15 +6,18 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
+from box_oracle import box_base as oracle_box_base
 from box_oracle import box_points as oracle_box_points
 from conftest import make_config, random_battery, square_prism
-from tgkz import fieldlin, semigroups
+from tgkz import fieldlin, lattice, semigroups
 from tgkz.cones import cone_triangulation, facet_rows, facets, positive_grading
 from tgkz.errors import BoxScanIncompleteError, HypothesisError, SpecError
-from tgkz.lattice import Functional, SmithDecomposition, smith_normal_form
+from tgkz.lattice import Functional, hnf_with_transform, smith_normal_form
+from tgkz.problem import parse_spec
 from tgkz.semigroups import (
     EXPLICIT,
     K,
@@ -493,11 +496,11 @@ def test_lost_box_point_raises_typed_error(split_line, monkeypatch):
 
 
 def test_box_representative_count_is_checked(monkeypatch):
-    # a wrong Smith transform collapses the residue classes onto one point
-    def broken(m):
-        snf = smith_normal_form(m)
-        return SmithDecomposition(snf.U, snf.D, ((0, 0), (0, 0)), snf.invariant_factors)
-    monkeypatch.setattr(semigroups, "smith_normal_form", broken)
+    # a wrong Hermite transform collapses the residue classes onto one point
+    def broken(rows):
+        h, _ = hnf_with_transform(rows)
+        return h, ((0, 0), (0, 0))
+    monkeypatch.setattr(semigroups, "hnf_with_transform", broken)
     with pytest.raises(BoxScanIncompleteError) as info:
         _box_base(((1, 0), (1, 2)))
     assert info.value.context["expected"] == 2
@@ -505,10 +508,10 @@ def test_box_representative_count_is_checked(monkeypatch):
 
 
 def test_box_base_built_once_per_simplex_per_miss(monkeypatch):
-    # the base-scale scan and the doubled-scale rescan share each Smith form
+    # the base-scale scan and the doubled-scale rescan share each Hermite form
     calls = []
-    monkeypatch.setattr(semigroups, "smith_normal_form",
-                        lambda m: calls.append(m) or smith_normal_form(m))
+    monkeypatch.setattr(semigroups, "hnf_with_transform",
+                        lambda m: calls.append(m) or hnf_with_transform(m))
     for cfg in random_battery(7, 6) + [square_prism([2])]:
         simplices = len(cone_triangulation(cfg))
         for kind in (K, K_INTERIOR):
@@ -516,6 +519,60 @@ def test_box_base_built_once_per_simplex_per_miss(monkeypatch):
             calls.clear()
             module_generators(SemigroupModule(kind, cfg))
             assert len(calls) == simplices, (cfg, kind)
+
+
+def _spec_configs():
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted([*(root / "sample_specs").glob("*.json"),
+                    *(root / "bench" / "specs").glob("*.json")])
+    return {p.stem: parse_spec(p.read_text(encoding="utf-8")).config for p in paths}
+
+
+def test_box_base_matches_the_smith_oracle():
+    """The Hermite residues give the same box base, as a set, as the Smith
+    form did: on every simplex of the sample and bench specs and of two
+    random batteries, and on 400 seeded independent sets of d <= 4 vectors
+    with entries up to 5 in absolute value."""
+    configs = list(_spec_configs().values()) + random_battery(20240, 40) + random_battery(7, 40)
+    simplices = {s for cfg in configs for s in cone_triangulation(cfg)}
+    rng = random.Random(413)
+    seeded = set()
+    while len(seeded) < 400:
+        d = rng.randint(1, 4)
+        vectors = tuple(tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(d))
+        if lattice.det(vectors):
+            seeded.add(vectors)
+    for simplex in simplices | seeded:
+        assert _box_base(simplex) == oracle_box_base(simplex), simplex
+    assert len(simplices) == 19
+
+
+# a simplex of the 6-d spec with columns 0-7; its Smith transform V
+# has entries of 439,398 bits
+SIX_D_SIMPLEX = ((0, 7, 1, 5, 3, 7), (3, 5, 3, 4, 3, 7), (3, 7, 6, 2, 1, 7),
+                 (4, 1, 7, 6, 7, 5), (7, 4, 5, 0, 0, 4), (7, 4, 7, 2, 5, 5))
+
+
+def test_six_dimensional_box_base_takes_no_smith_form(monkeypatch):
+    """One point per class of Z^6 modulo the simplex (|det| = 4,576), each
+    with coordinates mu in [0, 1) by exact Fractions, and no Smith form."""
+    calls = []
+    monkeypatch.setattr(lattice, "smith_normal_form", lambda m: calls.append(m))
+    base = _box_base(SIX_D_SIMPLEX)
+    assert calls == [] and not hasattr(semigroups, "smith_normal_form")
+    assert len(base) == abs(lattice.det(SIX_D_SIMPLEX)) == 4576
+    m = [[Fraction(v[i]) for v in SIX_D_SIMPLEX] for i in range(6)]  # M mu = b
+    inverse = list(zip(*(fieldlin.solve_unique(m, [Fraction(int(i == j)) for j in range(6)])
+                         for i in range(6))))
+    for b in base:
+        assert all(0 <= sum(map(operator.mul, row, b)) < 1 for row in inverse), b
+
+
+@pytest.mark.parametrize("name", ["plane_segment", "mod4_line", "z6_plane"])
+def test_negative_bound_leaves_no_cone_point(name):
+    config = _spec_configs()[name]
+    for bound in (-1, -2, -5, Fraction(-1, 2)):
+        assert cone_points_up_to(config, positive_grading(config), bound) == [], bound
 
 
 def test_cone_points_match_brute_force(battery):
