@@ -14,7 +14,8 @@ them, and they remain as test oracles and benchmark layers.  The core is
 Buchberger's algorithm with the Gebauer-Moeller pair criteria B_k, M, F and
 the product criterion (Gebauer-Moeller, "On an installation of Buchberger's
 algorithm", JSC 6, 1988; Becker-Weispfenning, Groebner Bases, 1993, ch. 5);
-its pair budget counts the S-pairs it reduces after the criteria.
+its pair budget counts the S-pairs it reduces after the criteria.  A run
+keeps its divisors and live elements per component and each order key once.
 
 Coefficients carry their own field: a Cyclotomic knows its order and lifts
 mixed orders to their lcm on every operation, so a Polynomial is just a
@@ -39,7 +40,7 @@ import os
 import re
 from fractions import Fraction
 from math import lcm
-from operator import add, le, mul, sub
+from operator import add, le, mul, neg, sub
 
 from ._value import frozen
 from .cyclotomic import Cyclotomic, scaled_text, signed_sum, square_and_multiply
@@ -78,7 +79,7 @@ class Grevlex(MonomialOrder):
     """Graded reverse lexicographic."""
 
     def key(self, exp):
-        return (sum(exp), tuple(-x for x in reversed(exp)))
+        return (sum(exp), tuple(map(neg, exp[::-1])))
 
 
 class BlockElim(MonomialOrder):
@@ -90,7 +91,7 @@ class BlockElim(MonomialOrder):
         self.elim = tuple(sorted(elim))
 
     def key(self, exp):
-        return (sum(exp[i] for i in self.elim), sum(exp), tuple(-x for x in reversed(exp)))
+        return (sum(map(exp.__getitem__, self.elim)), sum(exp), tuple(map(neg, exp[::-1])))
 
 
 GREVLEX = Grevlex()
@@ -107,13 +108,15 @@ class WeightedLast(MonomialOrder):
         self.weights, self.var = tuple(weights), var
 
     def key(self, exp):
-        return (sum(map(mul, self.weights, exp)), -exp[self.var], GREVLEX.key(exp))
+        return (sum(map(mul, self.weights, exp)), -exp[self.var], sum(exp),
+                tuple(map(neg, exp[::-1])))
 
 
 class TermOverPosition(MonomialOrder):
     """Order on module terms (p + 1, -(p + 1)) + u: the first `eliminate`
     components outrank the rest, the smaller p first, then grevlex on u, then
-    the smaller p, so a reduced basis eliminates them (Becker-Weispfenning)."""
+    the smaller p, so a reduced basis eliminates them (Becker-Weispfenning).
+    The two tag entries sum to 0, so sum(exp) is the degree of u."""
 
     ntags = 2
 
@@ -122,7 +125,7 @@ class TermOverPosition(MonomialOrder):
 
     def key(self, exp):
         p, k = exp[0] - 1, self.eliminate
-        return (k - p if p < k else 0, GREVLEX.key(exp[2:]), -p)
+        return (k - p if p < k else 0, sum(exp), tuple(map(neg, exp[:1:-1])), -p)
 
 
 def _divides(a, b):
@@ -162,8 +165,8 @@ class Polynomial:
     @classmethod
     def _of(cls, nvars, terms):
         """Wrap a dict of nonzero Cyclotomic coefficients as is."""
-        p = cls(nvars)
-        p.terms = terms
+        p = object.__new__(cls)
+        p.nvars, p.terms = nvars, terms
         return p
 
     @staticmethod
@@ -203,8 +206,12 @@ class Polynomial:
     def __add__(self, other):
         terms = dict(self.terms)
         for e, c in self._operand(other).terms.items():
-            terms[e] = terms[e] + c if e in terms else c
-        return type(self)(self.nvars, terms)
+            s = terms[e] + c if e in terms else c
+            if s:
+                terms[e] = s
+            else:
+                del terms[e]
+        return self._of(self.nvars, terms)
 
     __radd__ = __add__
 
@@ -219,7 +226,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
-            return type(self)(self.nvars, {exp: c * other for exp, c in self.terms.items()})
+            return self._of(self.nvars, {e: s for e, c in self.terms.items() if (s := c * other)})
         other = self._operand(other)
         terms = {}
         for e1, c1 in self.terms.items():
@@ -227,7 +234,7 @@ class Polynomial:
                 e = _add(e1, e2)
                 c = c1 * c2
                 terms[e] = terms[e] + c if e in terms else c
-        return type(self)(self.nvars, terms)
+        return self._of(self.nvars, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -258,7 +265,7 @@ class Polynomial:
         for e, c in self.terms.items():
             ne = fn(e)
             terms[ne] = terms[ne] + c if ne in terms else c
-        return type(self)(new_nvars, terms)
+        return self._of(new_nvars, {e: c for e, c in terms.items() if c})
 
     def extend_vars(self, extra):
         """Append `extra` fresh variables (exponent 0) at the end."""
@@ -283,18 +290,38 @@ class Polynomial:
 # the Groebner core: term dicts, monic divisors, truth-value zero tests
 
 
-def _reduce(f, divisors, leads, order):
-    """Remainder of the term dict f on full division by monic `divisors`
-    with leading terms `leads`: a term's coefficient is itself the
-    reduction factor, so nothing is divided."""
-    key = order.key
+class _Keys(dict):
+    """Exponent -> order key, each key computed on first use."""
+
+    def __init__(self, order):
+        self.order_key = order.key
+
+    def __missing__(self, exp):
+        k = self[exp] = self.order_key(exp)
+        return k
+
+
+def _index(leads, ntags):
+    """The leading terms by component exp[:ntags], each list (lead, index)
+    in index order: a term is divisible only by leads of its component."""
+    index = {}
+    for i, lexp in enumerate(leads):
+        index.setdefault(lexp[:ntags], []).append((lexp, i))
+    return index
+
+
+def _reduce(f, divisors, index, key, ntags):
+    """Remainder of the term dict f on full division by monic `divisors`,
+    whose leading terms `index` lists per component (see _index): the first
+    divisor in index order whose lead divides a term reduces it.  A term's
+    coefficient is itself the reduction factor, so nothing is divided."""
     remainder = {}
     work = dict(f)
     while work:
         exp = max(work, key=key)
         coeff = work.pop(exp)
-        for idx, lexp in enumerate(leads):
-            if _divides(lexp, exp):
+        for lexp, idx in index.get(exp[:ntags], ()):
+            if all(map(le, lexp, exp)):  # _divides, inlined
                 break
         else:
             # popped terms strictly decrease, so exp is new to the remainder
@@ -345,36 +372,46 @@ def _groebner(elems, order):
     by leading term.  Each element, input or remainder, joins through the
     Gebauer-Moeller update (JSC 6, 1988; Becker-Weispfenning, ch. 5): its
     leading term h drops the pending pairs whose lcm it divides strictly
-    (B_k); of its pairs with the live elements of its tag it keeps one per
-    minimal lcm (M, F) unless one of them is coprime (product criterion);
-    elements whose leading term h divides retire from the live set but stay
-    divisors.  Pairs leave the heap smallest (order key of the lcm, (i, j))
-    first, and the budget (default_pair_budget) counts the pairs popped."""
+    (B_k); of its pairs with the live elements of its component it keeps one
+    per minimal lcm (M, F) unless one of them is coprime (product
+    criterion); elements whose leading term h divides retire from the live
+    set but stay divisors.  Pairs leave the heap smallest (order key of the
+    lcm, (i, j)) first, and the budget (default_pair_budget) counts the
+    pairs popped.  Terms divide and pair only within their component
+    exp[:order.ntags], so divisors and live elements are listed per
+    component as they join; each order key is computed once a run."""
     pair_budget = default_pair_budget()
-    key, ntags = order.key, order.ntags
-    basis, leads, live, pending = [], [], [], []
+    ntags = order.ntags
+    key = _Keys(order).__getitem__
+    basis, leads, index, live, pending = [], [], {}, {}, []
 
     def update(f):
-        nonlocal live, pending
+        nonlocal pending
         h, k = max(f, key=key), len(basis)
+        tag = h[:ntags]
         basis.append(_monic(f, h))
         leads.append(h)
+        index.setdefault(tag, []).append((h, k))
         kept = [(lkey, (i, j), lcm) for lkey, (i, j), lcm in pending
-                if not _divides(h, lcm)
+                if not all(map(le, h, lcm))
                 or lcm in (_lcm_exp(leads[i], h), _lcm_exp(leads[j], h))]
         if len(kept) < len(pending):
             pending = kept
             heapq.heapify(pending)
         partners = {}  # lcm -> live partners of h, ascending
-        for i in live:
-            if leads[i][:ntags] == h[:ntags]:
-                partners.setdefault(_lcm_exp(leads[i], h), []).append(i)
-        for lcm, group in partners.items():
+        for i in live.get(tag, ()):
+            partners.setdefault(_lcm_exp(leads[i], h), []).append(i)
+        # a lcm that another one divides strictly has a larger total degree,
+        # and some minimal lcm divides it too
+        minimal = []
+        for lcm in sorted(partners, key=sum):
+            if any(_divides(m, lcm) for m in minimal):
+                continue
+            minimal.append(lcm)
             # no module lcm is a sum: a sum doubles the nonzero component entries
-            if not any(other != lcm and _divides(other, lcm) for other in partners) \
-                    and all(lcm != _add(leads[i], h) for i in group):
-                heapq.heappush(pending, (key(lcm), (group[0], k), lcm))
-        live = [i for i in live if not _divides(h, leads[i])] + [k]
+            if all(lcm != _add(leads[i], h) for i in partners[lcm]):
+                heapq.heappush(pending, (key(lcm), (partners[lcm][0], k), lcm))
+        live[tag] = [i for i in live.get(tag, ()) if not _divides(h, leads[i])] + [k]
 
     for f in elems:
         update(f)
@@ -386,20 +423,23 @@ def _groebner(elems, order):
             raise BudgetExceededError(
                 f"Groebner pair budget exceeded ({pair_budget} pairs)",
                 pairs=processed, budget=pair_budget)
-        rem = _reduce(_s_pair(basis[i], basis[j], leads[i], leads[j]), basis, leads, order)
+        rem = _reduce(_s_pair(basis[i], basis[j], leads[i], leads[j]), basis, index, key, ntags)
         if rem:
             update(rem)
-    # minimalize: live leading terms are distinct, and each retired one is a
-    # multiple of a live one
-    kept = sorted((i for i in live if not any(j != i and _divides(leads[j], leads[i])
-                                              for j in live)), key=lambda i: key(leads[i]))
-    # full tail reduction; leading terms are pairwise non-divisible so they
-    # stay, monic, and `out` stays sorted ascending by them
-    kept_leads = [leads[i] for i in kept]
+    # minimalize per component: live leading terms are distinct, and each
+    # retired one is a multiple of a live one
+    kept = sorted((i for group in live.values() for i in group
+                   if not any(j != i and _divides(leads[j], leads[i]) for j in group)),
+                  key=lambda i: key(leads[i]))
+    # full tail reduction below each lead: leads are pairwise non-divisible
+    # and a lead divides no smaller term, so every lead stays, monic, and
+    # `out` stays sorted ascending by them
     out = [basis[i] for i in kept]
-    for i in range(len(out)):
-        out[i] = _reduce(out[i], out[:i] + out[i + 1:],
-                         kept_leads[:i] + kept_leads[i + 1:], order)
+    kept_index = _index([leads[i] for i in kept], ntags)
+    for i, g in enumerate(out):
+        lead = leads[kept[i]]
+        tail = dict(g)
+        out[i] = {lead: tail.pop(lead), **_reduce(tail, out, kept_index, key, ntags)}
     return out
 
 
@@ -407,8 +447,9 @@ def normal_form(f, gens, order):
     """Full multivariate division remainder of f by gens, deterministic.
     Every divisor must be monic, as the bases buchberger returns are."""
     gens = [g for g in gens if not g.is_zero()]
-    return Polynomial._of(f.nvars, _reduce(f.terms, [g.terms for g in gens],
-                                           [g.leading(order)[0] for g in gens], order))
+    index = _index([g.leading(order)[0] for g in gens], order.ntags)
+    return Polynomial._of(f.nvars, _reduce(f.terms, [g.terms for g in gens], index,
+                                           _Keys(order).__getitem__, order.ntags))
 
 
 def s_polynomial(f, g, order):
@@ -531,8 +572,10 @@ def _core_terms(elem):
 def module_normal_form(elem, gens, leads, eliminate=0):
     """Remainder of a module element on full division by monic `gens`, whose
     leading terms are `leads`, under TermOverPosition(eliminate)."""
-    rem = _reduce(_core_terms(elem), [_core_terms(g) for g in gens],
-                  [(p + 1, -p - 1) + u for p, u in leads], TermOverPosition(eliminate))
+    order = TermOverPosition(eliminate)
+    index = _index([(p + 1, -p - 1) + u for p, u in leads], order.ntags)
+    rem = _reduce(_core_terms(elem), [_core_terms(g) for g in gens], index,
+                  _Keys(order).__getitem__, order.ntags)
     return {(t[0] - 1, t[2:]): c for t, c in rem.items()}
 
 

@@ -14,6 +14,7 @@ import pytest
 import tgkz
 from conftest import make_config, random_battery
 import relation_oracle
+from reduce_oracle import linear_reduce
 from relation_oracle import pair_elements, span_reduce, two_run_relation_module
 from tgkz import binomials, poly, systems
 from tgkz.binomials import (
@@ -414,6 +415,57 @@ def test_s_polynomial_and_normal_form_match_oracle_on_monic_inputs():
             f = f + Polynomial.monomial(3, exp, Cyclotomic.zeta(6, rng.randint(0, 5)))
         assert poly.normal_form(f, basis, GREVLEX) == \
             _oracle_normal_form(f, basis, GREVLEX, leads)
+
+
+class _ReadDivisors(list):
+    """A divisor list that records the index of every divisor read: both
+    divisions read one per reduction step."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = []
+
+    def __getitem__(self, idx):
+        self.reads.append(idx)
+        return super().__getitem__(idx)
+
+
+@pytest.mark.parametrize("order, components", [
+    (GREVLEX, 0), (WeightedLast((1, 3, 2), 1), 0),
+    (poly.TermOverPosition(0), 1), (poly.TermOverPosition(2), 4)])
+def test_component_index_division_matches_linear_scan(order, components):
+    """poly._reduce, with its divisors listed per component and the order
+    keys of one memo, against the linear scan it replaced: at each step the
+    same divisor, and the same remainder."""
+    rng = random.Random(30 + components)
+    keys = poly._Keys(order).__getitem__
+    steps = 0
+
+    def term(top):
+        u = tuple(rng.randint(0, top) for _ in range(3))
+        if not components:
+            return u
+        p = rng.randrange(components)
+        return (p + 1, -p - 1) + u
+
+    def coeff():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 3))
+
+    for _ in range(100):
+        divisors, leads = [], []
+        for _ in range(rng.randint(1, 8)):
+            g = {term(1): coeff() for _ in range(rng.randint(1, 4))}
+            leads.append(max(g, key=order.key))
+            divisors.append(poly._monic(g, leads[-1]))
+        f = {term(3): coeff() for _ in range(rng.randint(1, 10))}
+        old, new = _ReadDivisors(divisors), _ReadDivisors(divisors)
+        expect = linear_reduce(f, old, leads, order)
+        got = poly._reduce(f, new, poly._index(leads, order.ntags), keys, order.ntags)
+        assert got == expect
+        assert list(got) == list(expect)
+        assert new.reads == old.reads
+        steps += len(old.reads)
+    assert steps > 300
 
 
 # ---------------------------------------------------------------------------

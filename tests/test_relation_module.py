@@ -3,6 +3,7 @@ the bounded relation search and the two-run construction kept in
 relation_oracle, and against the standard-monomial degrees of degree_oracle,
 which shares no code with the Groebner core."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -11,8 +12,10 @@ import pytest
 from conftest import random_battery
 from degree_oracle import height_of, standard_degree_failure
 from relation_oracle import bounded_basis, stable_basis, two_run_relation_module
+from tgkz import poly, systems
 from tgkz.errors import NotStabilizedError
 from tgkz.problem import parse_spec
+from tgkz.report import render, run_command
 from tgkz.semigroups import K, K_INTERIOR, SemigroupModule
 from tgkz.systems import (_primitive_set_for, _relation_module,
                           bbgkz_primitive_presentation, default_binomial_bound)
@@ -147,3 +150,29 @@ def test_degree_oracle_fails_without_a_lowest_relation(name, kind, drop):
     bound = _degree_bound(config)
     assert degree_height(lowest) <= bound
     assert standard_degree_failure(config, kind, gens, mutant, bound) is not None
+
+
+# The frontier `system` jobs: the sha256 prefix of each report and the
+# S-pairs its one eliminating module run pops, as measured before the
+# Groebner core kept its divisors and live elements per component
+FRONTIER = {"prism6_int": ("f537fda644535fb1", 1938),
+            "prism8_int": ("7ff4c0451af6bc49", 4112),
+            "hex4": ("08b8c8173953223b", 4741)}
+
+
+@pytest.mark.parametrize("name", sorted(FRONTIER))
+def test_frontier_system_reports_and_module_pair_counts(monkeypatch, name):
+    digest, pairs = FRONTIER[name]
+    formed = []
+    real_s_pair, real_module_groebner = poly._s_pair, systems.module_groebner
+
+    def module_groebner(elems, eliminate=0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "_s_pair", lambda *args: formed.append(args) or real_s_pair(*args))
+            return real_module_groebner(elems, eliminate)
+
+    monkeypatch.setattr(systems, "module_groebner", module_groebner)
+    systems._relation_module.cache_clear()
+    text = render(run_command(_spec(name, "bench/specs"), "system"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digest
+    assert len(formed) == pairs
